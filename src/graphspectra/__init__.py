@@ -21,11 +21,10 @@ from .graphs import (DiffusionPair, Graph, Multigraph, build_diffusion_pair,
                      write_graph)
 from .polynomials import (HomogeneousPart, InterpolationResult,
                           SpectralPolynomial, charpoly_division_free,
-                          evaluate_y, fraction_free_determinant,
-                          interpolate_spectral_poly, read_spectral_poly,
-                          spectral_polynomial, spectral_poly_from_text,
-                          spectral_poly_to_text, tangent_cone,
-                          write_spectral_poly)
+                          evaluate_y, interpolate_spectral_poly,
+                          read_spectral_poly, spectral_polynomial,
+                          spectral_poly_from_text, spectral_poly_to_text,
+                          tangent_cone, write_spectral_poly)
 from .forests import (ForestFamily, buslov_polynomial, enumerate_forests,
                       forest_family_to_text, kelmans_coefficients,
                       tree_count)

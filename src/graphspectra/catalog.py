@@ -145,16 +145,3 @@ def _pruefer_to_edges(n, seq):
     edges.append((u, v) if u < v else (v, u))
     return edges
 
-
-def all_labeled_trees(n):
-    """Every labeled tree on vertices 1..n, via Pruefer enumeration."""
-    if n == 1:
-        yield Graph(1)
-        return
-    if n == 2:
-        yield Graph.of(2, [(1, 2)])
-        return
-    from itertools import product
-
-    for seq in product(range(1, n + 1), repeat=n - 2):
-        yield Graph.of(n, _pruefer_to_edges(n, list(seq)))

@@ -14,7 +14,7 @@ from fractions import Fraction
 from mpmath import mp
 
 from . import catalog
-from .errors import PrecisionError, ValidationError
+from .errors import PrecisionError, ValidationError, parse_fields, parse_ints
 from .forests import buslov_polynomial, kelmans_coefficients
 from .game import (GameConfig, GameSession, LoopbackEndpoint, SocketEndpoint,
                    SolverConfig, serve_game, solve_game)
@@ -66,7 +66,7 @@ def _load_pair(path, labels_spec, seed):
         labels = sum_distinct_labels(max(dp.graph.m, 1))[: dp.graph.m]
         random.Random(seed).shuffle(labels)
     else:
-        labels = [int(tok) for tok in labels_spec.split(",")]
+        labels = parse_ints(labels_spec.split(","), labels_spec)
     return dp.relabeled(labels)
 
 
@@ -133,13 +133,18 @@ def _read_assignment(text):
     rows = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if not rows or not rows[0].startswith("clusters "):
         raise ValidationError("missing clusters header")
-    fields = dict(tok.split("=") for tok in rows[0].split()[1:])
-    q = int(fields["q"])
-    prec = int(fields["prec"])
+    fields = parse_fields(rows[0].split()[1:], rows[0])
+    try:
+        q, prec = parse_ints([fields["q"], fields["prec"]], rows[0])
+    except KeyError as exc:
+        raise ValidationError(f"clusters header missing field {exc}")
     levels = {}
     for ln in rows[1:]:
-        r_tok, v_tok = ln.split(None, 1)
-        levels.setdefault(int(r_tok), []).append(parse_exact_decimal(v_tok))
+        parts = ln.split(None, 1)
+        if len(parts) != 2:
+            raise ValidationError(f"bad cluster line {ln!r}")
+        [r] = parse_ints(parts[:1], ln)
+        levels.setdefault(r, []).append(parse_exact_decimal(parts[1]))
     levels = {r: tuple(sorted(vs)) for r, vs in levels.items()}
     return ClusterAssignment(q, prec, levels, float("inf"), 1.0)
 

@@ -3,7 +3,8 @@
 ValidationError covers malformed inputs and contract violations; the CLI
 maps it to exit code 2.  PrecisionError covers numeric failures (exhausted
 working precision, non-convergence, snapping residuals above tolerance);
-the CLI maps it and its subclasses to exit code 3.
+the CLI maps it and its subclasses to exit code 3.  The two token parsers
+at the end turn malformed text into ValidationError for every file reader.
 """
 
 
@@ -21,3 +22,22 @@ class AmbiguousClusteringError(PrecisionError):
 
 class RealizationError(ValidationError):
     """No graph realizes the given forest family."""
+
+
+def parse_ints(tokens, where):
+    """Tokens as ints; a non-integer token is a ValidationError."""
+    try:
+        return [int(tok) for tok in tokens]
+    except ValueError:
+        raise ValidationError(f"non-integer token in {where!r}") from None
+
+
+def parse_fields(tokens, where):
+    """'key=value' tokens as a dict; a token without '=' is a ValidationError."""
+    fields = {}
+    for tok in tokens:
+        key, sep, value = tok.partition("=")
+        if not sep:
+            raise ValidationError(f"field {tok!r} in {where!r} lacks '='")
+        fields[key] = value
+    return fields

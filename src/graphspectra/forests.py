@@ -19,7 +19,7 @@ from itertools import combinations
 
 from .errors import ValidationError
 from .graphs import Graph, Multigraph, quotient_graph
-from .polynomials import SpectralPolynomial, fraction_free_determinant
+from .polynomials import SpectralPolynomial, charpoly_division_free
 from .unipoly import UniPoly
 
 DEFAULT_EDGE_CAP = 20
@@ -130,16 +130,13 @@ def tree_count(mg):
     """Number of spanning trees of a multigraph, via the matrix-tree minor.
 
     Multiplicities act as integer edge weights; 0 for disconnected input.
+    The minor's determinant is (-1)^(n-1) times the constant term of its
+    characteristic polynomial det(X*I - minor).
     """
     if isinstance(mg, Graph):
         mg = Multigraph(mg.n, tuple(mg.sorted_edges()))
-    n = mg.n
-    if n == 1:
-        return 1
-    L = mg.laplacian()
-    minor = [row[1:] for row in L[1:]]
-    det = fraction_free_determinant(minor)
-    return int(det)
+    minor = [row[1:] for row in mg.laplacian()[1:]]
+    return (-1) ** (mg.n - 1) * charpoly_division_free(minor).coefficient(0)
 
 
 def kelmans_coefficients(g):

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import ValidationError
+from .errors import ValidationError, parse_ints
 from .unipoly import UniPoly
 
 
@@ -114,13 +114,7 @@ class Multigraph:
 
     def laplacian(self):
         """Integer Laplacian with multiplicities as edge weights."""
-        L = [[0] * self.n for _ in range(self.n)]
-        for u, v in self.edges:
-            L[u - 1][v - 1] -= 1
-            L[v - 1][u - 1] -= 1
-            L[u - 1][u - 1] += 1
-            L[v - 1][v - 1] += 1
-        return L
+        return edge_set_laplacian(self.n, self.edges)
 
 
 @dataclass(frozen=True)
@@ -150,6 +144,9 @@ class DiffusionPair:
 
     def relabeled(self, new_labels, **kwargs):
         """Same graph with a different label assignment (sorted-edge order)."""
+        if len(new_labels) != self.graph.m:
+            raise ValidationError(
+                f"need {self.graph.m} labels, got {len(new_labels)}")
         return build_diffusion_pair(
             self.graph.n,
             [(u, v, a) for (u, v), a in zip(self.graph.sorted_edges(), new_labels)],
@@ -187,17 +184,26 @@ def build_diffusion_pair(n, weighted_edges, require_distinct_labels=True,
     return DiffusionPair(graph, tuple(labels), ssd)
 
 
+def _assemble_laplacian(n, weighted_edges, zero):
+    """Sum of w * (e_u - e_v)(e_u - e_v)^T over ((u, v), w) pairs.
+
+    Entries are rebound, never mutated in place, so the shared zero is safe
+    for any immutable ring element (int, Fraction, UniPoly).
+    """
+    L = [[zero] * n for _ in range(n)]
+    for (u, v), w in weighted_edges:
+        L[u - 1][v - 1] -= w
+        L[v - 1][u - 1] -= w
+        L[u - 1][u - 1] += w
+        L[v - 1][v - 1] += w
+    return L
+
+
 def symbolic_laplacian(dp):
     """Matrix over Z[Y]: entry (a,b) = -Y^{label(ab)} on edges, row sums zero."""
-    n = dp.graph.n
-    L = [[UniPoly.zero() for _ in range(n)] for _ in range(n)]
-    for (u, v), a in dp.labels:
-        w = UniPoly.monomial(1, a)
-        L[u - 1][v - 1] = L[u - 1][v - 1] - w
-        L[v - 1][u - 1] = L[v - 1][u - 1] - w
-        L[u - 1][u - 1] = L[u - 1][u - 1] + w
-        L[v - 1][v - 1] = L[v - 1][v - 1] + w
-    return L
+    return _assemble_laplacian(
+        dp.graph.n, ((e, UniPoly.monomial(1, a)) for e, a in dp.labels),
+        UniPoly.zero())
 
 
 def level_laplacian(dp, q, r):
@@ -209,40 +215,22 @@ def level_laplacian(dp, q, r):
     if q < 2:
         raise ValidationError("q must be at least 2")
     y = Fraction(q) ** (1 - r)
-    n = dp.graph.n
-    L = [[Fraction(0)] * n for _ in range(n)]
-    for (u, v), a in dp.labels:
-        w = y ** a
-        L[u - 1][v - 1] -= w
-        L[v - 1][u - 1] -= w
-        L[u - 1][u - 1] += w
-        L[v - 1][v - 1] += w
-    return L
+    return _assemble_laplacian(
+        dp.graph.n, ((e, y ** a) for e, a in dp.labels), Fraction(0))
 
 
 def laplacian_matrix(g):
     """Unweighted integer Laplacian of a plain graph."""
-    L = [[0] * g.n for _ in range(g.n)]
-    for u, v in g.edges:
-        L[u - 1][v - 1] -= 1
-        L[v - 1][u - 1] -= 1
-        L[u - 1][u - 1] += 1
-        L[v - 1][v - 1] += 1
-    return L
+    return edge_set_laplacian(g.n, g.edges)
 
 
 def edge_set_laplacian(n, pairs):
-    """Sum of single-edge Laplacians over the given pair set; positive semidefinite."""
-    L = [[0] * n for _ in range(n)]
-    for u, v in pairs:
-        u, v = _normalize_edge(u, v)
-        if v > n:
-            raise ValidationError(f"pair {(u, v)} outside 1..{n}")
-        L[u - 1][v - 1] -= 1
-        L[v - 1][u - 1] -= 1
-        L[u - 1][u - 1] += 1
-        L[v - 1][v - 1] += 1
-    return L
+    """Sum of single-edge Laplacians over the pairs (repeats add up); positive semidefinite."""
+    edges = [_normalize_edge(u, v) for u, v in pairs]
+    for e in edges:
+        if e[1] > n:
+            raise ValidationError(f"pair {e} outside 1..{n}")
+    return _assemble_laplacian(n, ((e, 1) for e in edges), 0)
 
 
 def seminorm_sq(v, pairs):
@@ -485,19 +473,16 @@ def graph_from_text(text):
     head = rows[0].split()
     if len(head) != 2:
         raise ValidationError(f"bad header {rows[0]!r}")
-    n, m = int(head[0]), int(head[1])
+    n, m = parse_ints(head, rows[0])
     if len(rows) - 1 != m:
         raise ValidationError(f"expected {m} edge lines, found {len(rows) - 1}")
     weighted = []
     for ln in rows[1:]:
         parts = ln.split()
-        if len(parts) == 2:
-            u, v, a = int(parts[0]), int(parts[1]), 1
-        elif len(parts) == 3:
-            u, v, a = int(parts[0]), int(parts[1]), int(parts[2])
-        else:
+        if len(parts) not in (2, 3):
             raise ValidationError(f"bad edge line {ln!r}")
-        weighted.append((u, v, a))
+        u, v, *a = parse_ints(parts, ln)
+        weighted.append((u, v, a[0] if a else 1))
     return build_diffusion_pair(n, weighted, require_distinct_labels=False)
 
 

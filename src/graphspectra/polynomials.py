@@ -13,7 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import PrecisionError, ValidationError
+from .errors import PrecisionError, ValidationError, parse_ints
+from .graphs import symbolic_laplacian
 from .unipoly import UniPoly
 
 
@@ -24,22 +25,16 @@ from .unipoly import UniPoly
 def charpoly_division_free(M):
     """Characteristic polynomial det(X*I - M) of an exact square matrix.
 
-    Division-free (Berkowitz): only +, -, * on the entries, so it is exact
-    over ints and Fractions alike.  Returns a UniPoly in X.
+    Division-free (Berkowitz 1984): only +, -, * on the entries, so it is
+    exact over any commutative ring - ints, Fractions, or UniPoly entries
+    for matrices over Z[Y].  Returns a UniPoly in X.
     """
     n = len(M)
     for row in M:
         if len(row) != n:
             raise ValidationError("matrix is not square")
-    C = _berkowitz_descending(M)
-    return UniPoly({n - i: c for i, c in enumerate(C) if c})
-
-
-def _berkowitz_descending(M):
-    """Berkowitz recursion over any commutative ring; returns descending coeffs."""
-    n = len(M)
     if n == 0:
-        return [1]
+        return UniPoly.const(1)
     # coeffs of charpoly of the leading k x k block, descending powers of X
     C = [1, -M[0][0]]
     for k in range(1, n):
@@ -58,33 +53,7 @@ def _berkowitz_descending(M):
                 acc = acc + t[i - j] * C[j]
             C_new[i] = acc
         C = C_new
-    return C
-
-
-def fraction_free_determinant(M):
-    """Exact determinant by Bareiss elimination; integer-preserving."""
-    n = len(M)
-    if n == 0:
-        return 1
-    A = [[Fraction(x) if not isinstance(x, int) else x for x in row] for row in M]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if not A[k][k]:
-            for i in range(k + 1, n):
-                if A[i][k]:
-                    A[k], A[i] = A[i], A[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = A[i][j] * A[k][k] - A[i][k] * A[k][j]
-                A[i][j] = num // prev if isinstance(num, int) else num / prev
-            A[i][k] = 0
-        prev = A[k][k]
-    return sign * A[n - 1][n - 1]
+    return UniPoly({n - i: c for i, c in enumerate(C) if c})
 
 
 # ---------------------------------------------------------------------------
@@ -147,68 +116,18 @@ class SpectralPolynomial:
         return " + ".join(parts) if parts else "0"
 
 
-EVAL_INTERP_MAX_WEIGHT = 160
-
-
 def spectral_polynomial(dp):
     """Exact P(X, Y) of a diffusion pair.
 
-    For modest total label weight D: evaluate Y at the integers 0..D, run
-    the division-free characteristic polynomial on each integer matrix, and
-    interpolate every a_i exactly through the D+1 nodes.  Sparse label sets
-    (e.g. powers of two) blow D up exponentially while the polynomial stays
-    sparse, so past a threshold the same division-free recursion runs once
-    over the polynomial ring Z[Y] instead.  Both paths are exact.
+    The division-free characteristic polynomial runs once over the
+    polynomial ring Z[Y] on the symbolic Laplacian, so the cost follows the
+    sparse supports of the entries, not the total label weight.
     """
-    from .graphs import symbolic_laplacian
-
     n = dp.graph.n
-    D = dp.total_weight
-    sym = symbolic_laplacian(dp)
-    if D > EVAL_INTERP_MAX_WEIGHT:
-        C = _berkowitz_descending(sym)
-        return SpectralPolynomial(
-            n, tuple(_as_unipoly(C[n - i]) for i in range(n + 1)))
-    values = []  # values[t][i] = a_i(t)
-    for t in range(D + 1):
-        M = [[entry(t) for entry in row] for row in sym]
-        cp = charpoly_division_free(M)
-        values.append([cp.coefficient(i) for i in range(n + 1)])
-    coeffs = []
-    for i in range(n + 1):
-        coeffs.append(_interpolate_consecutive([row[i] for row in values]))
-    return SpectralPolynomial(n, tuple(coeffs))
-
-
-def _as_unipoly(c):
-    return c if isinstance(c, UniPoly) else UniPoly.const(c)
-
-
-def _interpolate_consecutive(samples):
-    """Exact polynomial through integer values at nodes 0, 1, ..., len-1.
-
-    Finite differences give the binomial-basis coefficients; the expansion
-    back to monomials runs over Fractions and must land on integers.
-    """
-    diffs = list(samples)
-    deltas = []
-    for k in range(len(samples)):
-        deltas.append(diffs[0])
-        diffs = [diffs[j + 1] - diffs[j] for j in range(len(diffs) - 1)]
-    # poly = sum_k deltas[k] * binomial(Y, k)
-    result = UniPoly.zero()
-    falling = UniPoly.const(1)  # Y (Y-1) ... (Y-k+1)
-    factorial = 1
-    for k, d in enumerate(deltas):
-        if k:
-            falling = falling * UniPoly({1: 1, 0: -(k - 1)})
-            factorial *= k
-        if d:
-            result = result + falling.map_coefficients(
-                lambda c, d=d, f=factorial: Fraction(c * d, f))
-    if not result.is_integer():
-        raise PrecisionError("interpolation of exact data missed integrality")
-    return result.map_coefficients(lambda c: int(c))
+    cp = charpoly_division_free(symbolic_laplacian(dp))
+    # the leading 1 comes back as a plain int; lift every a_i into Z[Y]
+    return SpectralPolynomial(
+        n, tuple(UniPoly.zero() + cp.coefficient(i) for i in range(n + 1)))
 
 
 def evaluate_y(P, y):
@@ -289,6 +208,10 @@ def interpolate_spectral_poly(samples, degree_bound, snap_tol=Fraction(1, 10 ** 
       plain linear solve amplifies catastrophically on geometric nodes.
     * exact Lagrange (Newton form) through the bound+1 nodes of smallest
       magnitude, remaining nodes used as verification.
+
+    Too few nodes for Lagrange is a PrecisionError when integer bases were
+    present and every decode failed (a larger base may succeed), and a
+    ValidationError when there was no base to decode at.
     """
     nodes = {}
     for y, poly in samples.items():
@@ -312,6 +235,11 @@ def interpolate_spectral_poly(samples, degree_bound, snap_tol=Fraction(1, 10 ** 
             return result
 
     if len(nodes) < degree_bound + 1:
+        if decode_bases:
+            raise PrecisionError(
+                f"digit decode failed at every integer base "
+                f"{[int(b) for b in decode_bases]} and {len(nodes)} nodes are "
+                f"too few to interpolate degree {degree_bound}")
         raise ValidationError(
             f"insufficient nodes: need {degree_bound + 1}, got {len(nodes)}")
     return _lagrange_fit(nodes, n, degree_bound, snap_tol)
@@ -439,13 +367,13 @@ def spectral_poly_from_text(text):
     rows = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if not rows or not rows[0].startswith("spoly n="):
         raise ValidationError("missing 'spoly n=<n>' header")
-    n = int(rows[0].split("=", 1)[1])
+    [n] = parse_ints([rows[0].split("=", 1)[1]], rows[0])
     coeffs = [dict() for _ in range(n + 1)]
     for ln in rows[1:]:
         parts = ln.split()
         if len(parts) != 3:
             raise ValidationError(f"bad monomial line {ln!r}")
-        c, j, k = int(parts[0]), int(parts[1]), int(parts[2])
+        c, j, k = parse_ints(parts, ln)
         if not 0 <= j <= n:
             raise ValidationError(f"X-degree {j} outside 0..{n}")
         if k in coeffs[j]:

@@ -5,19 +5,19 @@ a_i(Y) names exactly one spanning forest: the exponent is the sum of the
 forest's labels (decoded back into a unique label subset) and the
 magnitude is the forest's component-size product.  The edge labels
 themselves are the exponents of a_(n-1), whose forests are single edges.
-A graph realizing the decoded family is then searched: one decoded
-spanning tree is matched against labeled trees (Pruefer enumeration), the
-remaining labels are placed on the endpoints of their fundamental-circuit
-paths, and the candidate is accepted only if its full forest family
-reproduces the decoded one.  Uniqueness of the result up to isomorphism
-is exactly the reconstruction guarantee this package demonstrates.
+A graph realizing the decoded family is then built: one decoded spanning
+tree is drawn edge by edge from its label adjacency (which labels share a
+vertex), the remaining labels are placed on the endpoints of their
+fundamental-circuit paths, and the candidate is accepted only if its full
+forest family reproduces the decoded one.  Uniqueness of the result up to
+isomorphism is exactly the reconstruction guarantee this package
+demonstrates.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .catalog import all_labeled_trees
 from .errors import RealizationError, ValidationError
 from .forests import enumerate_forests
 from .graphs import Graph
@@ -129,13 +129,13 @@ def decode_forest_family(P):
     return DecodedFamily(n, labels, families)
 
 
-def realize_graph(fam, tree_budget=None):
+def realize_graph(fam):
     """A labeled graph whose forest family equals the decoded one.
 
-    Search: fix the lexicographically smallest decoded spanning tree S;
-    its pairwise label adjacency (component products 3 = sharing a vertex,
-    4 = disjoint) must match the edge adjacency of the realizing tree, so
-    each Pruefer tree is screened for a label -> edge isomorphism; the
+    Fix the lexicographically smallest decoded spanning tree S.  Its
+    pairwise label adjacency (component products 3 = sharing a vertex,
+    4 = disjoint) is the line graph of the realizing tree, so every way of
+    drawing S is found by attaching its labels one at a time; the
     fundamental circuit of every non-tree label then forces its endpoints.
     A candidate survives only if its enumerated family matches exactly.
     """
@@ -153,37 +153,20 @@ def realize_graph(fam, tree_budget=None):
     non_tree = [a for a in fam.labels if a not in S]
     circuits = {e: _fundamental_circuit(fam, S, e) for e in non_tree}
     share = _label_adjacency(fam, S)
-    label_degrees = sorted(sum(share[(a, b)] for b in S if b != a) for a in S)
-
-    budget = tree_budget if tree_budget is not None else n ** max(n - 2, 0) + 1
-    examined = 0
-    for T in all_labeled_trees(n):
-        examined += 1
-        if examined > budget:
-            raise RealizationError("realization search cap exceeded")
-        t_edges = T.sorted_edges()
-        adj = {
-            (e, f): int(bool(set(e) & set(f)))
-            for e in t_edges for f in t_edges if e != f
-        }
-        degs = sorted(sum(adj[(e, f)] for f in t_edges if f != e) for e in t_edges)
-        if degs != label_degrees:
+    for sigma in _tree_drawings(S, share):
+        candidate = _place_non_tree_edges(n, sigma, circuits)
+        if candidate is None:
             continue
-        for sigma in _adjacency_isomorphisms(S, share, t_edges, adj):
-            candidate = _place_non_tree_edges(n, S, sigma, circuits, T)
-            if candidate is None:
-                continue
-            graph, edge_labels = candidate
-            produced = enumerate_forests(graph).as_label_families(
-                {e: a for e, a in edge_labels.items()})
-            if produced == fam.families:
-                return Realization(graph, edge_labels)
+        graph, edge_labels = candidate
+        produced = enumerate_forests(graph).as_label_families(edge_labels)
+        if produced == fam.families:
+            return Realization(graph, edge_labels)
     raise RealizationError("no graph realizes the decoded forest family")
 
 
-def reconstruct_from_polynomial(P, tree_budget=None):
+def reconstruct_from_polynomial(P):
     """Decode the family and realize it; the graph is unique up to isomorphism."""
-    return realize_graph(decode_forest_family(P), tree_budget).graph
+    return realize_graph(decode_forest_family(P)).graph
 
 
 def _check_downward_closed(fam):
@@ -231,35 +214,41 @@ def _label_adjacency(fam, S):
     return share
 
 
-def _adjacency_isomorphisms(S, share, t_edges, adj):
-    """Backtracking bijections label -> tree edge preserving adjacency."""
-    k = len(S)
-    label_deg = {a: sum(share[(a, b)] for b in S if b != a) for a in S}
-    edge_deg = {e: sum(adj[(e, f)] for f in t_edges if f != e) for e in t_edges}
-    mapping = {}
-    used = set()
+def _tree_drawings(S, share):
+    """Every drawing of the labels of S as a tree on vertices 1..len(S)+1
+    whose edge adjacency is `share`, up to renumbering the vertices.
+
+    S[0] is the edge (1, 2); each further label, in breadth-first order of
+    the label adjacency, shares an endpoint with its already drawn
+    predecessor and brings the next fresh vertex.  Which endpoint is forced
+    by the labels it shares a vertex with, except for the first step, so a
+    tree has at most a few drawings and no labeled tree is enumerated.
+    """
+    order, parent = [S[0]], {S[0]: None}
+    for a in order:
+        for b in S:
+            if b not in parent and share[(a, b)]:
+                parent[b] = a
+                order.append(b)
+    if len(order) < len(S):
+        return  # the edge adjacency of a tree is connected
+    sigma = {S[0]: (1, 2)}
 
     def extend(i):
-        if i == k:
-            yield dict(mapping)
+        if i == len(order):
+            yield dict(sigma)
             return
-        a = S[i]
-        for e in t_edges:
-            if e in used or label_deg[a] != edge_deg[e]:
-                continue
-            if any(share[(a, b)] != adj[(mapping[b], e)]
-                   for b in S[:i]):
-                continue
-            mapping[a] = e
-            used.add(e)
-            yield from extend(i + 1)
-            del mapping[a]
-            used.remove(e)
+        a, fresh = order[i], i + 2
+        for u in sigma[parent[a]]:
+            if all(share[(a, b)] == (u in e) for b, e in sigma.items()):
+                sigma[a] = (u, fresh)
+                yield from extend(i + 1)
+                del sigma[a]
 
-    yield from extend(0)
+    yield from extend(1)
 
 
-def _place_non_tree_edges(n, S, sigma, circuits, T):
+def _place_non_tree_edges(n, sigma, circuits):
     edge_labels = {e: a for a, e in sigma.items()}
     for label, circuit in circuits.items():
         path_edges = [sigma[s] for s in circuit]

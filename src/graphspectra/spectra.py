@@ -24,7 +24,8 @@ from mpmath import mp
 if sys.get_int_max_str_digits() < 2_000_000:
     sys.set_int_max_str_digits(2_000_000)
 
-from .errors import AmbiguousClusteringError, PrecisionError, ValidationError
+from .errors import (AmbiguousClusteringError, PrecisionError, ValidationError,
+                     parse_fields, parse_ints)
 from .graphs import edge_set_laplacian, level_laplacian, seminorm_sq
 from .polynomials import interpolate_spectral_poly
 from .unipoly import UniPoly
@@ -73,7 +74,10 @@ def exact_decimal(x):
 
 
 def parse_exact_decimal(s):
-    f = Fraction(s)
+    try:
+        f = Fraction(s)
+    except ValueError:
+        raise ValidationError(f"not a decimal number: {s!r}") from None
     if f == 0:
         return mp.mpf(0)
     den = f.denominator
@@ -733,12 +737,10 @@ def spectrum_from_text(text):
     rows = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if not rows or not rows[0].startswith("spectrum "):
         raise ValidationError("missing spectrum header")
-    fields = dict(tok.split("=") for tok in rows[0].split()[1:])
+    fields = parse_fields(rows[0].split()[1:], rows[0])
     try:
-        q = int(fields["q"])
-        r_min = int(fields["rmin"])
-        r_max = int(fields["rmax"])
-        prec = int(fields["prec"])
+        q, r_min, r_max, prec = parse_ints(
+            [fields[k] for k in ("q", "rmin", "rmax", "prec")], rows[0])
     except KeyError as exc:
         raise ValidationError(f"spectrum header missing field {exc}")
     values = tuple(parse_exact_decimal(ln) for ln in rows[1:])

@@ -56,10 +56,22 @@ def test_simulate_cluster_recover_pipeline(tmp_path, k3_file):
     assert out.read_text() == spoly.read_text()
 
 
-def test_validation_exit_code(tmp_path):
-    bad = tmp_path / "bad.graph"
-    bad.write_text("2 1\n1 1 1\n")
-    assert main(["curve", str(bad)]) == 2
+@pytest.mark.parametrize("command, text, options", [
+    ("curve", "2 1\n1 1 1\n", []),
+    ("curve", "3 2\n1 x 3\n2 3 1\n", []),
+    ("cluster", "spectrum q=5 rmin rmax=1 prec=64\n0\n", []),
+    ("reconstruct", "spoly n=2\n1 2 0\n1 2 z\n", []),
+    ("curve", "3 2\n1 2\n2 3\n", ["--labels", "1,b"]),
+    ("curve", "3 2\n1 2\n2 3\n", ["--labels", "1"]),
+    ("cluster", "spectrum q=5 rmin=0 rmax=1 prec=64\n0\nabc\n", []),
+    ("recover", "clusters q=5 prec\n1 0\n", ["--degree-bound", "3"]),
+], ids=["self-loop", "graph-token", "spectrum-field", "spoly-token",
+        "labels-token", "labels-count", "spectrum-value", "clusters-field"])
+def test_validation_exit_code(tmp_path, command, text, options):
+    bad = tmp_path / "bad.input"
+    bad.write_text(text)
+    files = [str(bad)] * (2 if command == "cluster" else 1)
+    assert main([command] + files + options) == 2
 
 
 def test_precision_exit_code(tmp_path):

@@ -7,8 +7,9 @@ from graphspectra.catalog import (complete_graph, connected_graphs,
                                   random_connected_graph)
 from graphspectra.errors import ValidationError
 from graphspectra.game import (GameConfig, GameSession, LoopbackEndpoint,
-                               SocketEndpoint, SolverConfig, decode_message,
-                               encode_message, serve_game, solve_game)
+                               SocketEndpoint, SolveResult, SolverConfig,
+                               decode_message, encode_message, serve_game,
+                               solve_game)
 from graphspectra.graphs import Graph, is_isomorphic
 
 
@@ -132,6 +133,18 @@ class TestSolver:
                 res = solve_game(LoopbackEndpoint(
                     GameSession(g, GameConfig(seed=n))))
                 assert res.won, sorted(g.edges)
+
+    def test_small_primes_escalate_instead_of_crashing(self):
+        # at q = 5 and 7 the digit decode fails on most 4-vertex graphs;
+        # the solver must move on to the next prime, not raise
+        for n in (3, 4):
+            for g in connected_graphs(n):
+                res = solve_game(LoopbackEndpoint(
+                    GameSession(g, GameConfig(seed=n))),
+                    SolverConfig(primes=(5, 7, 11, 13)))
+                assert isinstance(res, SolveResult)
+                if res.won:
+                    assert is_isomorphic(res.graph, g), sorted(g.edges)
 
     def test_random_n6(self):
         rng = random.Random(12)

@@ -12,7 +12,6 @@ from graphspectra.errors import PrecisionError, ValidationError
 from graphspectra.graphs import build_diffusion_pair, level_laplacian
 from graphspectra.polynomials import (SpectralPolynomial,
                                       charpoly_division_free, evaluate_y,
-                                      fraction_free_determinant,
                                       interpolate_spectral_poly,
                                       spectral_polynomial,
                                       spectral_poly_from_text,
@@ -67,21 +66,6 @@ class TestCharpoly:
     def test_non_square_rejected(self):
         with pytest.raises(ValidationError):
             charpoly_division_free([[1, 2]])
-
-
-class TestFractionFreeDeterminant:
-    def test_known(self):
-        assert fraction_free_determinant([[1, 2], [3, 4]]) == -2
-        assert fraction_free_determinant([[2]]) == 2
-        assert fraction_free_determinant([[0, 1], [1, 0]]) == -1
-
-    def test_matches_charpoly_constant(self):
-        rng = random.Random(9)
-        for _ in range(20):
-            n = rng.randint(1, 5)
-            M = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)]
-            cp = charpoly_division_free(M)
-            assert fraction_free_determinant(M) == (-1) ** n * cp.coefficient(0)
 
 
 class TestSpectralPolynomial:
@@ -148,19 +132,6 @@ class TestSpectralPolynomial:
             assert P.y_degree == best
             assert P.y_degree <= dp.total_weight
             assert (P.y_degree == dp.total_weight) == (g.m == g.n - 1)
-
-    def test_strategies_agree_across_threshold(self):
-        import graphspectra.polynomials as pm
-        dp = build_diffusion_pair(4, [(1, 2, 1), (2, 3, 37), (3, 4, 90),
-                                      (1, 4, 55)])
-        P_ring = spectral_polynomial(dp)  # total weight 183 > threshold
-        old = pm.EVAL_INTERP_MAX_WEIGHT
-        try:
-            pm.EVAL_INTERP_MAX_WEIGHT = 10 ** 9
-            P_interp = spectral_polynomial(dp)
-        finally:
-            pm.EVAL_INTERP_MAX_WEIGHT = old
-        assert P_ring == P_interp
 
 
 class TestEvaluateY:
@@ -253,6 +224,14 @@ class TestInterpolation:
     def test_insufficient_nodes(self):
         with pytest.raises(ValidationError):
             interpolate_spectral_poly({1: UniPoly({2: 1, 1: -2})}, 1)
+
+    def test_failed_decode_with_too_few_nodes_is_precision_error(self):
+        # the coefficient 3 of K3 lies outside base 5's balanced digits
+        dp = build_diffusion_pair(3, [(1, 2, 1), (1, 3, 2), (2, 3, 4)])
+        P = spectral_polynomial(dp)
+        samples = {y: evaluate_y(P, y) for y in (1, 5)}
+        with pytest.raises(PrecisionError):
+            interpolate_spectral_poly(samples, 7)
 
     def test_noisy_samples_snapped(self):
         dp = build_diffusion_pair(2, [(1, 2, 1)])

@@ -83,6 +83,18 @@ class TestRealize:
         with pytest.raises(RealizationError):
             realize_graph(fam)
 
+    def test_disconnected_label_adjacency_rejected(self):
+        # three pairwise disjoint edges cannot span 4 vertices
+        fam = DecodedFamily(4, (1, 2, 4), {
+            1: frozenset({(frozenset({1, 2, 4}), 1)}),
+            2: frozenset({(frozenset({1, 2}), 4), (frozenset({1, 4}), 4),
+                          (frozenset({2, 4}), 4)}),
+            3: frozenset({(frozenset({1}), 2), (frozenset({2}), 2),
+                          (frozenset({4}), 2)}),
+            4: frozenset({(frozenset(), 1)})})
+        with pytest.raises(RealizationError):
+            realize_graph(fam)
+
     def test_realized_family_round_trips(self):
         rng = random.Random(77)
         for _ in range(8):
@@ -111,6 +123,17 @@ class TestReconstruct:
             if g.m > 12:
                 continue
             dp = with_powers_of_two(g)
+            h = reconstruct_from_polynomial(spectral_polynomial(dp))
+            assert is_isomorphic(g, h)
+
+    def test_round_trip_eight_vertices(self):
+        # shuffled powers-of-two labels, up to three circuits
+        rng = random.Random(8)
+        for _ in range(6):
+            g = random_connected_graph(8, rng, max_extra_edges=3)
+            labels = [1 << i for i in range(g.m)]
+            rng.shuffle(labels)
+            dp = with_labels(g, labels, check_subset_sums=True)
             h = reconstruct_from_polynomial(spectral_polynomial(dp))
             assert is_isomorphic(g, h)
 
