@@ -52,6 +52,14 @@ def _parse_window(spec):
         raise ValidationError(f"window must look like '-3:1', got {spec!r}")
 
 
+def _parse_fraction(spec, option):
+    try:
+        return Fraction(spec)
+    except (ValueError, ZeroDivisionError):
+        raise ValidationError(f"{option} must be a rational number like "
+                              f"'3' or '1/1000', got {spec!r}") from None
+
+
 def _load_pair(path, labels_spec, seed):
     dp = graph_from_text(_read(path))
     if labels_spec is None:
@@ -88,8 +96,8 @@ def _cmd_tangent_cone(args):
 
 
 def _cmd_evaluate(args):
+    y = _parse_fraction(args.y, "--y")
     P = spectral_poly_from_text(_read(args.polynomial))
-    y = Fraction(args.y)
     p = evaluate_y(P, y)
     lines = [f"upoly y={y}"]
     for k in sorted(p.terms, reverse=True):
@@ -160,9 +168,9 @@ def _cmd_recover(args):
 
 
 def _cmd_separate(args):
+    eps = _parse_fraction(args.epsilon, "--epsilon")
     g1 = graph_from_text(_read(args.graph1)).graph
     g2 = graph_from_text(_read(args.graph2)).graph
-    eps = Fraction(args.epsilon)
     full, half, ratio = prediction_error_ratio(
         g1, g2, eps, args.precision_bits)
     report = {

@@ -70,6 +70,8 @@ class GameSession:
             reply = self._dispatch(msg)
         except ValidationError as exc:
             reply = {"type": "error", "code": "invalid", "message": str(exc)}
+        except PrecisionError as exc:
+            reply = {"type": "error", "code": "precision", "message": str(exc)}
         self.transcript.append(("send", encode_message(reply)))
         return reply
 

@@ -1,0 +1,358 @@
+"""Certified real roots of integer polynomials whose roots are all real.
+
+The characteristic polynomial of a real symmetric matrix has only real
+roots, and so do its square-free factors.  For such a polynomial Descartes'
+rule of signs, applied to the Taylor expansion at a point x, counts the
+roots above x exactly; roots are isolated by these exact counts at dyadic
+points (geometric bisection across the dynamic range, arithmetic bisection
+inside a few octaves).  Each isolated root is refined by Newton's method at
+doubling precision, every function value computed exactly, and a value x
+is accepted only after an exact sign change of its factor across
+x -/+ 2^(e-(bits-4)), 2^e <= |x| < 2^(e+1), an interval inside
+x*(1 -/+ 2^-(bits-4)).  Those intervals are then checked to be pairwise
+disjoint, so the degree of the factor proves that each holds exactly one
+root.  Repeated roots are split off first by Yun's square-free
+decomposition, and zero roots come from the X-adic valuation, exactly.
+
+Polynomials are lists of int coefficients, lowest degree first, with a
+nonzero leading coefficient; the zero polynomial is [].  Points are raw
+mpmath mpf tuples, which are exact dyadic rationals.
+"""
+from __future__ import annotations
+
+from math import gcd
+
+from mpmath import mp
+from mpmath.libmp import (from_man_exp, mpf_abs, mpf_add, mpf_cmp, mpf_div,
+                          mpf_mul, mpf_neg, mpf_shift, mpf_sub, round_nearest)
+
+from .errors import PrecisionError
+
+# Prime for the modular test that skips Yun's exact gcds on square-free input.
+_MODULUS = (1 << 61) - 1
+_NEWTON_MIN_BITS = 64
+
+
+def real_roots(coeffs, bits):
+    """Roots of sum coeffs[i]*X^i, ascending and with multiplicity, as mpf.
+
+    Zero roots are exact zeros.  Every other root is returned as a value x
+    of at most `bits` bits such that its square-free factor changes sign
+    across a certificate interval inside x*(1 -/+ 2^-(bits-4)) holding no
+    other root.  Raises PrecisionError when two roots of one factor lie too
+    close to be told apart at `bits` bits, or when the polynomial turns out
+    to have non-real roots.
+    """
+    if bits < 8:
+        raise PrecisionError(f"{bits} bits cannot certify a root")
+    v = next(i for i, c in enumerate(coeffs) if c)
+    roots = [mp.mpf(0)] * v
+    for mult, factor in square_free_factors(coeffs[v:]):
+        for x in _simple_roots(factor, bits):
+            roots.extend([mp.make_mpf(x)] * mult)
+    roots.sort()
+    return roots
+
+
+# ---------------------------------------------------------------------------
+# Integer polynomial arithmetic
+
+
+def _trim(f):
+    while f and not f[-1]:
+        f.pop()
+    return f
+
+
+def _derivative(f):
+    return [i * c for i, c in enumerate(f)][1:]
+
+
+def _sub(f, g):
+    out = [0] * max(len(f), len(g))
+    for i, c in enumerate(f):
+        out[i] = c
+    for i, c in enumerate(g):
+        out[i] -= c
+    return _trim(out)
+
+
+def _primitive(f):
+    """f divided by its content, with a positive leading coefficient."""
+    if not f:
+        return f
+    c = gcd(*f)
+    if f[-1] < 0:
+        c = -c
+    return [x // c for x in f]
+
+
+def _pseudo_remainder(f, g):
+    """A nonzero multiple of the remainder of f by g, by integer steps only."""
+    r = list(f)
+    dg, lg = len(g) - 1, g[-1]
+    while r and len(r) - 1 >= dg:
+        shift, lr = len(r) - 1 - dg, r[-1]
+        r = [c * lg for c in r]
+        for i, c in enumerate(g):
+            r[shift + i] -= lr * c
+        _trim(r)
+    return r
+
+
+def _gcd(f, g):
+    """Primitive greatest common divisor (primitive remainder sequence)."""
+    while g:
+        f, g = g, _primitive(_pseudo_remainder(f, g))
+    return _primitive(f)
+
+
+def _exact_quotient(f, g):
+    """f / g for g dividing f; integral when g is primitive (Gauss's lemma)."""
+    r = list(f)
+    dg, lg = len(g) - 1, g[-1]
+    q = [0] * max(len(f) - dg, 0)
+    for k in range(len(q) - 1, -1, -1):
+        c, rem = divmod(r[k + dg], lg)
+        if rem:
+            raise ArithmeticError("polynomial division is not exact")
+        q[k] = c
+        for i, gc in enumerate(g):
+            r[k + i] -= c * gc
+    if any(r):
+        raise ArithmeticError("polynomial division is not exact")
+    return _trim(q)
+
+
+def _coprime_mod_p(f, g):
+    """True when gcd(f mod p, g mod p) is constant, which proves gcd(f, g)
+    constant over Q as long as p does not divide the leading coefficient of f."""
+    p = _MODULUS
+    if f[-1] % p == 0:
+        return False
+    a = [c % p for c in f]
+    b = _trim([c % p for c in g])
+    while b:
+        inv = pow(b[-1], -1, p)
+        while len(a) >= len(b):
+            shift, t = len(a) - len(b), a[-1] * inv % p
+            for i, c in enumerate(b):
+                a[shift + i] = (a[shift + i] - t * c) % p
+            _trim(a)
+        a, b = b, a
+    return len(a) == 1
+
+
+def square_free_factors(f):
+    """Yun's decomposition: [(i, a_i)] with f = const * prod a_i^i, the a_i
+    primitive, pairwise coprime and square-free, of positive degree."""
+    f = _primitive(list(f))
+    df = _derivative(f)
+    if len(f) < 2 or _coprime_mod_p(f, df):
+        return [(1, f)] if len(f) > 1 else []
+    a = _gcd(f, df)
+    b = _exact_quotient(f, a)
+    d = _sub(_exact_quotient(df, a), _derivative(b))
+    out = []
+    i = 1
+    while len(b) > 1:
+        a = _gcd(b, d)
+        b = _exact_quotient(b, a)
+        d = _sub(_exact_quotient(d, a), _derivative(b))
+        if len(a) > 1:
+            out.append((i, a))
+        i += 1
+    return out
+
+
+# ---------------------------------------------------------------------------
+# Exact evaluation, counting and bounds
+
+
+def _evaluate(f, x):
+    """(V, E) with f(x) = V * 2^E exactly, for a raw mpf x."""
+    sign, man, exp, _ = x
+    if sign:
+        man = -man
+    if exp >= 0:
+        X = man << exp
+        v = 0
+        for c in reversed(f):
+            v = v * X + c
+        return v, 0
+    k = -exp
+    d = len(f) - 1
+    v = 0
+    for j in range(d, -1, -1):
+        v = v * man + (f[j] << (k * (d - j)))
+    return v, exp * d
+
+
+def _sign_changes(coeffs):
+    signs = [c > 0 for c in coeffs if c]
+    return sum(1 for s, t in zip(signs, signs[1:]) if s != t)
+
+
+def _roots_above(f, x):
+    """Number of roots of f greater than the positive dyadic x, exact when f
+    is real-rooted: the sign changes of the Taylor coefficients of f at x."""
+    _, man, exp, _ = x
+    d = len(f) - 1
+    if exp >= 0:
+        step = man << exp
+        a = [c * step ** j for j, c in enumerate(f)]
+    else:
+        k = -exp
+        a = [(c * man ** j) << (k * (d - j)) for j, c in enumerate(f)]
+    for i in range(d):  # a(t) -> a(1 + t)
+        for j in range(d - 1, i - 1, -1):
+            a[j] += a[j + 1]
+    return _sign_changes(a)
+
+
+def _root_exponent(f):
+    """e with |x| <= 2^e for every root x of f (Fujiwara's bound)."""
+    d, lead = len(f) - 1, abs(f[-1]).bit_length()
+    worst = max(-(-(abs(c).bit_length() - lead + 1) // (d - j))
+                for j, c in enumerate(f[:-1]) if c)
+    return worst + 1
+
+
+def _power_of_two(e):
+    return from_man_exp(1, e)
+
+
+def _split(a, b):
+    """A point inside (a, b): a power of two near the geometric mean when
+    b/a >= 16, else the midpoint."""
+    top_a, top_b = a[2] + a[3], b[2] + b[3]
+    if top_b - top_a < 4:
+        return mpf_shift(mpf_add(a, b), -1)
+    return _power_of_two((top_a + top_b) // 2)
+
+
+# ---------------------------------------------------------------------------
+# Isolation, refinement, certification
+
+
+def _simple_roots(f, bits):
+    """Certified roots (raw mpf, ascending) of a square-free real-rooted f
+    with f(0) != 0."""
+    reflected = [-c if j % 2 else c for j, c in enumerate(f)]  # f(-x)
+    roots = ([mpf_neg(x) for x in reversed(_positive_roots(reflected, bits))]
+             + _positive_roots(f, bits))
+    if len(roots) != len(f) - 1:
+        raise PrecisionError(f"polynomial of degree {len(f) - 1} has only "
+                             f"{len(roots)} real roots")
+    return roots
+
+
+def _positive_roots(f, bits):
+    """Certified positive roots (raw mpf, ascending) of a square-free
+    real-rooted f with f(0) != 0; Descartes' rule gives their number."""
+    count = _sign_changes(f)
+    if not count:
+        return []
+    lo = _power_of_two(-_root_exponent(f[::-1]) - 1)
+    hi = _power_of_two(_root_exponent(f))
+    df = _derivative(f)
+    roots = [_refine(f, df, a, b, i, bits)
+             for i, (a, b) in enumerate(_isolate(f, lo, hi, count, bits))]
+    # Disjoint sign-change intervals, one per root of f: each holds one root.
+    for x, y in zip(roots, roots[1:]):
+        if mpf_cmp(_certificate_interval(x, bits)[1],
+                   _certificate_interval(y, bits)[0]) >= 0:
+            raise PrecisionError(f"two roots agree to {bits} bits; "
+                                 f"raise the working precision")
+    return roots
+
+
+def _isolate(f, lo, hi, count, bits):
+    """Intervals (a, b], ascending, each holding exactly one root of f;
+    all `count` positive roots lie in (lo, hi]."""
+    out = []
+    stack = [(lo, hi, count, 0)]
+    while stack:  # depth first, left half first: intervals come out ascending
+        a, b, above_a, above_b = stack.pop()
+        inside = above_a - above_b
+        if inside == 0:
+            continue
+        if inside == 1:
+            out.append((a, b))
+            continue
+        if mpf_cmp(mpf_sub(b, a), mpf_shift(a, -(bits - 4))) < 0:
+            raise PrecisionError(f"{inside} roots cannot be told apart at "
+                                 f"{bits} bits (or are not real)")
+        m = _split(a, b)
+        above_m = _roots_above(f, m)
+        stack.append((m, b, above_m, above_b))
+        stack.append((a, m, above_a, above_m))
+    return out
+
+
+def _certificate_interval(x, bits):
+    """(x - delta, x + delta), delta the largest power of two not above
+    x * 2^-(bits-4): inside x*(1 -/+ 2^-(bits-4)), and its end points
+    carry no more bits than x does."""
+    delta = _power_of_two(x[2] + x[3] - 1 - (bits - 4))
+    return mpf_sub(x, delta), mpf_add(x, delta)
+
+
+def _refine(f, df, a, b, below, bits):
+    """The root of f in (a, b], rounded to `bits` bits and certified.
+
+    `below` roots of f lie under a.  On a graded polynomial those are tiny
+    next to the root sought and act like a factor x^below, so Newton's
+    method runs on f/x^below, which is then close to linear: the next
+    iterate is x*(x*f' - (below+1)*f) / (x*f' - below*f), numerator and
+    denominator computed exactly.  f is evaluated exactly at each iterate,
+    which shrinks the bracket; an iterate that leaves the bracket is
+    replaced by a bisection point.  Once a step at the starting precision
+    (65 to 128 bits) has moved less than half of its bits, the precision
+    doubles with each step up to `bits`, and steps at `bits` repeat until
+    the sign-change certificate holds.
+    """
+    fb, _ = _evaluate(f, b)
+    if fb == 0:
+        return b
+    positive_above = fb > 0  # sign of f between the root and b
+    schedule = [bits]  # precisions, descending by halves
+    while schedule[-1] > 2 * _NEWTON_MIN_BITS:
+        schedule.append(schedule[-1] // 2 + 2)
+    prec = schedule.pop()
+    climbing = False
+    x = _split(a, b)
+    for _ in range(4 * bits + 64):
+        v, ev = _evaluate(f, x)
+        if v == 0:
+            return x
+        if (v > 0) == positive_above:
+            b = x
+        else:
+            a = x
+        w, _ = _evaluate(df, x)
+        _, man, exp, _ = x
+        xw = (man << exp) * w if exp >= 0 else man * w  # x*f'(x) / 2^ev
+        num, den = xw - (below + 1) * v, xw - below * v
+        if den == 0:
+            x = _split(a, b)
+            continue
+        y = mpf_div(mpf_mul(x, from_man_exp(num, 0, prec + 8, round_nearest)),
+                    from_man_exp(den, 0, prec + 8, round_nearest),
+                    prec, round_nearest)
+        if y != x and (mpf_cmp(y, a) <= 0 or mpf_cmp(y, b) >= 0):
+            x = _split(a, b)
+            continue
+        converged = mpf_cmp(mpf_abs(mpf_sub(y, x)), mpf_shift(x, -(prec // 2))) <= 0
+        x = y
+        if prec < bits and (converged or climbing):
+            climbing = True
+            prec = schedule.pop()
+        elif prec == bits and converged and _sign_change(f, x, bits):
+            return x
+    raise PrecisionError(f"Newton iteration did not certify a root at {bits} bits")
+
+
+def _sign_change(f, x, bits):
+    lo, hi = (_evaluate(f, end)[0] for end in _certificate_interval(x, bits))
+    return (lo < 0 < hi) or (hi < 0 < lo)

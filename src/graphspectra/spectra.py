@@ -15,7 +15,7 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from math import log
+from math import lcm, log
 
 from mpmath import mp
 
@@ -27,7 +27,8 @@ if sys.get_int_max_str_digits() < 2_000_000:
 from .errors import (AmbiguousClusteringError, PrecisionError, ValidationError,
                      parse_fields, parse_ints)
 from .graphs import edge_set_laplacian, level_laplacian, seminorm_sq
-from .polynomials import interpolate_spectral_poly
+from .polynomials import charpoly_division_free, interpolate_spectral_poly
+from .realroots import real_roots
 from .unipoly import UniPoly
 
 
@@ -95,7 +96,7 @@ def _parse_rounded(f):
 
 
 # ---------------------------------------------------------------------------
-# Jacobi eigensolver
+# Eigenvalues: certified roots of the exact charpoly, or cyclic Jacobi
 
 
 MAX_JACOBI_SWEEPS = 60
@@ -104,12 +105,17 @@ MAX_JACOBI_SWEEPS = 60
 def sym_eigs(M, precision_bits, want_vectors=False):
     """Eigenvalues (ascending) of a symmetric exact or float matrix.
 
-    Cyclic Jacobi rotations at precision_bits plus guard bits; converges
-    when the off-diagonal Frobenius norm drops below 2^-precision_bits
-    times the matrix norm, comfortably inside the documented tolerance of
-    2^(-precision_bits/2).  The eigenvalue sum is checked against the
-    trace.  With want_vectors=True returns (values, vectors), vectors[i]
-    being the unit eigenvector for values[i].
+    For an exact (int or Fraction) matrix without vectors the eigenvalues
+    are the certified roots of its exact characteristic polynomial: zeros
+    are exact, and every other value is rounded to precision_bits bits
+    within a relative 2^-(precision_bits-4) of an eigenvalue.
+
+    Otherwise cyclic Jacobi rotations at precision_bits plus guard bits;
+    converges when the off-diagonal Frobenius norm drops below
+    2^-precision_bits times the matrix norm, comfortably inside the
+    documented tolerance of 2^(-precision_bits/2).  The eigenvalue sum is
+    checked against the trace.  With want_vectors=True returns (values,
+    vectors), vectors[i] being the unit eigenvector for values[i].
     """
     n = len(M)
     for i, row in enumerate(M):
@@ -120,6 +126,9 @@ def sym_eigs(M, precision_bits, want_vectors=False):
                 raise ValidationError("matrix is not symmetric")
     if n == 0:
         return ([], []) if want_vectors else []
+    if not want_vectors and all(isinstance(x, (int, Fraction))
+                                for row in M for x in row):
+        return real_roots(_integer_charpoly(M)[0], precision_bits)
     wp = precision_bits + 64
     with mp.workprec(wp):
         A = [[_entry_to_mpf(M[i][j]) for j in range(n)] for i in range(n)]
@@ -250,79 +259,55 @@ class SpectrumSample:
         return z // self.width
 
 
-def smallest_eigenvalue_bound(M):
-    """Positive rational lower bound on the least nonzero eigenvalue of a
-    rational symmetric PSD matrix: the nonzero eigenvalues of an integer
-    PSD matrix have an integer product >= 1, and each is at most n*max|entry|.
-    """
-    n = len(M)
-    s = 1
-    for row in M:
-        for x in row:
-            d = Fraction(x).denominator
-            s = s * d // _gcd(s, d)
-    max_entry = max((abs(Fraction(x) * s) for row in M for x in row), default=Fraction(0))
-    if max_entry == 0:
-        return Fraction(1)
-    cap = Fraction(int(n) * int(max_entry))
-    return Fraction(1, s) / cap ** (n - 1)
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
-
-
 def simulate_spectrum(dp, q, r_min, r_max, precision_bits=512, auto_elevate=True):
     """Union of the level spectra for r in [r_min, r_max], each level once.
 
-    The working precision is raised automatically so that every level's
-    zero eigenvalues are separated from its smallest genuine eigenvalue
-    (the dynamic range q^(max_label*(1-r_min)) can dwarf any fixed
-    precision); precision_bits is the floor, and the effective precision
-    is recorded on the sample.  With auto_elevate=False the requested
-    precision is used as-is and inadequacy raises PrecisionError.
+    Each level's eigenvalues are the certified roots of its exact
+    characteristic polynomial (see sym_eigs); the zero count is the X-adic
+    valuation, checked against the graph's component count.  Recovery
+    multiplies the values of a level back into the integer coefficients of
+    that polynomial, so the working precision is the bit size of the
+    largest coefficient over the window plus 64 guard bits; precision_bits
+    is the floor, and the effective precision is recorded on the sample.
+    With auto_elevate=False a floor below that rule raises PrecisionError.
     """
     if not is_prime_power(q):
         raise ValidationError(f"q={q} is not a prime power")
     if not r_min <= 1 <= r_max:
         raise ValidationError("window must satisfy r_min <= 1 <= r_max")
-    graph = dp.graph
-    n = graph.n
-    b0 = graph.component_count()
-    levels = list(range(r_min, r_max + 1))
-    matrices = {r: level_laplacian(dp, q, r) for r in levels}
-    bounds = {r: smallest_eigenvalue_bound(matrices[r]) for r in levels}
-    wp = precision_bits
-    if auto_elevate:
-        for r in levels:
-            max_entry = max(abs(x) for row in matrices[r] for x in row)
-            range_bits = (_frac_bits(max_entry * n) + _frac_bits(1 / bounds[r])
-                          if max_entry else 8)
-            wp = max(wp, precision_bits + range_bits + 64)
+    b0 = dp.graph.component_count()
+    levels = range(r_min, r_max + 1)
+    charpolys = [_integer_charpoly(level_laplacian(dp, q, r)) for r in levels]
+    needed = max(bits for _, bits in charpolys) + 64
+    if precision_bits < needed and not auto_elevate:
+        raise PrecisionError(
+            f"{precision_bits} bits are below the {needed} bits that the "
+            f"characteristic polynomials of levels {r_min}..{r_max} need")
+    wp = max(precision_bits, needed)
     values = []
-    for r in levels:
-        eigs = sym_eigs(matrices[r], wp)
-        thresh = bounds[r] / 2
-        zeros = [v for v in eigs if abs(mpf_to_fraction(v)) < thresh]
-        nonzeros = [v for v in eigs if abs(mpf_to_fraction(v)) >= thresh]
-        if len(zeros) != b0:
+    for r, (coeffs, _) in zip(levels, charpolys):
+        zeros = next(i for i, c in enumerate(coeffs) if c)
+        if zeros != b0:
             raise PrecisionError(
-                f"level {r}: found {len(zeros)} numerically zero eigenvalues, "
-                f"expected {b0}; precision too low for the dynamic range "
-                f"q^{{max_label*(1-r_min)}}")
-        if any(mpf_to_fraction(v) <= -thresh for v in eigs):
-            raise PrecisionError(f"level {r}: negative eigenvalue beyond tolerance")
-        values.extend([mp.mpf(0)] * b0)
-        values.extend(nonzeros)
+                f"level {r}: characteristic polynomial has {zeros} zero "
+                f"roots, but the graph has {b0} components")
+        values.extend(real_roots(coeffs, wp))
     values.sort()
     return SpectrumSample(q, r_min, r_max, wp, tuple(values))
 
 
-def _frac_bits(f):
-    f = Fraction(f)
-    return max(abs(f.numerator).bit_length(), f.denominator.bit_length())
+def _integer_charpoly(M):
+    """s^n * det(X*I - M) as ascending ints, s the lcm of M's denominators,
+    and the bit size of the largest coefficient of det(X*I - s*M).
+
+    The first polynomial has M's eigenvalues as roots; it is det(Y*I - s*M)
+    at Y = s*X."""
+    s = lcm(*(Fraction(x).denominator for row in M for x in row))
+    scaled = [[int(x * s) for x in row] for row in M]
+    P = charpoly_division_free(scaled)
+    coeffs = [P.coefficient(i) for i in range(len(M) + 1)]
+    bits = max(abs(c).bit_length() for c in coeffs)
+    return [c * s ** i for i, c in enumerate(coeffs)], bits
 
 
 # ---------------------------------------------------------------------------

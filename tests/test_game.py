@@ -2,10 +2,11 @@ import random
 
 import pytest
 
+from graphspectra import game
 from graphspectra.catalog import (complete_graph, connected_graphs,
                                   cycle_graph, path_graph,
                                   random_connected_graph)
-from graphspectra.errors import ValidationError
+from graphspectra.errors import PrecisionError, ValidationError
 from graphspectra.game import (GameConfig, GameSession, LoopbackEndpoint,
                                SocketEndpoint, SolveResult, SolverConfig,
                                decode_message, encode_message, serve_game,
@@ -167,6 +168,36 @@ class TestTransportsAndDeterminism:
             assert res.won and is_isomorphic(res.graph, cycle_graph(5))
         finally:
             server.shutdown()
+
+    def test_precision_failure_answered_over_socket(self, monkeypatch):
+        # a PrecisionError while simulating must come back as a protocol
+        # error, and the connection must keep serving later requests
+        calls = []
+        simulate = game.simulate_spectrum
+
+        def failing_once(*args, **kwargs):
+            calls.append(args[1])
+            if len(calls) == 1:
+                raise PrecisionError("working precision exhausted")
+            return simulate(*args, **kwargs)
+
+        monkeypatch.setattr(game, "simulate_spectrum", failing_once)
+        server, (host, port) = serve_game(path_graph(3), GameConfig(seed=1))
+        try:
+            ep = SocketEndpoint(host, port, timeout=30)
+            try:
+                assert ep.request({"type": "hello"})["type"] == "welcome"
+                ep.request({"type": "choose_delta", "labels": [1, 2]})
+                err = ep.request({"type": "choose_prime", "q": 101})
+                assert err == {"type": "error", "code": "precision",
+                               "message": "working precision exhausted"}
+                reply = ep.request({"type": "choose_prime", "q": 101})
+                assert reply["type"] == "spectrum" and len(reply["values"]) == 6
+            finally:
+                ep.close()
+        finally:
+            server.shutdown()
+        assert calls == [101, 101]
 
     def test_replayable_transcripts(self):
         runs = []

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from mpmath import mp
@@ -20,7 +21,6 @@ from graphspectra.spectra import (cluster_and_assign, exact_decimal,
                                   prediction_error_ratio,
                                   recover_spectral_poly,
                                   separation_experiment, simulate_spectrum,
-                                  smallest_eigenvalue_bound,
                                   spectrum_from_text, spectrum_to_text,
                                   sym_eigs)
 from graphspectra.unipoly import UniPoly
@@ -97,6 +97,140 @@ class TestSymEigs:
                 vals = sym_eigs(level_laplacian(dp, 3, 1 - y_exp), 160)
                 assert abs(float(vals[0])) < 1e-30
                 assert float(vals[1]) > 0
+
+
+def _jacobi(M, bits):
+    """Eigenvalues by cyclic Jacobi, the route kept for eigenvectors."""
+    return sym_eigs(M, bits, want_vectors=True)[0]
+
+
+def _matches_jacobi(M, bits):
+    """The charpoly route at `bits` against Jacobi at twice the bits: nonzero
+    values within a relative 2^-(bits-8), exact zeros against Jacobi values
+    below 2^-bits times the matrix norm.  Returns the charpoly-route values."""
+    got = sym_eigs(M, bits)
+    want = _jacobi(M, 2 * bits)
+    assert len(got) == len(want)
+    norm = float(max(sum(abs(Fraction(x)) for x in row) for row in M))
+    with mp.workprec(2 * bits + 64):
+        for g, w in zip(got, want):
+            if g == 0:
+                assert abs(w) <= norm * mp.ldexp(1, -bits)
+            else:
+                assert abs(g - w) <= abs(g) * mp.ldexp(1, -(bits - 8)), (g, w)
+    return got
+
+
+def _coefficient_rule(dp, q, r_min, r_max, floor):
+    """max(floor, 64 + bits of the largest coefficient of det(X*I - s*M_r)
+    over the window), s clearing the denominators of level r."""
+    largest = 0
+    for r in range(r_min, r_max + 1):
+        M = level_laplacian(dp, q, r)
+        s = 1
+        for row in M:
+            for x in row:
+                s = s * x.denominator // gcd(s, x.denominator)
+        P = charpoly_division_free([[int(x * s) for x in row] for row in M])
+        largest = max(largest, max(abs(c).bit_length() for c in P.terms.values()))
+    return max(floor, largest + 64)
+
+
+class TestCharpolyRoute:
+    def test_random_level_laplacians(self):
+        rng = random.Random(31)
+        for _ in range(8):
+            g = random_connected_graph(rng.randint(2, 6), rng)
+            dp = with_labels(g, rng.sample(range(1, 7), g.m))
+            q = rng.choice((3, 5))
+            for r in (0, 1):
+                vals = _matches_jacobi(level_laplacian(dp, q, r), 128)
+                assert sum(1 for v in vals if v == 0) == 1
+
+    def test_rational_level(self):
+        dp = build_diffusion_pair(3, [(1, 2, 1), (1, 3, 2), (2, 3, 3)])
+        M = level_laplacian(dp, 3, 2)
+        assert any(x.denominator > 1 for row in M for x in row)
+        vals = _matches_jacobi(M, 128)
+        assert vals[0] == 0 and vals[1] > 0
+
+    def test_repeated_eigenvalues(self):
+        k5 = _matches_jacobi(laplacian_matrix(complete_graph(5)), 128)
+        assert _floats(k5) == pytest.approx([0, 5, 5, 5, 5], abs=1e-30)
+        c4 = _matches_jacobi(laplacian_matrix(cycle_graph(4)), 128)
+        assert _floats(c4) == pytest.approx([0, 2, 2, 4], abs=1e-30)
+        dp = with_labels(star_graph(4), [2, 2, 2], require_distinct_labels=False)
+        uniform = _matches_jacobi(level_laplacian(dp, 7, 0), 128)
+        assert _floats(uniform) == pytest.approx([0, 49, 49, 196], abs=1e-25)
+
+    def test_disconnected_graph(self):
+        dp = with_labels(Graph.of(5, [(1, 2), (3, 4), (4, 5)]), [1, 2, 3])
+        for r in (0, 1):
+            vals = _matches_jacobi(level_laplacian(dp, 3, r), 128)
+            assert [v for v in vals if v == 0] == [0, 0]
+            assert all(v > 0 for v in vals[2:])
+
+    def test_indefinite_integer_matrices(self):
+        rng = random.Random(41)
+        negatives = 0
+        for _ in range(12):
+            n = rng.randint(1, 6)
+            M = [[0] * n for _ in range(n)]
+            for i in range(n):
+                for j in range(i + 1):
+                    M[i][j] = M[j][i] = rng.randint(-9, 9)
+            vals = _matches_jacobi(M, 128)
+            negatives += sum(1 for v in vals if v < 0)
+        assert negatives > 0
+
+    def test_precision_follows_coefficient_rule(self):
+        dp = build_diffusion_pair(4, [(1, 2, 1), (2, 3, 2), (3, 4, 4), (1, 4, 8)])
+        for q, r_min, r_max, floor in ((101, 0, 1, 64), (101, -3, 1, 512),
+                                       (13, -1, 2, 64), (5, 0, 1, 4096)):
+            want = _coefficient_rule(dp, q, r_min, r_max, floor)
+            s = simulate_spectrum(dp, q, r_min, r_max, floor)
+            assert s.precision_bits == want
+        # the rule is the least floor accepted without elevation
+        rule = _coefficient_rule(dp, 101, -3, 1, 0)
+        s = simulate_spectrum(dp, 101, -3, 1, rule, auto_elevate=False)
+        assert s.precision_bits == rule
+        with pytest.raises(PrecisionError):
+            simulate_spectrum(dp, 101, -3, 1, rule - 1, auto_elevate=False)
+
+    def test_sign_change_certificates(self):
+        # every simple nonzero value v is an exact root of some level's
+        # characteristic polynomial or changes its sign between
+        # v*(1 -/+ 2^-(bits-4)); repeated values (no sign change at even
+        # multiplicity) are left to the Jacobi comparisons above
+        rng = random.Random(43)
+        checked = 0
+        for _ in range(4):
+            g = random_connected_graph(rng.randint(2, 5), rng)
+            dp = with_labels(g, rng.sample(range(1, 11), g.m))
+            s = simulate_spectrum(dp, 3, -1, 2, 96)
+            charpolys = [charpoly_division_free(level_laplacian(dp, 3, r))
+                         for r in range(-1, 3)]
+            eps = Fraction(1, 2 ** (s.precision_bits - 4))
+            values = s.nonzero_values()
+            for v in values:
+                if values.count(v) > 1:
+                    continue
+                x = mpf_to_fraction(v)
+                assert any(P(x) == 0 or P(x * (1 - eps)) * P(x * (1 + eps)) < 0
+                           for P in charpolys), v
+                checked += 1
+            assert s.zeros_per_level == 1
+        assert checked >= 30
+
+    def test_spectrum_text_round_trip_with_repeats(self):
+        dp = with_labels(Graph.of(5, [(1, 2), (1, 3), (4, 5)]), [3, 3, 3],
+                         require_distinct_labels=False)
+        s = simulate_spectrum(dp, 7, -1, 2, 128)
+        assert s.zeros_per_level == 2
+        text = spectrum_to_text(s)
+        back = spectrum_from_text(text)
+        assert back == s
+        assert spectrum_to_text(back) == text
 
 
 class TestExactDecimal:
@@ -194,18 +328,6 @@ class TestSimulate:
         # the elevated default succeeds on the same window
         s = simulate_spectrum(dp, 101, -14, 1, 64)
         assert s.precision_bits > 64
-
-    def test_eigenvalue_bound_is_a_bound(self):
-        rng = random.Random(7)
-        for _ in range(6):
-            g = random_connected_graph(rng.randint(2, 5), rng)
-            dp = with_labels(g, rng.sample(range(1, 9), g.m))
-            M = level_laplacian(dp, 3, 0)
-            bound = smallest_eigenvalue_bound(M)
-            vals = sym_eigs(M, 160)
-            nonzero = [mpf_to_fraction(v) for v in vals
-                       if mpf_to_fraction(v) >= bound / 2]
-            assert min(nonzero) >= bound
 
 
 class TestClusterAssign:
