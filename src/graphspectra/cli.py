@@ -1,7 +1,9 @@
 """Command-line surface tying the package together.
 
-Exit codes: 0 success, 2 validation error, 3 numeric-precision failure
-(including ambiguous clustering and snapping residual overflows).
+Exit codes: 0 success, 2 validation error (including a recovery window
+without a digit-decode node), 3 numeric-precision failure (including
+ambiguous clustering, failed digit decodes and snapping residuals above
+polynomials.SNAP_TOL).
 """
 from __future__ import annotations
 

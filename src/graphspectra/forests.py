@@ -41,9 +41,6 @@ class ForestFamily:
     def record(self, i):
         return self.families.get(i, ())
 
-    def spanning_trees(self):
-        return self.families.get(1, ())
-
     def as_label_families(self, label_map):
         """Re-express edge subsets through an edge -> label map."""
         out = {}

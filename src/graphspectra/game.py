@@ -238,7 +238,6 @@ def serve_game(hidden_graph, config=None, host="127.0.0.1", port=0):
 class SolverConfig:
     primes: tuple = (101, 1009, 10007)
     max_edges: int = 64
-    snap_tol: object = None  # falls back to recover_spectral_poly default
 
 
 @dataclass
@@ -254,10 +253,12 @@ def solve_game(endpoint, config=None):
     """Reference strategy: powers-of-two labels, escalating primes.
 
     Collects spectra until two primes cluster consistently, recovers the
-    polynomial by integer digit decoding (a window a few levels deep
-    suffices; the blind bound of total-weight+1 levels is never requested),
-    reconstructs, and submits.  Gives up without submitting when the prime
-    budget is exhausted.
+    polynomial by digit decoding (a window a few levels deep suffices; the
+    blind bound of total-weight+1 levels is never requested), reconstructs,
+    and submits.  A prime whose spectrum the server cannot compute (a
+    "precision" error reply) is skipped like one that fails to cluster or
+    decode.  Gives up without submitting when the prime budget is
+    exhausted.
     """
     config = config or SolverConfig()
     transcript = []
@@ -267,7 +268,9 @@ def solve_game(endpoint, config=None):
         reply = endpoint.request(msg)
         transcript.append(("recv", encode_message(reply)))
         if reply.get("type") == "error":
-            raise ValidationError(f"server error: {reply.get('message')}")
+            error = (PrecisionError if reply.get("code") == "precision"
+                     else ValidationError)
+            raise error(f"server error: {reply.get('message')}")
         return reply
 
     welcome = request({"type": "hello"})
@@ -285,7 +288,10 @@ def solve_game(endpoint, config=None):
     primes_used = []
     polynomial = None
     for q in config.primes:
-        reply = request({"type": "choose_prime", "q": q})
+        try:
+            reply = request({"type": "choose_prime", "q": q})
+        except PrecisionError:
+            continue
         if reply.get("type") != "spectrum":
             raise ValidationError(f"expected spectrum, got {reply}")
         primes_used.append(q)
@@ -297,11 +303,8 @@ def solve_game(endpoint, config=None):
             continue
         try:
             assignments = cluster_and_assign(samples[-2:])
-            kwargs = {"min_levels": 2}
-            if config.snap_tol is not None:
-                kwargs["snap_tol"] = config.snap_tol
             recovered = recover_spectral_poly(
-                assignments[-1], samples[-1].q, degree_bound, **kwargs)
+                assignments[-1], samples[-1].q, degree_bound, min_levels=2)
             polynomial = recovered.polynomial
             break
         except (AmbiguousClusteringError, PrecisionError):

@@ -182,36 +182,38 @@ def tangent_cone(P):
 # Interpolation from sampled characteristic polynomials
 
 
+SNAP_TOL = Fraction(1, 10 ** 6)  # largest accepted snapping residual
+
+
 @dataclass(frozen=True)
 class InterpolationResult:
     polynomial: SpectralPolynomial
     snap_residual: Fraction  # max distance of any fitted coefficient from its integer
 
 
-def interpolate_spectral_poly(samples, degree_bound, snap_tol=Fraction(1, 10 ** 6)):
+def interpolate_spectral_poly(samples, degree_bound):
     """Fit integer polynomials a_i(Y) through sampled values at exact nodes.
 
     samples maps a rational node y to the UniPoly in X observed there (all
-    monic of a common X-degree).  Coefficients are fitted per X-power, then
-    snapped to the nearest integer; the maximal snapping distance plus any
-    cross-node mismatch is reported as the residual and must stay below
-    snap_tol.
+    monic of a common X-degree).  The coefficients are read off by balanced
+    digit decoding at one decode node, with D = degree_bound:
 
-    Two strategies share this entry point:
+    * at an integer node y = b >= 3, the integer nearest to a_i(b) holds
+      the coefficients of a_i as its balanced base-b digits;
+    * at a reciprocal node y = 1/b, b >= 3, the integer nearest to
+      b^D * a_i(1/b) holds them in reverse digit order.
 
-    * digit decoding: when some node is an integer base b >= 3, the integer
-      nearest to a_i(b) determines all coefficients by balanced base-b
-      digits, provided every |coefficient| < b/2.  The candidate is kept
-      only if it reproduces every node within tolerance, which on exact
-      data of degree <= bound at >= bound+1 nodes can only pick the true
-      interpolant.  This path tolerates per-node relative noise, which a
-      plain linear solve amplifies catastrophically on geometric nodes.
-    * exact Lagrange (Newton form) through the bound+1 nodes of smallest
-      magnitude, remaining nodes used as verification.
+    Decoding needs every |coefficient| < b/2.  Integer nodes are tried
+    first, then reciprocal ones, each in ascending b.  A candidate is kept
+    only if every node reproduces it within SNAP_TOL; the snapping residual
+    reported is the larger of the rounding distance and that deviation.
+    Decoding tolerates per-node relative noise, which a linear solve
+    through geometric nodes amplifies catastrophically.
 
-    Too few nodes for Lagrange is a PrecisionError when integer bases were
-    present and every decode failed (a larger base may succeed), and a
-    ValidationError when there was no base to decode at.
+    Raises ValidationError when no node is b or 1/b with b >= 3 (q = 2 with
+    a window inside [0, 2] gives only the nodes 1/2, 1 and 2), and
+    PrecisionError when every decode fails, so that a caller can retry with
+    a larger prime.
     """
     nodes = {}
     for y, poly in samples.items():
@@ -228,85 +230,56 @@ def interpolate_spectral_poly(samples, degree_bound, snap_tol=Fraction(1, 10 ** 
     if n < 1:
         raise ValidationError("sample polynomials must have positive X-degree")
 
-    decode_bases = sorted(y for y in nodes if y.denominator == 1 and y >= 3)
-    for base in decode_bases:
-        result = _decode_at_base(nodes, n, int(base), degree_bound, snap_tol)
+    decode_nodes = sorted(y for y in nodes if y.denominator == 1 and y >= 3)
+    decode_nodes += sorted(
+        (y for y in nodes if y.numerator == 1 and y.denominator >= 3), reverse=True)
+    if not decode_nodes:
+        raise ValidationError(
+            f"insufficient nodes: digit decoding needs a node b or 1/b with "
+            f"b >= 3, got {[str(y) for y in sorted(nodes)]}")
+    for node in decode_nodes:
+        result = _decode_at_base(nodes, n, node, degree_bound)
         if result is not None:
             return result
-
-    if len(nodes) < degree_bound + 1:
-        if decode_bases:
-            raise PrecisionError(
-                f"digit decode failed at every integer base "
-                f"{[int(b) for b in decode_bases]} and {len(nodes)} nodes are "
-                f"too few to interpolate degree {degree_bound}")
-        raise ValidationError(
-            f"insufficient nodes: need {degree_bound + 1}, got {len(nodes)}")
-    return _lagrange_fit(nodes, n, degree_bound, snap_tol)
+    raise PrecisionError(
+        f"digit decode failed at every node {[str(y) for y in decode_nodes]}")
 
 
-def _decode_at_base(nodes, n, base, degree_bound, snap_tol):
-    """Balanced base-b digit decode from one node, verified against all others."""
-    values = nodes[Fraction(base)]
+def _decode_at_base(nodes, n, node, degree_bound):
+    """Balanced base-b digit decode at the node b or 1/b, verified against
+    all other nodes."""
+    reciprocal = node < 1
+    base = node.denominator if reciprocal else node.numerator
+    scale = base ** degree_bound if reciprocal else 1
+    values = nodes[node]
     coeffs = []
     worst = Fraction(0)
     for i in range(n + 1):
-        b = values.coefficient(i)
+        b = values.coefficient(i) * scale
         B = _nearest_integer(b)
-        dist = abs(Fraction(b) - B)
-        if dist > min(snap_tol, Fraction(1, 4)):
+        dist = abs(b - B)
+        if dist > SNAP_TOL:
             return None
         worst = max(worst, dist)
-        digits = {}
-        k = 0
+        digits = []
         while B:
             d = ((B + base // 2) % base) - (base // 2)
-            if d:
-                digits[k] = d
+            digits.append(d)
             B = (B - d) // base
-            k += 1
-            if B and k > degree_bound:
+            if B and len(digits) > degree_bound:
                 return None
-        coeffs.append(UniPoly(digits))
+        if reciprocal:
+            digits = digits + [0] * (degree_bound + 1 - len(digits))
+            digits.reverse()
+        coeffs.append(UniPoly(dict(enumerate(digits))))
     try:
         candidate = SpectralPolynomial(n, tuple(coeffs))
     except ValidationError:
         return None
     deviation = _verification_residual(candidate, nodes)
-    if deviation > snap_tol:
+    if deviation > SNAP_TOL:
         return None
     return InterpolationResult(candidate, max(worst, deviation))
-
-
-def _lagrange_fit(nodes, n, degree_bound, snap_tol):
-    order = sorted(nodes, key=lambda y: (abs(y), y))
-    fit_nodes = order[: degree_bound + 1]
-    rest = order[degree_bound + 1:]
-    coeffs = []
-    worst = Fraction(0)
-    for i in range(n + 1):
-        ys = fit_nodes
-        vs = [Fraction(nodes[y].coefficient(i)) for y in ys]
-        poly = _newton_interpolate(ys, vs)
-        snapped = {}
-        for k, c in poly.terms.items():
-            c = Fraction(c)
-            s = _nearest_integer(c)
-            worst = max(worst, abs(c - s))
-            if s:
-                snapped[k] = s
-        coeffs.append(UniPoly(snapped))
-    try:
-        result = SpectralPolynomial(n, tuple(coeffs))
-    except ValidationError as exc:
-        raise PrecisionError(f"snapped interpolant is not a spectral polynomial: {exc}")
-    if rest:
-        worst = max(worst, _verification_residual(result, {y: nodes[y] for y in rest}))
-    if worst > snap_tol:
-        raise PrecisionError(
-            f"snapping residual {float(worst):.3g} above tolerance "
-            f"{float(snap_tol):.3g}; raise the working precision upstream")
-    return InterpolationResult(result, worst)
 
 
 def _verification_residual(P, nodes):
@@ -320,27 +293,6 @@ def _verification_residual(P, nodes):
             dev = abs(o - e) / max(Fraction(1), abs(e))
             worst = max(worst, dev)
     return worst
-
-
-def _newton_interpolate(xs, vs):
-    """Exact Newton divided-difference interpolation at distinct rational nodes."""
-    k = len(xs)
-    table = list(vs)
-    coefs = [table[0]]
-    for level in range(1, k):
-        table = [
-            (table[j + 1] - table[j]) / (xs[j + level] - xs[j])
-            for j in range(k - level)
-        ]
-        coefs.append(table[0])
-    poly = UniPoly.zero()
-    basis = UniPoly.const(Fraction(1))
-    for level, c in enumerate(coefs):
-        if level:
-            basis = basis * UniPoly({1: Fraction(1), 0: -Fraction(xs[level - 1])})
-        if c:
-            poly = poly + basis * c
-    return poly
 
 
 def _nearest_integer(x):

@@ -96,10 +96,7 @@ def _parse_rounded(f):
 
 
 # ---------------------------------------------------------------------------
-# Eigenvalues: certified roots of the exact charpoly, or cyclic Jacobi
-
-
-MAX_JACOBI_SWEEPS = 60
+# Eigenvalues: certified roots of the exact charpoly, or mpmath's eigsy
 
 
 def sym_eigs(M, precision_bits, want_vectors=False):
@@ -110,12 +107,13 @@ def sym_eigs(M, precision_bits, want_vectors=False):
     are exact, and every other value is rounded to precision_bits bits
     within a relative 2^-(precision_bits-4) of an eigenvalue.
 
-    Otherwise cyclic Jacobi rotations at precision_bits plus guard bits;
-    converges when the off-diagonal Frobenius norm drops below
-    2^-precision_bits times the matrix norm, comfortably inside the
-    documented tolerance of 2^(-precision_bits/2).  The eigenvalue sum is
-    checked against the trace.  With want_vectors=True returns (values,
-    vectors), vectors[i] being the unit eigenvector for values[i].
+    Otherwise (eigenvectors wanted, or mpf entries) mpmath's eigsy
+    (Householder tridiagonalisation, then implicit QL) runs at
+    precision_bits plus 64 guard bits, without a certificate; the
+    eigenvalue sum must match the trace within 2^-(precision_bits/2) times
+    the Frobenius norm, and a failure to converge raises PrecisionError.
+    With want_vectors=True returns (values, vectors), vectors[i] being the
+    unit eigenvector for values[i].
     """
     n = len(M)
     for i, row in enumerate(M):
@@ -129,65 +127,23 @@ def sym_eigs(M, precision_bits, want_vectors=False):
     if not want_vectors and all(isinstance(x, (int, Fraction))
                                 for row in M for x in row):
         return real_roots(_integer_charpoly(M)[0], precision_bits)
-    wp = precision_bits + 64
-    with mp.workprec(wp):
-        A = [[_entry_to_mpf(M[i][j]) for j in range(n)] for i in range(n)]
-        V = [[mp.mpf(1 if i == j else 0) for j in range(n)] for i in range(n)]
-        fro = mp.sqrt(mp.fsum(A[i][j] ** 2 for i in range(n) for j in range(n)))
-        if fro == 0:
-            vals = [mp.mpf(0)] * n
-            vecs = [tuple(V[i]) for i in range(n)]
-            return (vals, vecs) if want_vectors else vals
-        stop = fro * mp.ldexp(1, -precision_bits)
-        converged = False
-        for _ in range(MAX_JACOBI_SWEEPS):
-            off = mp.sqrt(mp.fsum(A[i][j] ** 2
-                                  for i in range(n) for j in range(i + 1, n)) * 2)
-            if off <= stop:
-                converged = True
-                break
-            skip = mp.ldexp(fro, -wp)
-            for p in range(n - 1):
-                for q in range(p + 1, n):
-                    apq = A[p][q]
-                    if abs(apq) <= skip:
-                        continue
-                    tau = (A[q][q] - A[p][p]) / (2 * apq)
-                    if tau >= 0:
-                        t = 1 / (tau + mp.sqrt(1 + tau * tau))
-                    else:
-                        t = -1 / (-tau + mp.sqrt(1 + tau * tau))
-                    c = 1 / mp.sqrt(t * t + 1)
-                    s = t * c
-                    App, Aqq = A[p][p], A[q][q]
-                    A[p][p] = App - t * apq
-                    A[q][q] = Aqq + t * apq
-                    A[p][q] = A[q][p] = mp.mpf(0)
-                    for k in range(n):
-                        if k in (p, q):
-                            continue
-                        akp, akq = A[k][p], A[k][q]
-                        A[k][p] = A[p][k] = c * akp - s * akq
-                        A[k][q] = A[q][k] = s * akp + c * akq
-                    for k in range(n):
-                        vkp, vkq = V[k][p], V[k][q]
-                        V[k][p] = c * vkp - s * vkq
-                        V[k][q] = s * vkp + c * vkq
-        if not converged:
-            off = mp.sqrt(mp.fsum(A[i][j] ** 2
-                                  for i in range(n) for j in range(i + 1, n)) * 2)
-            if off > stop:
-                raise PrecisionError(
-                    f"Jacobi iteration did not converge in {MAX_JACOBI_SWEEPS} sweeps")
-        order = sorted(range(n), key=lambda i: A[i][i])
-        vals = [A[i][i] for i in order]
-        trace = mp.fsum(_entry_to_mpf(M[i][i]) for i in range(n))
-        if abs(mp.fsum(vals) - trace) > mp.ldexp(fro, -(precision_bits // 2)):
+    with mp.workprec(precision_bits + 64):
+        A = mp.matrix([[_entry_to_mpf(x) for x in row] for row in M])
+        try:
+            if want_vectors:
+                E, Q = mp.eigsy(A)
+            else:
+                E = mp.eigsy(A, eigvals_only=True)
+        except RuntimeError as exc:
+            raise PrecisionError(f"eigsy did not converge: {exc}") from None
+        vals = [E[i] for i in range(n)]
+        trace = mp.fsum(A[i, i] for i in range(n))
+        if abs(mp.fsum(vals) - trace) > mp.ldexp(mp.mnorm(A, "f"),
+                                                  -(precision_bits // 2)):
             raise PrecisionError("eigenvalue sum drifted from the trace; "
                                  "precision too low for this matrix")
         if want_vectors:
-            vecs = [tuple(V[k][i] for k in range(n)) for i in order]
-            return vals, vecs
+            return vals, [tuple(Q[k, i] for k in range(n)) for i in range(n)]
         return vals
 
 
@@ -525,15 +481,19 @@ def _gap_diagnostics(levels, nonzero_sorted):
 # Recovery: clusters -> spectral polynomial
 
 
-def recover_spectral_poly(assignment, q, degree_bound,
-                          snap_tol=Fraction(1, 10 ** 6), min_levels=None):
+def recover_spectral_poly(assignment, q, degree_bound, min_levels=None):
     """Rebuild the integer spectral polynomial from one cluster assignment.
 
     Per level r the monic polynomial with the cluster values as roots is
     formed (signed elementary symmetric functions), attached to the node
-    y = q^(1-r), and handed to interpolate_spectral_poly.  By default at
+    y = q^(1-r), and handed to interpolate_spectral_poly.  That digit
+    decodes at the smallest base q^(1-r) >= 3 over levels r < 1, else at
+    the smallest base q^(r-1) >= 3 over levels r > 1, and verifies against
+    every other level within polynomials.SNAP_TOL.  Any window holding
+    level 1 and a second level has such a node, except at q = 2 with a
+    window inside [0, 2], which raises ValidationError.  By default at
     least degree_bound+1 levels are required, matching the blind
-    interpolation bound; callers that rely on integer digit decoding (the
+    interpolation bound; callers that rely on digit decoding alone (the
     game solver) may lower the gate via min_levels.
     """
     needed = degree_bound + 1 if min_levels is None else min_levels
@@ -545,7 +505,7 @@ def recover_spectral_poly(assignment, q, degree_bound,
     for r, values in assignment.levels.items():
         y = Fraction(q) ** (1 - r)
         samples[y] = _monic_from_roots(values, wp)
-    return interpolate_spectral_poly(samples, degree_bound, snap_tol)
+    return interpolate_spectral_poly(samples, degree_bound)
 
 
 def _monic_from_roots(roots, wp):
@@ -586,6 +546,10 @@ def separation_experiment(g1, g2, epsilon, precision_bits=192):
     predictions lambda + eps*mu that match the true eigenvalues of
     U(C) + eps*U(C_i) up to O(eps^2).  A separating eigenvector (one whose
     two seminorms differ) certifies that the perturbed spectra split.
+    U(C) + eps*U(C_i) is built exactly, so its spectrum is certified (see
+    sym_eigs) and exactly isospectral perturbations read a Hausdorff
+    distance of 0; only the eigenvectors of U(C) and the compressions to
+    its eigenspaces are numeric.
     """
     if g1.n != g2.n:
         raise ValidationError("graphs must share the vertex range")
@@ -621,11 +585,10 @@ def separation_experiment(g1, g2, epsilon, precision_bits=192):
                 for mu in sym_eigs(W, precision_bits):
                     preds.append(lam + eps * mu)
             predictions.append(sorted(preds))
-        spectra = []
-        for U in (U1, U2):
-            pert = [[mp.mpf(UC[i][j]) + eps * U[i][j] for j in range(n)]
-                    for i in range(n)]
-            spectra.append(sym_eigs(pert, precision_bits))
+        # exact matrices, so the spectra are certified charpoly roots
+        spectra = [sym_eigs([[UC[i][j] + eps_f * U[i][j] for j in range(n)]
+                             for i in range(n)], precision_bits)
+                   for U in (U1, U2)]
         errors = tuple(
             max(abs(a - p) for a, p in zip(spectra[i], predictions[i]))
             for i in range(2))

@@ -51,9 +51,6 @@ class UniPoly:
     def coefficient(self, k):
         return self.terms.get(k, 0)
 
-    def leading_coefficient(self):
-        return self.terms[self.degree] if self.terms else 0
-
     def is_integer(self):
         """True when every stored coefficient is an integer value."""
         for c in self.terms.values():

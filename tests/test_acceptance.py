@@ -123,7 +123,7 @@ def test_criterion_5_spectrum_recovery_pipeline():
                            for q in (101, 1009)]
                 assignments = cluster_and_assign(samples)
                 for q, a in zip((101, 1009), assignments):
-                    res = recover_spectral_poly(a, q, D, snap_tol=SNAP_TOL)
+                    res = recover_spectral_poly(a, q, D)
                     assert res.snap_residual < SNAP_TOL
                     assert res.polynomial == P, (sorted(g.edges), labels, q)
                 instances += 1

@@ -147,6 +147,25 @@ class TestSolver:
                 if res.won:
                     assert is_isomorphic(res.graph, g), sorted(g.edges)
 
+    def test_precision_reply_skips_to_next_prime(self, monkeypatch):
+        # the server answers the first choose_prime with a "precision"
+        # error; the solver must move on to its next prime and still win
+        calls = []
+        simulate = game.simulate_spectrum
+
+        def failing_once(*args, **kwargs):
+            calls.append(args[1])
+            if len(calls) == 1:
+                raise PrecisionError("injected")
+            return simulate(*args, **kwargs)
+
+        monkeypatch.setattr(game, "simulate_spectrum", failing_once)
+        res = solve_game(LoopbackEndpoint(
+            GameSession(path_graph(3), GameConfig(seed=1))))
+        assert res.won and is_isomorphic(res.graph, path_graph(3))
+        assert calls == [101, 1009, 10007]
+        assert res.primes_used == (1009, 10007)
+
     def test_random_n6(self):
         rng = random.Random(12)
         for i in range(3):

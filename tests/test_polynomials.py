@@ -213,13 +213,53 @@ class TestInterpolation:
             assert res.polynomial == P
 
     def test_rational_nodes(self):
+        # at y = 1/b the integer b^D * a_i(1/b) holds the coefficients of
+        # a_i in reverse balanced base-b digits; 2 is too small a base
         dp = build_diffusion_pair(2, [(1, 2, 2)])
         P = spectral_polynomial(dp)
-        samples = {Fraction(1, 3): evaluate_y(P, Fraction(1, 3)),
-                   Fraction(1, 2): evaluate_y(P, Fraction(1, 2)),
-                   Fraction(2): evaluate_y(P, 2)}
+        samples = {y: evaluate_y(P, y)
+                   for y in (Fraction(1, 5), Fraction(1, 2), Fraction(2))}
         res = interpolate_spectral_poly(samples, 2)
+        assert res.polynomial == P and res.snap_residual == 0
+
+    def test_reciprocal_node_k3(self):
+        dp = build_diffusion_pair(3, [(1, 2, 1), (1, 3, 2), (2, 3, 4)])
+        P = spectral_polynomial(dp)
+        samples = {y: evaluate_y(P, y) for y in (1, Fraction(1, 101))}
+        res = interpolate_spectral_poly(samples, 7)
+        assert res.polynomial == P and res.snap_residual == 0
+
+    def test_reciprocal_nodes_random(self):
+        # degree bounds above the true Y-degree pad the reversed digits
+        rng = random.Random(78)
+        for _ in range(10):
+            g = random_connected_graph(rng.randint(2, 5), rng)
+            dp = with_labels(g, rng.sample(range(1, 9), g.m))
+            P = spectral_polynomial(dp)
+            D = dp.total_weight + rng.randint(0, 3)
+            b = rng.choice((1009, 10007))
+            samples = {y: evaluate_y(P, y) for y in (1, Fraction(1, b))}
+            res = interpolate_spectral_poly(samples, D)
+            assert res.polynomial == P and res.snap_residual == 0
+
+    def test_reciprocal_node_noisy_samples_snapped(self):
+        dp = build_diffusion_pair(3, [(1, 2, 1), (1, 3, 2), (2, 3, 4)])
+        P = spectral_polynomial(dp)
+        rel = Fraction(1, 10 ** 30)
+        samples = {y: evaluate_y(P, y).map_coefficients(lambda c: c * (1 + rel))
+                   for y in (1, Fraction(1, 101))}
+        res = interpolate_spectral_poly(samples, 7)
         assert res.polynomial == P
+        assert 0 < res.snap_residual < Fraction(1, 10 ** 6)
+
+    def test_nodes_one_and_two_rejected(self):
+        # neither 1 nor 2 is a decode node: balanced base-2 digits cannot
+        # hold the coefficient -2
+        dp = build_diffusion_pair(2, [(1, 2, 1)])
+        P = spectral_polynomial(dp)
+        samples = {y: evaluate_y(P, y) for y in (1, 2)}
+        with pytest.raises(ValidationError, match="1/b"):
+            interpolate_spectral_poly(samples, 1)
 
     def test_insufficient_nodes(self):
         with pytest.raises(ValidationError):
@@ -237,7 +277,7 @@ class TestInterpolation:
         dp = build_diffusion_pair(2, [(1, 2, 1)])
         P = spectral_polynomial(dp)
         eps = Fraction(1, 10 ** 9)
-        samples = {y: evaluate_y(P, y) + UniPoly({1: eps}) for y in (1, 2)}
+        samples = {y: evaluate_y(P, y) + UniPoly({1: eps}) for y in (1, 5)}
         res = interpolate_spectral_poly(samples, 1)
         assert res.polynomial == P
         assert 0 < res.snap_residual < Fraction(1, 10 ** 6)
@@ -246,7 +286,7 @@ class TestInterpolation:
         dp = build_diffusion_pair(2, [(1, 2, 1)])
         P = spectral_polynomial(dp)
         samples = {y: evaluate_y(P, y) + UniPoly({1: Fraction(1, 100)})
-                   for y in (1, 2)}
+                   for y in (1, 5)}
         with pytest.raises(PrecisionError):
             interpolate_spectral_poly(samples, 1)
 

@@ -88,6 +88,35 @@ class TestSymEigs:
         with pytest.raises(ValidationError):
             sym_eigs([[1, 2], [3, 4]], 64)
 
+    def test_mpf_input_matches_certified_route(self):
+        # mpf entries go to eigsy; the exact matrix takes the certified
+        # charpoly route, whose values lie within a relative 2^-(bits-4)
+        rng = random.Random(5)
+        for _ in range(8):
+            g = random_connected_graph(rng.randint(2, 5), rng)
+            dp = with_labels(g, rng.sample(range(1, 11), g.m))
+            M = level_laplacian(dp, 5, rng.choice((0, 1, 2)))
+            with mp.workprec(256):
+                numeric = sym_eigs([[mp.mpf(x.numerator) / x.denominator
+                                     for x in row] for row in M], 192)
+            certified = sym_eigs(M, 192)
+            norm = max(sum(abs(x) for x in row) for row in M)
+            with mp.workprec(256):
+                for a, b in zip(numeric, certified):
+                    assert abs(a - b) <= mp.ldexp(float(norm), -150), (a, b)
+
+    def test_eigsy_failure_is_precision_error(self, monkeypatch):
+        def no_convergence(*args, **kwargs):
+            raise RuntimeError("tridiag_eigen: no convergence")
+
+        monkeypatch.setattr(mp, "eigsy", no_convergence)
+        with pytest.raises(PrecisionError, match="no convergence"):
+            sym_eigs([[mp.mpf(2), 1], [1, 2]], 64)
+        with pytest.raises(PrecisionError):
+            sym_eigs([[2, 1], [1, 2]], 64, want_vectors=True)
+        # the certified route never calls eigsy
+        assert _floats(sym_eigs([[2, 1], [1, 2]], 64)) == [1, 3]
+
     def test_fiedler_positive_for_connected(self):
         rng = random.Random(19)
         for _ in range(8):
@@ -99,17 +128,17 @@ class TestSymEigs:
                 assert float(vals[1]) > 0
 
 
-def _jacobi(M, bits):
-    """Eigenvalues by cyclic Jacobi, the route kept for eigenvectors."""
+def _eigsy(M, bits):
+    """Eigenvalues by mpmath's eigsy, the route kept for eigenvectors."""
     return sym_eigs(M, bits, want_vectors=True)[0]
 
 
-def _matches_jacobi(M, bits):
-    """The charpoly route at `bits` against Jacobi at twice the bits: nonzero
-    values within a relative 2^-(bits-8), exact zeros against Jacobi values
+def _matches_eigsy(M, bits):
+    """The charpoly route at `bits` against eigsy at twice the bits: nonzero
+    values within a relative 2^-(bits-8), exact zeros against eigsy values
     below 2^-bits times the matrix norm.  Returns the charpoly-route values."""
     got = sym_eigs(M, bits)
-    want = _jacobi(M, 2 * bits)
+    want = _eigsy(M, 2 * bits)
     assert len(got) == len(want)
     norm = float(max(sum(abs(Fraction(x)) for x in row) for row in M))
     with mp.workprec(2 * bits + 64):
@@ -144,29 +173,29 @@ class TestCharpolyRoute:
             dp = with_labels(g, rng.sample(range(1, 7), g.m))
             q = rng.choice((3, 5))
             for r in (0, 1):
-                vals = _matches_jacobi(level_laplacian(dp, q, r), 128)
+                vals = _matches_eigsy(level_laplacian(dp, q, r), 128)
                 assert sum(1 for v in vals if v == 0) == 1
 
     def test_rational_level(self):
         dp = build_diffusion_pair(3, [(1, 2, 1), (1, 3, 2), (2, 3, 3)])
         M = level_laplacian(dp, 3, 2)
         assert any(x.denominator > 1 for row in M for x in row)
-        vals = _matches_jacobi(M, 128)
+        vals = _matches_eigsy(M, 128)
         assert vals[0] == 0 and vals[1] > 0
 
     def test_repeated_eigenvalues(self):
-        k5 = _matches_jacobi(laplacian_matrix(complete_graph(5)), 128)
+        k5 = _matches_eigsy(laplacian_matrix(complete_graph(5)), 128)
         assert _floats(k5) == pytest.approx([0, 5, 5, 5, 5], abs=1e-30)
-        c4 = _matches_jacobi(laplacian_matrix(cycle_graph(4)), 128)
+        c4 = _matches_eigsy(laplacian_matrix(cycle_graph(4)), 128)
         assert _floats(c4) == pytest.approx([0, 2, 2, 4], abs=1e-30)
         dp = with_labels(star_graph(4), [2, 2, 2], require_distinct_labels=False)
-        uniform = _matches_jacobi(level_laplacian(dp, 7, 0), 128)
+        uniform = _matches_eigsy(level_laplacian(dp, 7, 0), 128)
         assert _floats(uniform) == pytest.approx([0, 49, 49, 196], abs=1e-25)
 
     def test_disconnected_graph(self):
         dp = with_labels(Graph.of(5, [(1, 2), (3, 4), (4, 5)]), [1, 2, 3])
         for r in (0, 1):
-            vals = _matches_jacobi(level_laplacian(dp, 3, r), 128)
+            vals = _matches_eigsy(level_laplacian(dp, 3, r), 128)
             assert [v for v in vals if v == 0] == [0, 0]
             assert all(v > 0 for v in vals[2:])
 
@@ -179,7 +208,7 @@ class TestCharpolyRoute:
             for i in range(n):
                 for j in range(i + 1):
                     M[i][j] = M[j][i] = rng.randint(-9, 9)
-            vals = _matches_jacobi(M, 128)
+            vals = _matches_eigsy(M, 128)
             negatives += sum(1 for v in vals if v < 0)
         assert negatives > 0
 
@@ -201,7 +230,7 @@ class TestCharpolyRoute:
         # every simple nonzero value v is an exact root of some level's
         # characteristic polynomial or changes its sign between
         # v*(1 -/+ 2^-(bits-4)); repeated values (no sign change at even
-        # multiplicity) are left to the Jacobi comparisons above
+        # multiplicity) are left to the eigsy comparisons above
         rng = random.Random(43)
         checked = 0
         for _ in range(4):
@@ -413,6 +442,33 @@ class TestRecovery:
             assert res.snap_residual < Fraction(1, 10 ** 6)
 
 
+    def test_window_above_level_one(self):
+        # window [1, 2]: the nodes are 1 and 1/q, so the coefficients are
+        # decoded from q^D * a_i(1/q), D the total label weight
+        rng = random.Random(22)
+        done = 0
+        while done < 6:
+            g = random_connected_graph(rng.randint(2, 4), rng)
+            if g.m > 4:
+                continue
+            done += 1
+            dp = with_labels(g, rng.sample([1, 2, 4, 8], g.m))
+            samples = [simulate_spectrum(dp, q, 1, 2, 256) for q in (101, 1009)]
+            for q, a in zip((101, 1009), cluster_and_assign(samples)):
+                res = recover_spectral_poly(a, q, dp.total_weight, min_levels=2)
+                assert res.polynomial == spectral_polynomial(dp)
+                assert res.snap_residual < Fraction(1, 10 ** 6)
+
+    def test_q2_window_without_decode_node_rejected(self):
+        # q = 2 with a window inside [0, 2] has only the nodes 2, 1 and 1/2
+        dp = build_diffusion_pair(2, [(1, 2, 1)])
+        samples = [simulate_spectrum(dp, q, 0, 1, 128) for q in (2, 5)]
+        a2, a5 = cluster_and_assign(samples)
+        with pytest.raises(ValidationError, match="1/b with b >= 3"):
+            recover_spectral_poly(a2, 2, 1)
+        assert recover_spectral_poly(a5, 5, 1).polynomial == spectral_polynomial(dp)
+
+
 class TestSeparation:
     # a pair where the common-edge perturbation genuinely splits spectra
     GA = Graph.of(5, [(1, 2), (2, 3), (3, 4), (4, 5)])
@@ -444,8 +500,9 @@ class TestSeparation:
     def test_catalog_pair_perturbation_degenerate(self):
         # documented finding: for the catalog cospectral pair under its
         # standard vertex labeling the two perturbed matrices are exactly
-        # isospectral for every eps, so the experiment reports a zero
-        # distance and no separating eigenvector
+        # isospectral for every eps; their spectra are certified roots of
+        # the same exact charpoly, so the distance is exactly zero, and no
+        # separating eigenvector exists
         from graphspectra.catalog import cospectral_pair_graphs
 
         g1, g2 = cospectral_pair_graphs()
@@ -453,7 +510,7 @@ class TestSeparation:
         assert rep.common_edges == tuple(sorted(set(g1.edges) & set(g2.edges)))
         assert rep.extra_edges == (((1, 7),), ((1, 3),))
         assert len(rep.common_edges) == 9
-        assert rep.hausdorff_distance < mp.ldexp(1, -64)
+        assert rep.hausdorff_distance == 0
         assert rep.separating_vector is None
         # exact certificate: equal characteristic polynomials over Z[eps][X],
         # and the eps-dependence is genuine (not just the charpoly of U(C))
