@@ -134,7 +134,11 @@ class GameSession:
         if self.pair is None:
             return self._error("bad_phase", "choose_delta must come first")
         q = msg.get("q")
-        if not isinstance(q, int) or not is_prime_power(q):
+        try:
+            prime_power = isinstance(q, int) and is_prime_power(q)
+        except ValidationError as exc:  # q beyond the checked range
+            return self._error("bad_prime", str(exc))
+        if not prime_power:
             return self._error("bad_prime", f"q={q!r} is not a prime power")
         sample = simulate_spectrum(self.pair, q, self.config.r_min,
                                    self.config.r_max, self.config.precision_bits)
@@ -253,12 +257,12 @@ def solve_game(endpoint, config=None):
     """Reference strategy: powers-of-two labels, escalating primes.
 
     Collects spectra until two primes cluster consistently, recovers the
-    polynomial by digit decoding (a window a few levels deep suffices; the
-    blind bound of total-weight+1 levels is never requested), reconstructs,
-    and submits.  A prime whose spectrum the server cannot compute (a
-    "precision" error reply) is skipped like one that fails to cluster or
-    decode.  Gives up without submitting when the prime budget is
-    exhausted.
+    polynomial by digit decoding at the larger prime of the pair (a window
+    a few levels deep suffices; the blind bound of total-weight+1 levels is
+    never requested), reconstructs, and submits.  A prime whose spectrum
+    the server cannot compute (a "precision" error reply) is skipped like
+    one that fails to cluster or decode.  Gives up without submitting when
+    the prime budget is exhausted.
     """
     config = config or SolverConfig()
     transcript = []
@@ -302,9 +306,10 @@ def solve_game(endpoint, config=None):
         if len(samples) < 2:
             continue
         try:
-            assignments = cluster_and_assign(samples[-2:])
+            # at the larger prime: q = 2 gives no digit-decode node in [0, 1]
+            assignment = max(cluster_and_assign(samples[-2:]), key=lambda a: a.q)
             recovered = recover_spectral_poly(
-                assignments[-1], samples[-1].q, degree_bound, min_levels=2)
+                assignment, assignment.q, degree_bound, min_levels=2)
             polynomial = recovered.polynomial
             break
         except (AmbiguousClusteringError, PrecisionError):

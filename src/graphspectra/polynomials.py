@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .errors import PrecisionError, ValidationError, parse_ints
 from .graphs import symbolic_laplacian
@@ -194,9 +195,14 @@ class InterpolationResult:
 def interpolate_spectral_poly(samples, degree_bound):
     """Fit integer polynomials a_i(Y) through sampled values at exact nodes.
 
-    samples maps a rational node y to the UniPoly in X observed there (all
-    monic of a common X-degree).  The coefficients are read off by balanced
-    digit decoding at one decode node, with D = degree_bound:
+    samples maps a rational node y to the polynomial in X observed there
+    (all monic of a common X-degree): a UniPoly with int or Fraction
+    coefficients, or a pair (numerators, denominator) of ascending integer
+    coefficient numerators over one positive common denominator, the form
+    spectra.recover_spectral_poly builds.  A UniPoly is brought to that
+    form once, on entry; from there on every step is integer arithmetic.
+    The coefficients are read off by balanced digit decoding at one decode
+    node, with D = degree_bound:
 
     * at an integer node y = b >= 3, the integer nearest to a_i(b) holds
       the coefficients of a_i as its balanced base-b digits;
@@ -206,9 +212,9 @@ def interpolate_spectral_poly(samples, degree_bound):
     Decoding needs every |coefficient| < b/2.  Integer nodes are tried
     first, then reciprocal ones, each in ascending b.  A candidate is kept
     only if every node reproduces it within SNAP_TOL; the snapping residual
-    reported is the larger of the rounding distance and that deviation.
-    Decoding tolerates per-node relative noise, which a linear solve
-    through geometric nodes amplifies catastrophically.
+    reported (an exact Fraction) is the larger of the rounding distance and
+    that deviation.  Decoding tolerates per-node relative noise, which a
+    linear solve through geometric nodes amplifies catastrophically.
 
     Raises ValidationError when no node is b or 1/b with b >= 3 (q = 2 with
     a window inside [0, 2] gives only the nodes 1/2, 1 and 2), and
@@ -216,14 +222,14 @@ def interpolate_spectral_poly(samples, degree_bound):
     a larger prime.
     """
     nodes = {}
-    for y, poly in samples.items():
+    for y, sample in samples.items():
         y = Fraction(y)
         if y in nodes:
             raise ValidationError(f"duplicate node {y}")
-        nodes[y] = poly.map_coefficients(Fraction)
+        nodes[y] = _integer_form(sample) if isinstance(sample, UniPoly) else sample
     if not nodes:
         raise ValidationError("no sample nodes")
-    degrees = {poly.degree for poly in nodes.values()}
+    degrees = {len(nums) - 1 for nums, _ in nodes.values()}
     if len(degrees) != 1:
         raise ValidationError("sample polynomials disagree on X-degree")
     n = degrees.pop()
@@ -245,61 +251,112 @@ def interpolate_spectral_poly(samples, degree_bound):
         f"digit decode failed at every node {[str(y) for y in decode_nodes]}")
 
 
+def _integer_form(poly):
+    """A UniPoly in X as (ascending integer numerators, common denominator)."""
+    coeffs = [Fraction(poly.coefficient(i)) for i in range(poly.degree + 1)]
+    den = lcm(*(c.denominator for c in coeffs))
+    return [c.numerator * (den // c.denominator) for c in coeffs], den
+
+
 def _decode_at_base(nodes, n, node, degree_bound):
     """Balanced base-b digit decode at the node b or 1/b, verified against
-    all other nodes."""
+    all other nodes.
+
+    With h = floor(b/2) and H = h*(b^(D+1) - 1)/(b - 1), the ordinary base-b
+    digits of B + H are the balanced digits of B plus h, so B has at most
+    D+1 balanced digits iff 0 <= B + H < b^(D+1)."""
     reciprocal = node < 1
     base = node.denominator if reciprocal else node.numerator
     scale = base ** degree_bound if reciprocal else 1
-    values = nodes[node]
-    coeffs = []
-    worst = Fraction(0)
-    for i in range(n + 1):
-        b = values.coefficient(i) * scale
-        B = _nearest_integer(b)
-        dist = abs(b - B)
-        if dist > SNAP_TOL:
+    nums, den = nodes[node]
+    half = base // 2
+    width = base ** (degree_bound + 1)
+    offset = half * ((width - 1) // (base - 1))
+    worst = 0  # largest rounding distance, over den
+    rows = []
+    for c in nums:
+        B, dist = divmod(c * scale, den)
+        if 2 * dist > den or (2 * dist == den and B & 1):  # half to even
+            B, dist = B + 1, den - dist
+        if _exceeds_tol(dist, den):
             return None
         worst = max(worst, dist)
-        digits = []
-        while B:
-            d = ((B + base // 2) % base) - (base // 2)
-            digits.append(d)
-            B = (B - d) // base
-            if B and len(digits) > degree_bound:
-                return None
+        if not 0 <= B + offset < width:
+            return None
+        row = [d - half for d in _radix_digits(B + offset, base, degree_bound + 1)]
         if reciprocal:
-            digits = digits + [0] * (degree_bound + 1 - len(digits))
-            digits.reverse()
-        coeffs.append(UniPoly(dict(enumerate(digits))))
+            row.reverse()
+        rows.append(row)
     try:
-        candidate = SpectralPolynomial(n, tuple(coeffs))
+        candidate = SpectralPolynomial(
+            n, tuple(UniPoly(dict(enumerate(row))) for row in rows))
     except ValidationError:
         return None
-    deviation = _verification_residual(candidate, nodes)
-    if deviation > SNAP_TOL:
+    dev, dev_den = _verification_residual(rows, nodes)
+    if _exceeds_tol(dev, dev_den):
         return None
-    return InterpolationResult(candidate, max(worst, deviation))
+    if _greater(dev, dev_den, worst, den):
+        worst, den = dev, dev_den
+    return InterpolationResult(candidate, Fraction(worst, den))
 
 
-def _verification_residual(P, nodes):
-    """Max relative deviation of P's values from the samples at the nodes."""
-    worst = Fraction(0)
-    for y, observed in nodes.items():
-        predicted = evaluate_y(P, y)
-        for i in range(P.n + 1):
-            e = Fraction(predicted.coefficient(i))
-            o = Fraction(observed.coefficient(i))
-            dev = abs(o - e) / max(Fraction(1), abs(e))
-            worst = max(worst, dev)
-    return worst
+def _radix_digits(N, base, count):
+    """The count lowest base-`base` digits of N >= 0, least significant
+    first, split off from the top at base^(2^k) (divide and conquer)."""
+    powers = [base]
+    while 1 << len(powers) < count:
+        powers.append(powers[-1] ** 2)
+    parts = [N]
+    for p in reversed(powers):
+        parts = [x for part in parts for x in reversed(divmod(part, p))]
+    return parts[:count]
 
 
-def _nearest_integer(x):
-    x = Fraction(x)
-    fl = x.numerator // x.denominator
-    rem = x - fl
-    return fl + 1 if rem > Fraction(1, 2) else (fl if rem < Fraction(1, 2) else fl + (fl % 2))
+def _verification_residual(rows, nodes):
+    """Max relative deviation |o - e| / max(1, |e|) of the samples o from
+    the candidate's values e = a_i(y), over every node and coefficient, as
+    (numerator, denominator); rows[i] holds a_i's ascending coefficients."""
+    worst, worst_den = 0, 1
+    for y, (nums, den) in nodes.items():
+        u, v = y.numerator, y.denominator
+        for row, o in zip(rows, nums):
+            E, W = _evaluate(row, u, v)
+            dev = abs(o * W - E * den)
+            dev_den = den * max(W, abs(E))
+            if _greater(dev, dev_den, worst, worst_den):
+                worst, worst_den = dev, dev_den
+    return worst, worst_den
+
+
+def _evaluate(row, u, v):
+    """a(u/v) = E / v^d as (E, v^d), d the degree of a, whose ascending
+    coefficients are row; homogeneous Horner in integers."""
+    d = len(row) - 1
+    while d > 0 and not row[d]:
+        d -= 1
+    E, power = 0, 1  # power = v^(d - k) at coefficient k
+    for k in range(d, -1, -1):
+        E *= u
+        if row[k]:
+            E += row[k] * power
+        power *= v
+    return E, power // v
+
+
+def _exceeds_tol(num, den):
+    return _greater(num, den, SNAP_TOL.numerator, SNAP_TOL.denominator)
+
+
+def _greater(a, b, c, d):
+    """a/b > c/d for a, c >= 0 and b, d > 0.  The bit lengths put log2(a/b)
+    within 1 of len(a) - len(b), which settles all but near ties without
+    multiplying."""
+    if not (a and c):
+        return a > c
+    gap = a.bit_length() - b.bit_length() - c.bit_length() + d.bit_length()
+    if abs(gap) > 1:
+        return gap > 1
+    return a * d > c * b
 
 
 # ---------------------------------------------------------------------------

@@ -12,12 +12,14 @@ graph pairs.
 """
 from __future__ import annotations
 
+import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm, log
 
 from mpmath import mp
+from mpmath.libmp import from_man_exp
 
 # Exact decimal serialization of high-precision values routinely exceeds
 # the interpreter's default int<->str conversion guard.
@@ -33,29 +35,7 @@ from .unipoly import UniPoly
 
 
 # ---------------------------------------------------------------------------
-# Exact conversions between mpf, Fraction, and decimal strings
-
-
-def mpf_to_fraction(x):
-    sign, man, exp, _ = x._mpf_
-    man = int(man)
-    if man == 0:
-        if exp != 0:
-            raise ValidationError("non-finite value")
-        return Fraction(0)
-    v = Fraction(man << exp) if exp >= 0 else Fraction(man, 1 << -exp)
-    return -v if sign else v
-
-
-def fraction_to_mpf(f):
-    """Exact when the reduced denominator is a power of two."""
-    f = Fraction(f)
-    num, den = f.numerator, f.denominator
-    shift = den.bit_length() - 1
-    if den != 1 << shift:
-        raise ValidationError(f"{f} is not a dyadic rational")
-    with mp.workprec(max(abs(num).bit_length(), 8)):
-        return mp.ldexp(mp.mpf(num), -shift)
+# Exact conversions between mpf and decimal strings
 
 
 def exact_decimal(x):
@@ -74,19 +54,28 @@ def exact_decimal(x):
     return prefix + digits[:point] + "." + digits[point:]
 
 
+_DECIMAL = re.compile(r"([+-]?[0-9]+)(?:\.([0-9]+))?")
+
+
 def parse_exact_decimal(s):
-    try:
-        f = Fraction(s)
-    except ValueError:
-        raise ValidationError(f"not a decimal number: {s!r}") from None
-    if f == 0:
-        return mp.mpf(0)
-    den = f.denominator
-    if den & (den - 1) == 0:
-        # every string written by exact_decimal lands here (odd mantissas
-        # leave a power-of-two denominator after reduction)
-        return fraction_to_mpf(f)
-    return _parse_rounded(f)
+    """The mpf written as the decimal numeral s, [+-]?digits[.digits].
+
+    With N the digits and k the number of fraction digits, the value is
+    N / 10^k = (N / 5^k) / 2^k: when 5^k divides N (every string written by
+    exact_decimal) it is the mantissa N / 5^k at exponent -k, exactly.  A
+    non-dyadic value is rounded to the bit size of its reduced fraction
+    plus 16 bits.  Any other form (exponents, fractions a/b, underscores,
+    blanks) raises ValidationError."""
+    match = _DECIMAL.fullmatch(s)
+    if match is None:
+        raise ValidationError(f"not a decimal number: {s!r}")
+    whole, frac = match.groups()
+    frac = frac or ""
+    N = int(whole + frac)
+    man, rem = divmod(N, 5 ** len(frac))
+    if rem:
+        return _parse_rounded(Fraction(N, 10 ** len(frac)))
+    return mp.make_mpf(from_man_exp(man, -len(frac)))
 
 
 def _parse_rounded(f):
@@ -161,21 +150,58 @@ def _entry_to_mpf(x):
 # Spectrum simulation
 
 
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
 def is_prime_power(q):
+    """Whether q = p^k for a prime p and k >= 1, for q < 2^64.
+
+    Tries every k with 2^k <= q: q is a prime power iff for some k its
+    integer k-th root r has r^k = q and is prime.  Primality is
+    Miller-Rabin with the first 12 primes as witnesses, which is
+    deterministic below 2^64 (Sorenson and Webster 2017), so larger q
+    raises ValidationError."""
+    if q.bit_length() > 64:
+        raise ValidationError(
+            f"q={q} is too large: prime powers are checked only below 2^64")
     if q < 2:
         return False
-    p = None
-    m = q
-    for d in range(2, q + 1):
-        if d * d > m:
-            p = m if p is None else p
-            break
-        if m % d == 0:
-            p = d
-            break
-    while q % p == 0:
-        q //= p
-    return q == 1
+    for k in range(1, q.bit_length()):
+        r = _integer_root(q, k)
+        if r ** k == q and _is_prime(r):
+            return True
+    return False
+
+
+def _integer_root(q, k):
+    """The largest r with r^k <= q, by Newton's method from above."""
+    r = 1 << -(-q.bit_length() // k)
+    while True:
+        s = ((k - 1) * r + q // r ** (k - 1)) // k
+        if s >= r:
+            return r
+        r = s
+
+
+def _is_prime(p):
+    """Deterministic Miller-Rabin for 2 <= p < 2^64."""
+    for w in _WITNESSES:
+        if p % w == 0:
+            return p == w
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for w in _WITNESSES:
+        x = pow(w, d, p)
+        if x in (1, p - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
+            return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -485,38 +511,62 @@ def recover_spectral_poly(assignment, q, degree_bound, min_levels=None):
     """Rebuild the integer spectral polynomial from one cluster assignment.
 
     Per level r the monic polynomial with the cluster values as roots is
-    formed (signed elementary symmetric functions), attached to the node
-    y = q^(1-r), and handed to interpolate_spectral_poly.  That digit
+    multiplied out exactly in integers (see _monic_from_roots), attached to
+    the node y = q^(1-r), and handed to interpolate_spectral_poly as
+    integer numerators over a power-of-two denominator.  That digit
     decodes at the smallest base q^(1-r) >= 3 over levels r < 1, else at
     the smallest base q^(r-1) >= 3 over levels r > 1, and verifies against
-    every other level within polynomials.SNAP_TOL.  Any window holding
-    level 1 and a second level has such a node, except at q = 2 with a
-    window inside [0, 2], which raises ValidationError.  By default at
-    least degree_bound+1 levels are required, matching the blind
-    interpolation bound; callers that rely on digit decoding alone (the
-    game solver) may lower the gate via min_levels.
+    every other level within polynomials.SNAP_TOL, all in integer
+    arithmetic; only the reported snapping residual is a Fraction.  Any
+    window holding level 1 and a second level has such a node, except at
+    q = 2 with a window inside [0, 2], which raises ValidationError.  By
+    default at least degree_bound+1 levels are required, matching the
+    blind interpolation bound; callers that rely on digit decoding alone
+    (the game solver) may lower the gate via min_levels.
     """
     needed = degree_bound + 1 if min_levels is None else min_levels
     if len(assignment.levels) < needed:
         raise ValidationError(
             f"insufficient levels: need {needed}, have {len(assignment.levels)}")
-    samples = {}
-    wp = assignment.precision_bits + 64
-    for r, values in assignment.levels.items():
-        y = Fraction(q) ** (1 - r)
-        samples[y] = _monic_from_roots(values, wp)
+    samples = {Fraction(q) ** (1 - r): _monic_from_roots(values)
+               for r, values in assignment.levels.items()}
     return interpolate_spectral_poly(samples, degree_bound)
 
 
-def _monic_from_roots(roots, wp):
-    """Exact-rational UniPoly (X - r1)...(X - rk) from mpf roots."""
-    coeffs = [Fraction(1)]
+def _monic_from_roots(roots):
+    """(X - r_1)...(X - r_k) for mpf roots, exactly, as (ascending integer
+    numerators, power-of-two denominator).
+
+    Every root is m_i / 2^s over one common shift s.  The integer factors
+    Z - m_i are multiplied pairwise (a product tree), giving
+    prod(Z - m_i) = sum e_j Z^j; at Z = 2^s X the coefficient of X^j is
+    e_j * 2^(s*j) over 2^(s*k).  The power of two the numerators share is
+    shifted out of the result."""
+    parts = []
     for root in roots:
-        fr = mpf_to_fraction(root) if not isinstance(root, (int, Fraction)) else Fraction(root)
-        coeffs = [Fraction(0)] + coeffs
-        for i in range(len(coeffs) - 1):
-            coeffs[i] -= fr * coeffs[i + 1]
-    return UniPoly({i: c for i, c in enumerate(coeffs) if c})
+        sign, man, exp, _ = root._mpf_
+        if not man and exp:
+            raise ValidationError("non-finite value")
+        parts.append((-int(man) if sign else int(man), exp))
+    s = max([-exp for man, exp in parts if man] + [0])
+    factors = [[-(man << (exp + s)), 1] for man, exp in parts]
+    while len(factors) > 1:
+        paired = [_poly_mul(a, b) for a, b in zip(factors[::2], factors[1::2])]
+        factors = paired + factors[len(paired) * 2:]
+    e = factors[0] if factors else [1]
+    nums = [c << (s * j) for j, c in enumerate(e)]
+    shift = min(c & -c for c in nums if c).bit_length() - 1
+    return [c >> shift for c in nums], 1 << (s * len(parts) - shift)
+
+
+def _poly_mul(a, b):
+    """Product of two ascending integer coefficient lists."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
 
 
 # ---------------------------------------------------------------------------

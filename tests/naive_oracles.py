@@ -2,11 +2,17 @@
 
 Deliberately different algorithms and representations from the package:
 bivariate polynomials as plain (xdeg, ydeg) -> coeff dicts, determinants
-by recursive cofactor expansion, isomorphism by exhaustive permutation.
+by recursive cofactor expansion, isomorphism by exhaustive permutation,
+and recovery from level spectra in reduced Fractions throughout.
 """
+from fractions import Fraction
 from itertools import permutations
 
+from graphspectra.errors import ValidationError
 from graphspectra.graphs import Graph
+from graphspectra.polynomials import (SNAP_TOL, InterpolationResult,
+                                      SpectralPolynomial, evaluate_y)
+from graphspectra.unipoly import UniPoly
 
 
 def biv_add(a, b):
@@ -141,3 +147,92 @@ def brute_forests(g: Graph):
             gamma *= len(vs)
         out.setdefault(len(comps), set()).add((frozenset(subset), gamma))
     return out
+
+
+# ---------------------------------------------------------------------------
+# Recovery in Fractions: roots -> level polynomials -> digit decode
+
+
+def fraction_monic_from_roots(roots):
+    """(X - r1)...(X - rk) from mpf roots, one root at a time in Fractions."""
+    coeffs = [Fraction(1)]
+    for root in roots:
+        sign, man, exp, _ = root._mpf_
+        fr = Fraction(int(man) << exp) if exp >= 0 else Fraction(int(man), 1 << -exp)
+        fr = -fr if sign else fr
+        coeffs = [Fraction(0)] + coeffs
+        for i in range(len(coeffs) - 1):
+            coeffs[i] -= fr * coeffs[i + 1]
+    return UniPoly({i: c for i, c in enumerate(coeffs) if c})
+
+
+def fraction_interpolate(samples, degree_bound):
+    """Digit decode over the package's node order; None when every decode
+    fails.  samples maps nodes to UniPolys in X."""
+    nodes = {Fraction(y): poly.map_coefficients(Fraction)
+             for y, poly in samples.items()}
+    n = next(iter(nodes.values())).degree
+    decode_nodes = sorted(y for y in nodes if y.denominator == 1 and y >= 3)
+    decode_nodes += sorted(
+        (y for y in nodes if y.numerator == 1 and y.denominator >= 3), reverse=True)
+    for node in decode_nodes:
+        result = fraction_decode_at_base(nodes, n, node, degree_bound)
+        if result is not None:
+            return result
+    return None
+
+
+def fraction_decode_at_base(nodes, n, node, degree_bound):
+    """Balanced base-b digits of the nearest integers, one digit at a time."""
+    reciprocal = node < 1
+    base = node.denominator if reciprocal else node.numerator
+    scale = base ** degree_bound if reciprocal else 1
+    values = nodes[node]
+    coeffs = []
+    worst = Fraction(0)
+    for i in range(n + 1):
+        b = values.coefficient(i) * scale
+        B = nearest_integer(b)
+        dist = abs(b - B)
+        if dist > SNAP_TOL:
+            return None
+        worst = max(worst, dist)
+        digits = []
+        while B:
+            d = ((B + base // 2) % base) - (base // 2)
+            digits.append(d)
+            B = (B - d) // base
+            if B and len(digits) > degree_bound:
+                return None
+        if reciprocal:
+            digits = digits + [0] * (degree_bound + 1 - len(digits))
+            digits.reverse()
+        coeffs.append(UniPoly(dict(enumerate(digits))))
+    try:
+        candidate = SpectralPolynomial(n, tuple(coeffs))
+    except ValidationError:
+        return None
+    deviation = fraction_verification_residual(candidate, nodes)
+    if deviation > SNAP_TOL:
+        return None
+    return InterpolationResult(candidate, max(worst, deviation))
+
+
+def fraction_verification_residual(P, nodes):
+    """Max relative deviation of P's values from the samples at the nodes."""
+    worst = Fraction(0)
+    for y, observed in nodes.items():
+        predicted = evaluate_y(P, y)
+        for i in range(P.n + 1):
+            e = Fraction(predicted.coefficient(i))
+            o = Fraction(observed.coefficient(i))
+            worst = max(worst, abs(o - e) / max(Fraction(1), abs(e)))
+    return worst
+
+
+def nearest_integer(x):
+    """Nearest integer to a Fraction, ties to even."""
+    fl = x.numerator // x.denominator
+    rem = x - fl
+    half = Fraction(1, 2)
+    return fl + 1 if rem > half else (fl if rem < half else fl + (fl % 2))

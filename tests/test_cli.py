@@ -64,12 +64,13 @@ def test_simulate_cluster_recover_pipeline(tmp_path, k3_file):
     ("curve", "3 2\n1 2\n2 3\n", ["--labels", "1,b"]),
     ("curve", "3 2\n1 2\n2 3\n", ["--labels", "1"]),
     ("cluster", "spectrum q=5 rmin=0 rmax=1 prec=64\n0\nabc\n", []),
+    ("cluster", "spectrum q=5 rmin=0 rmax=1 prec=64\n0\n1e5\n", []),
     ("recover", "clusters q=5 prec\n1 0\n", ["--degree-bound", "3"]),
     ("evaluate", "spoly n=2\n1 2 0\n-2 1 1\n", ["--y", "abc"]),
     ("separate", "3 2\n1 2\n2 3\n", ["--epsilon", "1/0"]),
 ], ids=["self-loop", "graph-token", "spectrum-field", "spoly-token",
-        "labels-token", "labels-count", "spectrum-value", "clusters-field",
-        "y-value", "epsilon-value"])
+        "labels-token", "labels-count", "spectrum-value", "spectrum-exponent",
+        "clusters-field", "y-value", "epsilon-value"])
 def test_validation_exit_code(tmp_path, command, text, options):
     bad = tmp_path / "bad.input"
     bad.write_text(text)

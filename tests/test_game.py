@@ -67,6 +67,14 @@ class TestProtocolRules:
         assert r["code"] == "bad_prime"
         assert s.handle({"type": "choose_prime", "q": 7})["type"] == "spectrum"
 
+    def test_prime_beyond_checked_range_rejected(self):
+        s = _session()
+        s.handle({"type": "hello"})
+        s.handle({"type": "choose_delta", "labels": [1, 2, 4]})
+        r = s.handle({"type": "choose_prime", "q": 2 ** 64 + 13})
+        assert r["code"] == "bad_prime" and "2^64" in r["message"]
+        assert s.phase == "playing"
+
     def test_submit_closes_session(self):
         s = _session()
         s.handle({"type": "hello"})
@@ -146,6 +154,22 @@ class TestSolver:
                 assert isinstance(res, SolveResult)
                 if res.won:
                     assert is_isomorphic(res.graph, g), sorted(g.edges)
+
+    def test_prime_two_decodes_at_larger_prime(self):
+        # q = 2 gives no digit-decode node in the window [0, 1], so each
+        # pair is decoded at its larger prime and the solver escalates
+        graphs = [g for n in (2, 3) for g in connected_graphs(n)]
+        for g in graphs:
+            res = solve_game(LoopbackEndpoint(GameSession(g, GameConfig(seed=1))),
+                             SolverConfig(primes=(3, 2, 5, 7)))
+            assert res.won and is_isomorphic(res.graph, g), sorted(g.edges)
+        # the 3-vertex graphs carry the coefficient 3, which needs a base
+        # of at least 7: without one the solver gives up, it does not raise
+        results = [solve_game(LoopbackEndpoint(GameSession(g, GameConfig(seed=1))),
+                              SolverConfig(primes=(3, 2, 5)))
+                   for g in graphs]
+        assert [(r.won, r.verdict) for r in results] == [
+            (True, "win"), (False, None), (False, None)]
 
     def test_precision_reply_skips_to_next_prime(self, monkeypatch):
         # the server answers the first choose_prime with a "precision"

@@ -1,9 +1,13 @@
 import random
+import time
 from fractions import Fraction
 from math import gcd
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from mpmath import mp
+from mpmath.libmp import from_man_exp
 
 from graphspectra.catalog import (complete_graph, cycle_graph, path_graph,
                                   random_connected_graph, star_graph,
@@ -16,8 +20,7 @@ from graphspectra.graphs import (Graph, build_diffusion_pair,
 from graphspectra.polynomials import (charpoly_division_free,
                                       spectral_polynomial)
 from graphspectra.spectra import (cluster_and_assign, exact_decimal,
-                                  fraction_to_mpf, is_prime_power,
-                                  mpf_to_fraction, parse_exact_decimal,
+                                  is_prime_power, parse_exact_decimal,
                                   prediction_error_ratio,
                                   recover_spectral_poly,
                                   separation_experiment, simulate_spectrum,
@@ -244,7 +247,7 @@ class TestCharpolyRoute:
             for v in values:
                 if values.count(v) > 1:
                     continue
-                x = mpf_to_fraction(v)
+                x = Fraction(exact_decimal(v))
                 assert any(P(x) == 0 or P(x * (1 - eps)) * P(x * (1 + eps)) < 0
                            for P in charpolys), v
                 checked += 1
@@ -281,16 +284,57 @@ class TestExactDecimal:
         assert parse_exact_decimal("0") == 0
 
     def test_fraction_conversions(self):
-        x = fraction_to_mpf(Fraction(7, 8))
-        assert mpf_to_fraction(x) == Fraction(7, 8)
+        x = parse_exact_decimal("0.875")
+        assert x._mpf_ == (0, 7, -3, 3)
+        assert Fraction(exact_decimal(x)) == Fraction(7, 8)
+        assert parse_exact_decimal("-12") == -12
+        # a non-dyadic numeral is rounded to its fraction's size + 16 bits
+        tenth = Fraction(exact_decimal(parse_exact_decimal("0.1")))
+        assert tenth != Fraction(1, 10)
+        assert abs(tenth - Fraction(1, 10)) < Fraction(1, 10 * 2 ** 20)
+
+    @given(st.integers(-(2 ** 300), 2 ** 300), st.integers(-400, 400))
+    def test_round_trip_any_mantissa_and_exponent(self, man, exp):
+        x = mp.make_mpf(from_man_exp(man, exp))
+        assert parse_exact_decimal(exact_decimal(x))._mpf_ == x._mpf_
+
+    @pytest.mark.parametrize("text", [
+        "", "1.2.3", "abc", "1e5", "1/3", ".", ".5", "5.", "1_000", " 1",
+        "+", "-", "0x10", "nan", "inf"])
+    def test_malformed_rejected(self, text):
+        # the grammar is decimal numerals only: [+-]?digits[.digits]
         with pytest.raises(ValidationError):
-            fraction_to_mpf(Fraction(1, 3))
+            parse_exact_decimal(text)
 
 
 class TestPrimePower:
     def test_values(self):
         assert all(is_prime_power(q) for q in (2, 3, 4, 5, 8, 9, 101, 1009, 27))
         assert not any(is_prime_power(q) for q in (1, 6, 12, 100, 1001))
+
+    def test_matches_trial_division(self):
+        def trial_division(q):
+            p = next(d for d in range(2, q + 1) if q % d == 0)
+            while q % p == 0:
+                q //= p
+            return q == 1
+        assert all(is_prime_power(q) == trial_division(q) for q in range(2, 3000))
+
+    def test_large_values_without_trial_division(self):
+        start = time.process_time()
+        assert is_prime_power(2 ** 61 - 1)
+        assert is_prime_power((2 ** 31 - 1) ** 2)
+        assert is_prime_power(3 ** 40)
+        # 3215031751 is a strong pseudoprime to the bases 2, 3, 5 and 7
+        assert not any(is_prime_power(q) for q in (
+            3 * (2 ** 61 - 1), 3215031751, 2 ** 64 - 1,
+            (2 ** 31 - 1) * (2 ** 31 + 11)))
+        assert time.process_time() - start < 1
+
+    def test_limit_named(self):
+        assert is_prime_power(2 ** 63)
+        with pytest.raises(ValidationError, match=r"2\^64"):
+            is_prime_power(2 ** 64)
 
 
 class TestSimulate:
