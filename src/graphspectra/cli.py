@@ -128,15 +128,16 @@ def _cmd_simulate(args):
 def _cmd_cluster(args):
     samples = [spectrum_from_text(_read(p)) for p in args.spectra]
     assignments = cluster_and_assign(samples)
-    blocks = []
-    for a in assignments:
-        lines = [f"clusters q={a.q} prec={a.precision_bits}"]
-        for r in sorted(a.levels, reverse=True):
-            for v in a.levels[r]:
-                lines.append(f"{r} {exact_decimal(v)}")
-        blocks.append("\n".join(lines))
-    _write(args.output, "\n\n".join(blocks) + "\n")
+    _write(args.output, "\n\n".join(map(_assignment_text, assignments)) + "\n")
     return 0
+
+
+def _assignment_text(a):
+    lines = [f"clusters q={a.q} prec={a.precision_bits}"]
+    for r in sorted(a.levels, reverse=True):
+        for v in a.levels[r]:
+            lines.append(f"{r} {exact_decimal(v)}")
+    return "\n".join(lines)
 
 
 def _read_assignment(text):

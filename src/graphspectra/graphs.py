@@ -219,6 +219,27 @@ def level_laplacian(dp, q, r):
         dp.graph.n, ((e, y ** a) for e, a in dp.labels), Fraction(0))
 
 
+def integer_level_laplacian(dp, q, r):
+    """(s, s * L_r): the level-r Laplacian scaled by the least s >= 1 that
+    makes every entry an integer.
+
+    For r <= 1 the weights q^((1-r)*a) are integers and s = 1.  For r > 1,
+    with t = q^(r-1) and A the largest label, the weights 1/t^a become
+    t^(A-a) and s = t^A: the edge labelled A alone makes an off-diagonal
+    entry -1/t^A, so no smaller s clears the denominators.
+    """
+    if q < 2:
+        raise ValidationError("q must be at least 2")
+    if r <= 1:
+        y = q ** (1 - r)
+        return 1, _assemble_laplacian(
+            dp.graph.n, ((e, y ** a) for e, a in dp.labels), 0)
+    t = q ** (r - 1)
+    top = max((a for _, a in dp.labels), default=0)
+    return t ** top, _assemble_laplacian(
+        dp.graph.n, ((e, t ** (top - a)) for e, a in dp.labels), 0)
+
+
 def laplacian_matrix(g):
     """Unweighted integer Laplacian of a plain graph."""
     return edge_set_laplacian(g.n, g.edges)

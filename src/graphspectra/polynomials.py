@@ -69,6 +69,8 @@ class SpectralPolynomial:
     coeffs: tuple  # a_0 .. a_n as UniPoly in Y
 
     def __post_init__(self):
+        if self.n < 1:
+            raise ValidationError(f"n={self.n} is not a positive vertex count")
         if len(self.coeffs) != self.n + 1:
             raise ValidationError("need exactly n+1 coefficient polynomials")
         for a in self.coeffs:
@@ -273,9 +275,12 @@ def _decode_at_base(nodes, n, node, degree_bound):
     width = base ** (degree_bound + 1)
     offset = half * ((width - 1) // (base - 1))
     worst = 0  # largest rounding distance, over den
+    dyadic = den & (den - 1) == 0  # true of every recover_spectral_poly sample
+    shift = den.bit_length() - 1
     rows = []
     for c in nums:
-        B, dist = divmod(c * scale, den)
+        N = c * scale
+        B, dist = (N >> shift, N & (den - 1)) if dyadic else divmod(N, den)
         if 2 * dist > den or (2 * dist == den and B & 1):  # half to even
             B, dist = B + 1, den - dist
         if _exceeds_tol(dist, den):

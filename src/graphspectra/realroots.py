@@ -15,16 +15,19 @@ root.  Repeated roots are split off first by Yun's square-free
 decomposition, and zero roots come from the X-adic valuation, exactly.
 
 Polynomials are lists of int coefficients, lowest degree first, with a
-nonzero leading coefficient; the zero polynomial is [].  Points are raw
-mpmath mpf tuples, which are exact dyadic rationals.
+nonzero leading coefficient; the zero polynomial is [].  A point is a pair
+(m, e) of ints, the dyadic m * 2^e with m > 0 odd.  Isolation, bisection,
+Newton steps, bracket and convergence tests and certificates are integer
+arithmetic on such pairs, compared at a common exponent; a Newton step
+rounds half to even, as mpmath's round_nearest does.  An mpf is made only
+for each returned root.
 """
 from __future__ import annotations
 
 from math import gcd
 
 from mpmath import mp
-from mpmath.libmp import (from_man_exp, mpf_abs, mpf_add, mpf_cmp, mpf_div,
-                          mpf_mul, mpf_neg, mpf_shift, mpf_sub, round_nearest)
+from mpmath.libmp import from_man_exp
 
 from .errors import PrecisionError
 
@@ -48,8 +51,8 @@ def real_roots(coeffs, bits):
     v = next(i for i, c in enumerate(coeffs) if c)
     roots = [mp.mpf(0)] * v
     for mult, factor in square_free_factors(coeffs[v:]):
-        for x in _simple_roots(factor, bits):
-            roots.extend([mp.make_mpf(x)] * mult)
+        for m, e in _simple_roots(factor, bits):
+            roots.extend([mp.make_mpf(from_man_exp(m, e))] * mult)
     roots.sort()
     return roots
 
@@ -166,14 +169,66 @@ def square_free_factors(f):
 
 
 # ---------------------------------------------------------------------------
+# Points: integer pairs (m, e) for the dyadic m * 2^e
+
+
+def _point(m, e):
+    """(m, e) for m > 0 with trailing zero bits moved into e: m is odd."""
+    z = (m & -m).bit_length() - 1
+    return m >> z, e + z
+
+
+def _top(x):
+    """t with 2^(t-1) <= x < 2^t."""
+    return x[0].bit_length() + x[1]
+
+
+def _align(x, y):
+    """(mx, my, e) with x = mx * 2^e and y = my * 2^e, e the smaller exponent."""
+    (m, e), (n, f) = x, y
+    if e >= f:
+        return m << (e - f), n, f
+    return m, n << (f - e), e
+
+
+def _difference(x, y):
+    """(d, e) with x - y = d * 2^e: the sign of d compares x with y."""
+    m, n, e = _align(x, y)
+    return m - n, e
+
+
+def _round(n, bits, sticky=False):
+    """(m, k) with m * 2^k the value n > 0 rounded to `bits` bits, half to
+    even; `sticky` marks a value a little above n (a nonzero remainder
+    below its last bit), which needs n of more than `bits` bits."""
+    k = n.bit_length() - bits
+    if k <= 0:
+        return n, 0
+    m, rest = n >> k, n & ((1 << k) - 1)
+    half = 1 << (k - 1)
+    if rest > half or (rest == half and (sticky or m & 1)):
+        m += 1
+    return m, k
+
+
+def _newton_point(x, num, den, prec):
+    """x * num/den for num, den > 0: num and den are first rounded to
+    prec + 8 bits, then the quotient to prec bits, each half to even."""
+    (m, e), (nm, ne), (dm, de) = x, _round(num, prec + 8), _round(den, prec + 8)
+    a = m * nm
+    s = prec + 2 - a.bit_length() + dm.bit_length()  # quotient of prec+2.. bits
+    q, r = divmod(a << s, dm) if s >= 0 else divmod(a, dm << -s)
+    qm, k = _round(q, prec, r != 0)
+    return _point(qm, e + ne - de - s + k)
+
+
+# ---------------------------------------------------------------------------
 # Exact evaluation, counting and bounds
 
 
 def _evaluate(f, x):
-    """(V, E) with f(x) = V * 2^E exactly, for a raw mpf x."""
-    sign, man, exp, _ = x
-    if sign:
-        man = -man
+    """(V, E) with f(x) = V * 2^E exactly, for a point x."""
+    man, exp = x
     if exp >= 0:
         X = man << exp
         v = 0
@@ -194,9 +249,9 @@ def _sign_changes(coeffs):
 
 
 def _roots_above(f, x):
-    """Number of roots of f greater than the positive dyadic x, exact when f
-    is real-rooted: the sign changes of the Taylor coefficients of f at x."""
-    _, man, exp, _ = x
+    """Number of roots of f greater than the point x, exact when f is
+    real-rooted: the sign changes of the Taylor coefficients of f at x."""
+    man, exp = x
     d = len(f) - 1
     if exp >= 0:
         step = man << exp
@@ -218,17 +273,14 @@ def _root_exponent(f):
     return worst + 1
 
 
-def _power_of_two(e):
-    return from_man_exp(1, e)
-
-
 def _split(a, b):
     """A point inside (a, b): a power of two near the geometric mean when
     b/a >= 16, else the midpoint."""
-    top_a, top_b = a[2] + a[3], b[2] + b[3]
+    top_a, top_b = _top(a), _top(b)
     if top_b - top_a < 4:
-        return mpf_shift(mpf_add(a, b), -1)
-    return _power_of_two((top_a + top_b) // 2)
+        m, n, e = _align(a, b)
+        return _point(m + n, e - 1)
+    return 1, (top_a + top_b) // 2
 
 
 # ---------------------------------------------------------------------------
@@ -236,10 +288,10 @@ def _split(a, b):
 
 
 def _simple_roots(f, bits):
-    """Certified roots (raw mpf, ascending) of a square-free real-rooted f
-    with f(0) != 0."""
+    """Certified roots (signed pairs, ascending) of a square-free
+    real-rooted f with f(0) != 0."""
     reflected = [-c if j % 2 else c for j, c in enumerate(f)]  # f(-x)
-    roots = ([mpf_neg(x) for x in reversed(_positive_roots(reflected, bits))]
+    roots = ([(-m, e) for m, e in reversed(_positive_roots(reflected, bits))]
              + _positive_roots(f, bits))
     if len(roots) != len(f) - 1:
         raise PrecisionError(f"polynomial of degree {len(f) - 1} has only "
@@ -248,20 +300,20 @@ def _simple_roots(f, bits):
 
 
 def _positive_roots(f, bits):
-    """Certified positive roots (raw mpf, ascending) of a square-free
+    """Certified positive roots (points, ascending) of a square-free
     real-rooted f with f(0) != 0; Descartes' rule gives their number."""
     count = _sign_changes(f)
     if not count:
         return []
-    lo = _power_of_two(-_root_exponent(f[::-1]) - 1)
-    hi = _power_of_two(_root_exponent(f))
+    lo = (1, -_root_exponent(f[::-1]) - 1)
+    hi = (1, _root_exponent(f))
     df = _derivative(f)
     roots = [_refine(f, df, a, b, i, bits)
              for i, (a, b) in enumerate(_isolate(f, lo, hi, count, bits))]
     # Disjoint sign-change intervals, one per root of f: each holds one root.
     for x, y in zip(roots, roots[1:]):
-        if mpf_cmp(_certificate_interval(x, bits)[1],
-                   _certificate_interval(y, bits)[0]) >= 0:
+        if _difference(_certificate_interval(x, bits)[1],
+                       _certificate_interval(y, bits)[0])[0] >= 0:
             raise PrecisionError(f"two roots agree to {bits} bits; "
                                  f"raise the working precision")
     return roots
@@ -280,7 +332,8 @@ def _isolate(f, lo, hi, count, bits):
         if inside == 1:
             out.append((a, b))
             continue
-        if mpf_cmp(mpf_sub(b, a), mpf_shift(a, -(bits - 4))) < 0:
+        width, e = _difference(b, a)
+        if width << (bits - 4) < a[0] << (a[1] - e):  # b - a < a * 2^-(bits-4)
             raise PrecisionError(f"{inside} roots cannot be told apart at "
                                  f"{bits} bits (or are not real)")
         m = _split(a, b)
@@ -294,8 +347,8 @@ def _certificate_interval(x, bits):
     """(x - delta, x + delta), delta the largest power of two not above
     x * 2^-(bits-4): inside x*(1 -/+ 2^-(bits-4)), and its end points
     carry no more bits than x does."""
-    delta = _power_of_two(x[2] + x[3] - 1 - (bits - 4))
-    return mpf_sub(x, delta), mpf_add(x, delta)
+    m, d, e = _align(x, (1, _top(x) - 1 - (bits - 4)))
+    return _point(m - d, e), _point(m + d, e)
 
 
 def _refine(f, df, a, b, below, bits):
@@ -331,19 +384,18 @@ def _refine(f, df, a, b, below, bits):
         else:
             a = x
         w, _ = _evaluate(df, x)
-        _, man, exp, _ = x
+        man, exp = x
         xw = (man << exp) * w if exp >= 0 else man * w  # x*f'(x) / 2^ev
         num, den = xw - (below + 1) * v, xw - below * v
-        if den == 0:
+        if not num or not den or (num < 0) != (den < 0):
+            x = _split(a, b)  # no step, or one to a point <= 0 < a
+            continue
+        y = _newton_point(x, abs(num), abs(den), prec)
+        if y != x and (_difference(y, a)[0] <= 0 or _difference(y, b)[0] >= 0):
             x = _split(a, b)
             continue
-        y = mpf_div(mpf_mul(x, from_man_exp(num, 0, prec + 8, round_nearest)),
-                    from_man_exp(den, 0, prec + 8, round_nearest),
-                    prec, round_nearest)
-        if y != x and (mpf_cmp(y, a) <= 0 or mpf_cmp(y, b) >= 0):
-            x = _split(a, b)
-            continue
-        converged = mpf_cmp(mpf_abs(mpf_sub(y, x)), mpf_shift(x, -(prec // 2))) <= 0
+        step, e = _difference(y, x)
+        converged = abs(step) << (prec // 2) <= man << (exp - e)
         x = y
         if prec < bits and (converged or climbing):
             climbing = True

@@ -28,7 +28,7 @@ if sys.get_int_max_str_digits() < 2_000_000:
 
 from .errors import (AmbiguousClusteringError, PrecisionError, ValidationError,
                      parse_fields, parse_ints)
-from .graphs import edge_set_laplacian, level_laplacian, seminorm_sq
+from .graphs import edge_set_laplacian, integer_level_laplacian, seminorm_sq
 from .polynomials import charpoly_division_free, interpolate_spectral_poly
 from .realroots import real_roots
 from .unipoly import UniPoly
@@ -214,6 +214,19 @@ class SpectrumSample:
     precision_bits: int
     values: tuple  # ascending mpf values, one level-spectrum per level
 
+    def __post_init__(self):
+        header = (self.q, self.r_min, self.r_max, self.precision_bits)
+        if any(type(v) is not int for v in header):
+            raise ValidationError(f"spectrum header fields must be integers, "
+                                  f"got {header}")
+        if self.q < 2:
+            raise ValidationError(f"q={self.q} is below 2")
+        if not self.r_min <= 1 <= self.r_max:
+            raise ValidationError("window must satisfy r_min <= 1 <= r_max")
+        if self.precision_bits < 8:
+            raise ValidationError(f"{self.precision_bits} bits cannot certify "
+                                  f"a value; at least 8 are needed")
+
     @property
     def width(self):
         return self.r_max - self.r_min + 1
@@ -259,7 +272,8 @@ def simulate_spectrum(dp, q, r_min, r_max, precision_bits=512, auto_elevate=True
         raise ValidationError("window must satisfy r_min <= 1 <= r_max")
     b0 = dp.graph.component_count()
     levels = range(r_min, r_max + 1)
-    charpolys = [_integer_charpoly(level_laplacian(dp, q, r)) for r in levels]
+    charpolys = [_scaled_charpoly(*integer_level_laplacian(dp, q, r))
+                 for r in levels]
     needed = max(bits for _, bits in charpolys) + 64
     if precision_bits < needed and not auto_elevate:
         raise PrecisionError(
@@ -279,15 +293,20 @@ def simulate_spectrum(dp, q, r_min, r_max, precision_bits=512, auto_elevate=True
 
 
 def _integer_charpoly(M):
-    """s^n * det(X*I - M) as ascending ints, s the lcm of M's denominators,
-    and the bit size of the largest coefficient of det(X*I - s*M).
+    """_scaled_charpoly of M scaled by s, the lcm of M's denominators."""
+    s = lcm(*(Fraction(x).denominator for row in M for x in row))
+    return _scaled_charpoly(s, [[int(x * s) for x in row] for row in M])
+
+
+def _scaled_charpoly(s, scaled):
+    """s^n * det(X*I - M) as ascending ints, for the integer matrix
+    scaled = s*M, and the bit size of the largest coefficient of
+    det(X*I - s*M).
 
     The first polynomial has M's eigenvalues as roots; it is det(Y*I - s*M)
     at Y = s*X."""
-    s = lcm(*(Fraction(x).denominator for row in M for x in row))
-    scaled = [[int(x * s) for x in row] for row in M]
     P = charpoly_division_free(scaled)
-    coeffs = [P.coefficient(i) for i in range(len(M) + 1)]
+    coeffs = [P.coefficient(i) for i in range(len(scaled) + 1)]
     bits = max(abs(c).bit_length() for c in coeffs)
     return [c * s ** i for i, c in enumerate(coeffs)], bits
 

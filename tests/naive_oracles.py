@@ -3,15 +3,23 @@
 Deliberately different algorithms and representations from the package:
 bivariate polynomials as plain (xdeg, ydeg) -> coeff dicts, determinants
 by recursive cofactor expansion, isomorphism by exhaustive permutation,
-and recovery from level spectra in reduced Fractions throughout.
+recovery from level spectra in reduced Fractions throughout, and real
+roots with every point a raw mpf tuple.
 """
 from fractions import Fraction
 from itertools import permutations
 
-from graphspectra.errors import ValidationError
+from mpmath import mp
+from mpmath.libmp import (from_man_exp, mpf_abs, mpf_add, mpf_cmp, mpf_div,
+                          mpf_mul, mpf_neg, mpf_shift, mpf_sub, round_nearest)
+
+from graphspectra.errors import PrecisionError, ValidationError
 from graphspectra.graphs import Graph
 from graphspectra.polynomials import (SNAP_TOL, InterpolationResult,
                                       SpectralPolynomial, evaluate_y)
+from graphspectra.realroots import (_NEWTON_MIN_BITS, _derivative,
+                                    _root_exponent, _sign_changes,
+                                    square_free_factors)
 from graphspectra.unipoly import UniPoly
 
 
@@ -236,3 +244,194 @@ def nearest_integer(x):
     rem = x - fl
     half = Fraction(1, 2)
     return fl + 1 if rem > half else (fl if rem < half else fl + (fl % 2))
+
+
+# ---------------------------------------------------------------------------
+# Real roots on mpf tuples: the route realroots took before its points became
+# integer pairs.  Every step rounds as the integer route must, so the two
+# agree bit for bit.
+
+
+def mpf_real_roots(coeffs, bits):
+    """realroots.real_roots with every point a raw mpf tuple."""
+    if bits < 8:
+        raise PrecisionError(f"{bits} bits cannot certify a root")
+    v = next(i for i, c in enumerate(coeffs) if c)
+    roots = [mp.mpf(0)] * v
+    for mult, factor in square_free_factors(coeffs[v:]):
+        for x in _mpf_simple_roots(factor, bits):
+            roots.extend([mp.make_mpf(x)] * mult)
+    roots.sort()
+    return roots
+
+
+def _mpf_evaluate(f, x):
+    """(V, E) with f(x) = V * 2^E exactly, for a raw mpf x."""
+    sign, man, exp, _ = x
+    if sign:
+        man = -man
+    if exp >= 0:
+        X = man << exp
+        v = 0
+        for c in reversed(f):
+            v = v * X + c
+        return v, 0
+    k = -exp
+    d = len(f) - 1
+    v = 0
+    for j in range(d, -1, -1):
+        v = v * man + (f[j] << (k * (d - j)))
+    return v, exp * d
+
+
+def _mpf_roots_above(f, x):
+    """Number of roots of f greater than the positive dyadic x, exact when f
+    is real-rooted: the sign changes of the Taylor coefficients of f at x."""
+    _, man, exp, _ = x
+    d = len(f) - 1
+    if exp >= 0:
+        step = man << exp
+        a = [c * step ** j for j, c in enumerate(f)]
+    else:
+        k = -exp
+        a = [(c * man ** j) << (k * (d - j)) for j, c in enumerate(f)]
+    for i in range(d):  # a(t) -> a(1 + t)
+        for j in range(d - 1, i - 1, -1):
+            a[j] += a[j + 1]
+    return _sign_changes(a)
+
+
+def _mpf_power_of_two(e):
+    return from_man_exp(1, e)
+
+
+def _mpf_split(a, b):
+    """A point inside (a, b): a power of two near the geometric mean when
+    b/a >= 16, else the midpoint."""
+    top_a, top_b = a[2] + a[3], b[2] + b[3]
+    if top_b - top_a < 4:
+        return mpf_shift(mpf_add(a, b), -1)
+    return _mpf_power_of_two((top_a + top_b) // 2)
+
+
+def _mpf_simple_roots(f, bits):
+    """Certified roots (raw mpf, ascending) of a square-free real-rooted f
+    with f(0) != 0."""
+    reflected = [-c if j % 2 else c for j, c in enumerate(f)]  # f(-x)
+    roots = ([mpf_neg(x) for x in reversed(_mpf_positive_roots(reflected, bits))]
+             + _mpf_positive_roots(f, bits))
+    if len(roots) != len(f) - 1:
+        raise PrecisionError(f"polynomial of degree {len(f) - 1} has only "
+                             f"{len(roots)} real roots")
+    return roots
+
+
+def _mpf_positive_roots(f, bits):
+    """Certified positive roots (raw mpf, ascending) of a square-free
+    real-rooted f with f(0) != 0; Descartes' rule gives their number."""
+    count = _sign_changes(f)
+    if not count:
+        return []
+    lo = _mpf_power_of_two(-_root_exponent(f[::-1]) - 1)
+    hi = _mpf_power_of_two(_root_exponent(f))
+    df = _derivative(f)
+    roots = [_mpf_refine(f, df, a, b, i, bits)
+             for i, (a, b) in enumerate(_mpf_isolate(f, lo, hi, count, bits))]
+    # Disjoint sign-change intervals, one per root of f: each holds one root.
+    for x, y in zip(roots, roots[1:]):
+        if mpf_cmp(_mpf_certificate_interval(x, bits)[1],
+                   _mpf_certificate_interval(y, bits)[0]) >= 0:
+            raise PrecisionError(f"two roots agree to {bits} bits; "
+                                 f"raise the working precision")
+    return roots
+
+
+def _mpf_isolate(f, lo, hi, count, bits):
+    """Intervals (a, b], ascending, each holding exactly one root of f;
+    all `count` positive roots lie in (lo, hi]."""
+    out = []
+    stack = [(lo, hi, count, 0)]
+    while stack:  # depth first, left half first: intervals come out ascending
+        a, b, above_a, above_b = stack.pop()
+        inside = above_a - above_b
+        if inside == 0:
+            continue
+        if inside == 1:
+            out.append((a, b))
+            continue
+        if mpf_cmp(mpf_sub(b, a), mpf_shift(a, -(bits - 4))) < 0:
+            raise PrecisionError(f"{inside} roots cannot be told apart at "
+                                 f"{bits} bits (or are not real)")
+        m = _mpf_split(a, b)
+        above_m = _mpf_roots_above(f, m)
+        stack.append((m, b, above_m, above_b))
+        stack.append((a, m, above_a, above_m))
+    return out
+
+
+def _mpf_certificate_interval(x, bits):
+    """(x - delta, x + delta), delta the largest power of two not above
+    x * 2^-(bits-4): inside x*(1 -/+ 2^-(bits-4)), and its end points
+    carry no more bits than x does."""
+    delta = _mpf_power_of_two(x[2] + x[3] - 1 - (bits - 4))
+    return mpf_sub(x, delta), mpf_add(x, delta)
+
+
+def _mpf_refine(f, df, a, b, below, bits):
+    """The root of f in (a, b], rounded to `bits` bits and certified.
+
+    `below` roots of f lie under a.  On a graded polynomial those are tiny
+    next to the root sought and act like a factor x^below, so Newton's
+    method runs on f/x^below, which is then close to linear: the next
+    iterate is x*(x*f' - (below+1)*f) / (x*f' - below*f), numerator and
+    denominator computed exactly.  f is evaluated exactly at each iterate,
+    which shrinks the bracket; an iterate that leaves the bracket is
+    replaced by a bisection point.  Once a step at the starting precision
+    (65 to 128 bits) has moved less than half of its bits, the precision
+    doubles with each step up to `bits`, and steps at `bits` repeat until
+    the sign-change certificate holds.
+    """
+    fb, _ = _mpf_evaluate(f, b)
+    if fb == 0:
+        return b
+    positive_above = fb > 0  # sign of f between the root and b
+    schedule = [bits]  # precisions, descending by halves
+    while schedule[-1] > 2 * _NEWTON_MIN_BITS:
+        schedule.append(schedule[-1] // 2 + 2)
+    prec = schedule.pop()
+    climbing = False
+    x = _mpf_split(a, b)
+    for _ in range(4 * bits + 64):
+        v, ev = _mpf_evaluate(f, x)
+        if v == 0:
+            return x
+        if (v > 0) == positive_above:
+            b = x
+        else:
+            a = x
+        w, _ = _mpf_evaluate(df, x)
+        _, man, exp, _ = x
+        xw = (man << exp) * w if exp >= 0 else man * w  # x*f'(x) / 2^ev
+        num, den = xw - (below + 1) * v, xw - below * v
+        if den == 0:
+            x = _mpf_split(a, b)
+            continue
+        y = mpf_div(mpf_mul(x, from_man_exp(num, 0, prec + 8, round_nearest)),
+                    from_man_exp(den, 0, prec + 8, round_nearest),
+                    prec, round_nearest)
+        if y != x and (mpf_cmp(y, a) <= 0 or mpf_cmp(y, b) >= 0):
+            x = _mpf_split(a, b)
+            continue
+        converged = mpf_cmp(mpf_abs(mpf_sub(y, x)), mpf_shift(x, -(prec // 2))) <= 0
+        x = y
+        if prec < bits and (converged or climbing):
+            climbing = True
+            prec = schedule.pop()
+        elif prec == bits and converged and _mpf_sign_change(f, x, bits):
+            return x
+    raise PrecisionError(f"Newton iteration did not certify a root at {bits} bits")
+
+
+def _mpf_sign_change(f, x, bits):
+    lo, hi = (_mpf_evaluate(f, end)[0] for end in _mpf_certificate_interval(x, bits))
+    return (lo < 0 < hi) or (hi < 0 < lo)

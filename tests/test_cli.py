@@ -56,6 +56,12 @@ def test_simulate_cluster_recover_pipeline(tmp_path, k3_file):
     assert out.read_text() == spoly.read_text()
 
 
+def _spectra_at_two_primes(fields, width):
+    """Spectrum texts at q = 5 and 7 with `width` levels of K2 each."""
+    return tuple(f"spectrum q={q} {fields}\n" + "0\n" * width + f"{q}\n" * width
+                 for q in (5, 7))
+
+
 @pytest.mark.parametrize("command, text, options", [
     ("curve", "2 1\n1 1 1\n", []),
     ("curve", "3 2\n1 x 3\n2 3 1\n", []),
@@ -68,13 +74,23 @@ def test_simulate_cluster_recover_pipeline(tmp_path, k3_file):
     ("recover", "clusters q=5 prec\n1 0\n", ["--degree-bound", "3"]),
     ("evaluate", "spoly n=2\n1 2 0\n-2 1 1\n", ["--y", "abc"]),
     ("separate", "3 2\n1 2\n2 3\n", ["--epsilon", "1/0"]),
+    ("cluster", _spectra_at_two_primes("rmin=2 rmax=1 prec=64", 1), []),
+    ("cluster", _spectra_at_two_primes("rmin=2 rmax=3 prec=64", 2), []),
+    ("cluster", _spectra_at_two_primes("rmin=0 rmax=1 prec=0", 2), []),
+    ("cluster", ("spectrum q=0 rmin=-1 rmax=1 prec=64\n0\n0\n0\n1\n3\n9\n",
+                 "spectrum q=7 rmin=-1 rmax=1 prec=64\n0\n0\n0\n1\n7\n49\n"), []),
 ], ids=["self-loop", "graph-token", "spectrum-field", "spoly-token",
         "labels-token", "labels-count", "spectrum-value", "spectrum-exponent",
-        "clusters-field", "y-value", "epsilon-value"])
+        "clusters-field", "y-value", "epsilon-value", "spectrum-window-reversed",
+        "spectrum-window-without-level-1", "spectrum-precision", "spectrum-prime"])
 def test_validation_exit_code(tmp_path, command, text, options):
-    bad = tmp_path / "bad.input"
-    bad.write_text(text)
-    files = [str(bad)] * (2 if command in ("cluster", "separate") else 1)
+    texts = text if isinstance(text, tuple) else (
+        (text,) * (2 if command in ("cluster", "separate") else 1))
+    files = []
+    for i, t in enumerate(texts):
+        bad = tmp_path / f"bad{i}.input"
+        bad.write_text(t)
+        files.append(str(bad))
     assert main([command] + files + options) == 2
 
 

@@ -1,8 +1,13 @@
 """Write -> read -> write must be byte-identical for every file format."""
 import random
 
+from hypothesis import example, given
+from hypothesis import strategies as st
+
 from graphspectra.catalog import (cospectral_pair, random_connected_graph,
                                   with_labels)
+from graphspectra.cli import _assignment_text, _read_assignment
+from graphspectra.errors import ValidationError
 from graphspectra.game import (GameConfig, GameSession, LoopbackEndpoint,
                                decode_message, encode_message, solve_game)
 from graphspectra.graphs import graph_from_text, graph_to_text
@@ -55,3 +60,72 @@ def test_protocol_transcripts():
         reparsed.append((d, encode_message(decode_message(line))))
     dump2 = "\n".join(f"{d} {line}" for d, line in reparsed) + "\n"
     assert dump2 == dump
+
+
+# ---------------------------------------------------------------------------
+# Fuzzing: any text either raises ValidationError or parses to an object
+# that survives write -> read unchanged.
+
+_JUNK = st.sampled_from(["", "x", "=", "1.5", "-0", "+2", "1_0", "٣", "1e5",
+                         "0x10", "-", "nan", "1/3", "3.", ".5"])
+_TOKEN = st.one_of(st.integers(-3, 12).map(str), _JUNK)
+_DECIMAL = st.builds(lambda m, k: str(m) if k == 0 else
+                     f"{'-' if m < 0 else ''}{abs(m) // 10 ** k}.{abs(m) % 10 ** k:0{k}d}",
+                     st.integers(-10 ** 6, 10 ** 6), st.integers(0, 5))
+
+
+def _text(header, row):
+    structured = st.builds(lambda h, rows: "\n".join([h] + rows) + "\n",
+                           header, st.lists(row, max_size=8))
+    return st.one_of(structured, st.text(max_size=40))
+
+
+def _header(word, keys):
+    """Every key with an integer value, or random fields."""
+    complete = st.builds(lambda vs: " ".join([word] + [f"{k}={v}" for k, v in zip(keys, vs)]),
+                         st.tuples(*[st.integers(-2, 3)] * len(keys)))
+    field = st.one_of(st.builds(lambda k, v: f"{k}={v}", st.sampled_from(keys + ["x"]),
+                                _TOKEN), _TOKEN)
+    return st.one_of(complete, st.builds(lambda fs: " ".join([word] + fs),
+                                         st.lists(field, max_size=6)))
+
+
+def _round_trips(parse, write, text, touch=lambda obj: None):
+    try:
+        obj = parse(text)
+        touch(obj)
+    except ValidationError:
+        return
+    assert parse(write(obj)) == obj
+
+
+def _row(*parts):
+    return st.builds(lambda ps: " ".join(ps), st.tuples(*parts))
+
+
+@given(_text(_header("spectrum", ["q", "rmin", "rmax", "prec"]),
+             st.one_of(_DECIMAL, _TOKEN)))
+@example("spectrum q=5 rmin=2 rmax=1 prec=64\n")  # width 0
+def test_spectrum_parser_fuzz(text):
+    _round_trips(spectrum_from_text, spectrum_to_text, text,
+                 lambda s: (s.n_per_level, s.zeros_per_level))
+
+
+@given(_text(st.builds(lambda n: f"spoly n={n}", _TOKEN),
+             st.one_of(_row(_TOKEN, _TOKEN, _TOKEN), _row(_TOKEN, _TOKEN))))
+@example("spoly n=-1\n")  # no coefficient to be monic
+def test_spectral_poly_parser_fuzz(text):
+    _round_trips(spectral_poly_from_text, spectral_poly_to_text, text)
+
+
+@given(_text(_row(_TOKEN, _TOKEN),
+             st.one_of(_row(_TOKEN, _TOKEN, _TOKEN), _row(_TOKEN, _TOKEN),
+                       st.just("# comment"))))
+def test_graph_parser_fuzz(text):
+    _round_trips(graph_from_text, graph_to_text, text)
+
+
+@given(_text(_header("clusters", ["q", "prec"]),
+             _row(_TOKEN, st.one_of(_DECIMAL, _TOKEN))))
+def test_cluster_parser_fuzz(text):
+    _round_trips(_read_assignment, _assignment_text, text)

@@ -129,6 +129,19 @@ def test_decode_failures_return_none_in_both():
                                 for got, want in outcomes)
 
 
+def test_decode_dyadic_and_non_dyadic_denominators():
+    # den = 3 * 2^k takes the divmod route: a shift by k + 1 would misround
+    P = spectral_polynomial(K3)
+    for den in (1 << 70, 3 << 69, 5 ** 30):
+        noise = Fraction(1, den)
+        samples = {y: evaluate_y(P, y) + UniPoly({1: noise}) for y in (1, 101)}
+        _, got_den = _integer_form(samples[101])
+        assert got_den == den
+        for got, want in _both_routes(samples, 7):
+            assert got is not None and got.polynomial == P
+            _assert_identical(got, want)
+
+
 def test_public_api_non_dyadic_samples():
     rng = random.Random(8)
     P = spectral_polynomial(K3)

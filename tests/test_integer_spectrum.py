@@ -1,0 +1,125 @@
+"""The integer-pair route of realroots against the mpf-tuple route it
+replaced, and the integer level matrices against the Fraction ones.
+
+Roots must come out as the same mpf tuples, bit for bit, and a polynomial
+that one route refuses with PrecisionError the other must refuse too.
+"""
+import random
+from fractions import Fraction
+
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from mpmath.libmp import from_man_exp, mpf_div, mpf_mul, round_nearest
+
+from graphspectra.catalog import random_connected_graph, with_labels
+from graphspectra.errors import PrecisionError
+from graphspectra.graphs import (build_diffusion_pair, integer_level_laplacian,
+                                 level_laplacian)
+from graphspectra.realroots import _newton_point, real_roots
+from graphspectra.spectra import _integer_charpoly, _scaled_charpoly, sym_eigs
+
+from naive_oracles import mpf_real_roots
+
+
+def _outcome(roots_of, coeffs, bits):
+    try:
+        return [x._mpf_ for x in roots_of(coeffs, bits)]
+    except PrecisionError:
+        return PrecisionError
+
+
+def _assert_same_roots(coeffs, bits):
+    want = _outcome(mpf_real_roots, coeffs, bits)
+    assert _outcome(real_roots, coeffs, bits) == want
+    return want
+
+
+def _expand(factors):
+    """Ascending coefficients of the product of linear factors (a, b) = a*X - b."""
+    out = [1]
+    for a, b in factors:
+        nxt = [0] * (len(out) + 1)
+        for i, c in enumerate(out):
+            nxt[i] -= b * c
+            nxt[i + 1] += a * c
+        out = nxt
+    return out
+
+
+@given(st.integers(1, 400), st.integers(-300, 300),
+       st.integers(1, 2 ** 300), st.integers(1, 2 ** 300), st.integers(8, 400))
+def test_newton_point_rounds_like_mpmath(m, e, num, den, prec):
+    m |= 1
+    want = mpf_div(mpf_mul(from_man_exp(m, e),
+                           from_man_exp(num, 0, prec + 8, round_nearest)),
+                   from_man_exp(den, 0, prec + 8, round_nearest),
+                   prec, round_nearest)
+    assert _newton_point((m, e), num, den, prec) == (want[1], want[2])
+
+
+def test_newton_point_exact_ties():
+    # quotients that fall exactly half-way between two prec-bit values
+    for prec in (8, 9, 64, 65):
+        for low in range(0, 8):
+            num = ((1 << (prec - 1)) + low) * 2 + 1  # num/2: prec bits and a half
+            want = mpf_div(from_man_exp(num, 0), from_man_exp(2, 0), prec,
+                           round_nearest)
+            assert _newton_point((1, 0), num, 2, prec) == (want[1], want[2])
+
+
+def test_products_with_repeated_factors():
+    rng = random.Random(11)
+    refused = 0
+    for _ in range(120):
+        factors = []
+        for _ in range(rng.randint(1, 5)):
+            s = rng.randint(0, 40)
+            m = rng.getrandbits(rng.randint(1, 80)) or 1
+            factors += [(1 << s, rng.choice((-m, m)))] * rng.randint(1, 3)
+        if rng.random() < 0.3:  # two roots 2^-s apart
+            s, m = factors[0]
+            factors.append((s, m + 1))
+        coeffs = [0] * rng.randint(0, 2) + _expand(factors)
+        bits = rng.choice((8, 12, 24, 53, 64, 100, 200, 600))
+        refused += _assert_same_roots(coeffs, bits) is PrecisionError
+    assert 0 < refused < 120
+
+
+def test_graded_level_charpolys():
+    rng = random.Random(12)
+    for _ in range(6):
+        g = random_connected_graph(rng.randint(2, 5), rng, max_extra_edges=1)
+        dp = with_labels(g, rng.sample([1, 2, 4, 8, 16], g.m))
+        for r in range(-6, 2):
+            coeffs, bits = _scaled_charpoly(*integer_level_laplacian(dp, 101, r))
+            for wp in (bits + 64, bits // 2 + 8):
+                _assert_same_roots(coeffs, max(wp, 8))
+
+
+def test_indefinite_integer_matrices_through_sym_eigs():
+    rng = random.Random(13)
+    for _ in range(40):
+        n = rng.randint(1, 6)
+        M = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                M[i][j] = M[j][i] = rng.randint(-60, 60)
+        bits = rng.choice((16, 64, 160))
+        want = _outcome(mpf_real_roots, _integer_charpoly(M)[0], bits)
+        assert _outcome(sym_eigs, M, bits) == want
+
+
+@pytest.mark.parametrize("q", [2, 3, 101])
+def test_integer_level_matrices_match_fraction_route(q):
+    rng = random.Random(q)
+    pairs = [build_diffusion_pair(1, []), build_diffusion_pair(3, [(1, 2, 2)])]
+    for _ in range(5):
+        g = random_connected_graph(rng.randint(2, 5), rng, max_extra_edges=2)
+        pairs.append(with_labels(g, rng.sample(range(1, 9), g.m)))
+    for dp in pairs:
+        for r in range(-3, 4):
+            s, M = integer_level_laplacian(dp, q, r)
+            assert all(type(x) is int for row in M for x in row)
+            assert [[Fraction(x, s) for x in row] for row in M] == level_laplacian(dp, q, r)
+            assert _scaled_charpoly(s, M) == _integer_charpoly(level_laplacian(dp, q, r))
