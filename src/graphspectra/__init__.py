@@ -16,24 +16,21 @@ from .graphs import (DiffusionPair, Graph, Multigraph, build_diffusion_pair,
                      canonical_form, cartesian_product, edge_set_laplacian,
                      graph_from_text, graph_to_text, is_isomorphic,
                      is_subset_sum_distinct, laplacian_matrix,
-                     level_laplacian, quotient_graph, read_graph,
-                     seminorm_sq, sum_distinct_labels, symbolic_laplacian,
-                     write_graph)
+                     level_laplacian, quotient_graph, seminorm_sq,
+                     sum_distinct_labels, symbolic_laplacian)
 from .polynomials import (HomogeneousPart, InterpolationResult,
                           SpectralPolynomial, charpoly_division_free,
                           evaluate_y, interpolate_spectral_poly,
-                          read_spectral_poly, spectral_polynomial,
-                          spectral_poly_from_text, spectral_poly_to_text,
-                          tangent_cone, write_spectral_poly)
+                          spectral_polynomial, spectral_poly_from_text,
+                          spectral_poly_to_text, tangent_cone)
 from .forests import (ForestFamily, buslov_polynomial, enumerate_forests,
                       forest_family_to_text, kelmans_coefficients,
                       tree_count)
 from .spectra import (ClusterAssignment, SeparationReport, SpectrumSample,
                       cluster_and_assign, prediction_error_ratio,
-                      read_spectrum, recover_spectral_poly,
-                      separation_experiment, simulate_spectrum,
-                      spectrum_from_text, spectrum_to_text, sym_eigs,
-                      write_spectrum)
+                      recover_spectral_poly, separation_experiment,
+                      simulate_spectrum, spectrum_from_text,
+                      spectrum_to_text, sym_eigs)
 from .reconstruct import (DecodedFamily, Realization, decode_forest_family,
                           realize_graph, reconstruct_from_polynomial)
 from .unipoly import UniPoly

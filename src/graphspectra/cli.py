@@ -162,9 +162,7 @@ def _read_assignment(text):
 
 def _cmd_recover(args):
     assignment = _read_assignment(_read(args.clusters))
-    result = recover_spectral_poly(
-        assignment, assignment.q, args.degree_bound,
-        min_levels=args.min_levels)
+    result = recover_spectral_poly(assignment, assignment.q, args.degree_bound)
     _write(args.output, spectral_poly_to_text(result.polynomial))
     print(f"snap residual: {float(result.snap_residual):.3g}", file=sys.stderr)
     return 0
@@ -318,7 +316,6 @@ def build_parser():
     p = sub.add_parser("recover", help="polynomial from a cluster file")
     p.add_argument("clusters")
     p.add_argument("--degree-bound", type=int, required=True)
-    p.add_argument("--min-levels", type=int)
     common(p)
     p.set_defaults(func=_cmd_recover)
 

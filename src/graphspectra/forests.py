@@ -22,7 +22,7 @@ from .graphs import Graph, Multigraph, quotient_graph
 from .polynomials import SpectralPolynomial, charpoly_division_free
 from .unipoly import UniPoly
 
-DEFAULT_EDGE_CAP = 20
+EDGE_CAP = 20
 
 
 @dataclass(frozen=True)
@@ -51,15 +51,16 @@ class ForestFamily:
         return out
 
 
-def enumerate_forests(g, edge_cap=DEFAULT_EDGE_CAP):
+def enumerate_forests(g):
     """Every acyclic edge subset of g with its component-size product gamma.
 
     Depth-first over the sorted edge list with union-find pruning, so only
-    forests (plus one rejected extension each) are ever visited.
+    forests (plus one rejected extension each) are ever visited.  A graph
+    with more than EDGE_CAP edges raises ValidationError.
     """
-    if g.m > edge_cap:
+    if g.m > EDGE_CAP:
         raise ValidationError(
-            f"edge count {g.m} above enumeration cap {edge_cap}")
+            f"edge count {g.m} above enumeration cap {EDGE_CAP}")
     edges = g.sorted_edges()
     n = g.n
     parent = list(range(n + 1))
@@ -103,13 +104,13 @@ def enumerate_forests(g, edge_cap=DEFAULT_EDGE_CAP):
     return ForestFamily(n, {i: tuple(recs) for i, recs in families.items()})
 
 
-def buslov_polynomial(dp, edge_cap=DEFAULT_EDGE_CAP):
+def buslov_polynomial(dp):
     """Spectral polynomial assembled from the spanning-forest families.
 
     Must agree exactly with the determinant route (spectral_polynomial);
     the pair forms the package's central dual-route check.
     """
-    fam = enumerate_forests(dp.graph, edge_cap)
+    fam = enumerate_forests(dp.graph)
     label_map = dp.label_map()
     n = dp.graph.n
     coeffs = []

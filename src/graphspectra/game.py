@@ -23,15 +23,22 @@ from .spectra import (SpectrumSample, cluster_and_assign, exact_decimal,
                       is_prime_power, parse_exact_decimal,
                       recover_spectral_poly, simulate_spectrum)
 
+# The solver offers the labels 1, 2, 4, ..., 2^63, so it plays hidden
+# graphs of up to 64 edges.
+_SOLVER_LABELS = 64
+
+
 def encode_message(msg):
     """Canonical one-line JSON encoding (stable key order, no spaces)."""
     return json.dumps(msg, sort_keys=True, separators=(",", ":"))
 
 
 def decode_message(line):
+    """The message object on one line, given as str or as UTF-8 bytes."""
     try:
-        msg = json.loads(line)
-    except json.JSONDecodeError as exc:
+        msg = json.loads(line.decode("utf-8") if isinstance(line, bytes)
+                         else line)
+    except (ValueError, RecursionError) as exc:  # bad JSON, UTF-8 or nesting
         raise ValidationError(f"undecodable message: {exc}")
     if not isinstance(msg, dict) or "type" not in msg:
         raise ValidationError("message must be an object with a 'type' field")
@@ -76,14 +83,19 @@ class GameSession:
         return reply
 
     def handle_line(self, line):
+        """The encoded reply to one line, given as str or as UTF-8 bytes."""
         try:
             msg = decode_message(line)
-        except ValidationError as exc:
+            return encode_message(self.handle(msg))
+        except (ValidationError, RecursionError) as exc:
+            # a RecursionError here comes from recording msg: json.loads
+            # accepted nesting that the encoder, a few frames deeper, cannot
             reply = {"type": "error", "code": "bad_message", "message": str(exc)}
+            if isinstance(line, bytes):
+                line = line.decode("utf-8", "replace")
             self.transcript.append(("recv", line.strip()))
             self.transcript.append(("send", encode_message(reply)))
             return encode_message(reply)
-        return encode_message(self.handle(msg))
 
     def _dispatch(self, msg):
         kind = msg.get("type")
@@ -222,7 +234,7 @@ class _GameHandler(socketserver.StreamRequestHandler):
             raw = self.rfile.readline()
             if not raw:
                 break
-            line = raw.decode("utf-8").strip()
+            line = raw.strip()
             if not line:
                 continue
             reply = session.handle_line(line)
@@ -241,7 +253,6 @@ def serve_game(hidden_graph, config=None, host="127.0.0.1", port=0):
 @dataclass
 class SolverConfig:
     primes: tuple = (101, 1009, 10007)
-    max_edges: int = 64
 
 
 @dataclass
@@ -280,7 +291,7 @@ def solve_game(endpoint, config=None):
     welcome = request({"type": "hello"})
     if welcome.get("type") != "welcome":
         raise ValidationError(f"expected welcome, got {welcome}")
-    labels_full = [1 << i for i in range(config.max_edges)]
+    labels_full = [1 << i for i in range(_SOLVER_LABELS)]
     ack = request({"type": "choose_delta", "labels": labels_full})
     if ack.get("type") != "delta_ack":
         raise ValidationError(f"expected delta_ack, got {ack}")
@@ -308,8 +319,8 @@ def solve_game(endpoint, config=None):
         try:
             # at the larger prime: q = 2 gives no digit-decode node in [0, 1]
             assignment = max(cluster_and_assign(samples[-2:]), key=lambda a: a.q)
-            recovered = recover_spectral_poly(
-                assignment, assignment.q, degree_bound, min_levels=2)
+            recovered = recover_spectral_poly(assignment, assignment.q,
+                                              degree_bound)
             polynomial = recovered.polynomial
             break
         except (AmbiguousClusteringError, PrecisionError):

@@ -307,26 +307,12 @@ def cartesian_product(g, h):
     return Graph.of(g.n * h.n, edges)
 
 
-def sum_distinct_labels(m, scheme="powers_of_two", custom=None):
-    """Label list for m edges under the named scheme.
-
-    powers_of_two yields (1, 2, 4, ...), which has pairwise distinct subset
-    sums; a custom list is validated for positivity and distinctness only:
-    run is_subset_sum_distinct separately if decoding will rely on it.
-    """
+def sum_distinct_labels(m):
+    """The labels 1, 2, 4, ..., 2^(m-1) for m edges: their subset sums are
+    pairwise distinct."""
     if m < 1:
         raise ValidationError("need at least one edge")
-    if scheme == "powers_of_two":
-        return [1 << i for i in range(m)]
-    if scheme == "custom":
-        if custom is None or len(custom) != m:
-            raise ValidationError("custom scheme needs exactly m labels")
-        if any((not isinstance(a, int)) or a <= 0 for a in custom):
-            raise ValidationError("custom labels must be positive integers")
-        if len(set(custom)) != m:
-            raise ValidationError("custom labels must be distinct")
-        return list(custom)
-    raise ValidationError(f"unknown scheme {scheme!r}")
+    return [1 << i for i in range(m)]
 
 
 def is_subset_sum_distinct(labels):
@@ -505,13 +491,3 @@ def graph_from_text(text):
         u, v, *a = parse_ints(parts, ln)
         weighted.append((u, v, a[0] if a else 1))
     return build_diffusion_pair(n, weighted, require_distinct_labels=False)
-
-
-def write_graph(obj, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(graph_to_text(obj))
-
-
-def read_graph(path):
-    with open(path, encoding="utf-8") as fh:
-        return graph_from_text(fh.read())

@@ -394,13 +394,3 @@ def spectral_poly_from_text(text):
             raise ValidationError(f"duplicate monomial X^{j} Y^{k}")
         coeffs[j][k] = c
     return SpectralPolynomial(n, tuple(UniPoly(d) for d in coeffs))
-
-
-def write_spectral_poly(P, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(spectral_poly_to_text(P))
-
-
-def read_spectral_poly(path):
-    with open(path, encoding="utf-8") as fh:
-        return spectral_poly_from_text(fh.read())

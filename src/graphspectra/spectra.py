@@ -71,7 +71,12 @@ def parse_exact_decimal(s):
         raise ValidationError(f"not a decimal number: {s!r}")
     whole, frac = match.groups()
     frac = frac or ""
-    N = int(whole + frac)
+    try:
+        N = int(whole + frac)
+    except ValueError:  # the only failure left after the match
+        raise ValidationError(
+            f"decimal value has more than the {sys.get_int_max_str_digits()} "
+            f"digits that can be read") from None
     man, rem = divmod(N, 5 ** len(frac))
     if rem:
         return _parse_rounded(Fraction(N, 10 ** len(frac)))
@@ -254,7 +259,7 @@ class SpectrumSample:
         return z // self.width
 
 
-def simulate_spectrum(dp, q, r_min, r_max, precision_bits=512, auto_elevate=True):
+def simulate_spectrum(dp, q, r_min, r_max, precision_bits=512):
     """Union of the level spectra for r in [r_min, r_max], each level once.
 
     Each level's eigenvalues are the certified roots of its exact
@@ -263,8 +268,8 @@ def simulate_spectrum(dp, q, r_min, r_max, precision_bits=512, auto_elevate=True
     multiplies the values of a level back into the integer coefficients of
     that polynomial, so the working precision is the bit size of the
     largest coefficient over the window plus 64 guard bits; precision_bits
-    is the floor, and the effective precision is recorded on the sample.
-    With auto_elevate=False a floor below that rule raises PrecisionError.
+    is a floor that is raised to that rule when below it, and the effective
+    precision is recorded on the sample.
     """
     if not is_prime_power(q):
         raise ValidationError(f"q={q} is not a prime power")
@@ -274,12 +279,7 @@ def simulate_spectrum(dp, q, r_min, r_max, precision_bits=512, auto_elevate=True
     levels = range(r_min, r_max + 1)
     charpolys = [_scaled_charpoly(*integer_level_laplacian(dp, q, r))
                  for r in levels]
-    needed = max(bits for _, bits in charpolys) + 64
-    if precision_bits < needed and not auto_elevate:
-        raise PrecisionError(
-            f"{precision_bits} bits are below the {needed} bits that the "
-            f"characteristic polynomials of levels {r_min}..{r_max} need")
-    wp = max(precision_bits, needed)
+    wp = max(precision_bits, max(bits for _, bits in charpolys) + 64)
     values = []
     for r, (coeffs, _) in zip(levels, charpolys):
         zeros = next(i for i, c in enumerate(coeffs) if c)
@@ -329,7 +329,13 @@ class ClusterAssignment:
         return self.levels[r]
 
 
-def cluster_and_assign(samples, exponent_tol=0.25, constant_tol=0.18):
+# A cross-prime pair's scaling exponent must lie within _EXPONENT_TOL of an
+# integer, and its two branch constants within a relative _CONSTANT_TOL.
+_EXPONENT_TOL = 0.25
+_CONSTANT_TOL = 0.18
+
+
+def cluster_and_assign(samples):
     """Split >= 2 same-window samples at distinct primes into level multisets.
 
     The level-1 multiset is prime-independent, so it is extracted by
@@ -339,7 +345,9 @@ def cluster_and_assign(samples, exponent_tol=0.25, constant_tol=0.18):
     leading constant; grouping by constant and factoring each group's
     exponents into complete progressions s*(1-r) identifies the levels.
     Inconsistencies raise AmbiguousClusteringError - the caller's move is
-    to retry with a larger prime.
+    to retry with a larger prime.  The gap diagnostics are the least ratio
+    of adjacent nonzero values from different levels and the largest ratio
+    of adjacent values from one level, each rounded to a float.
     """
     if len(samples) < 2:
         raise ValidationError("need at least two samples at distinct primes")
@@ -395,8 +403,8 @@ def cluster_and_assign(samples, exponent_tol=0.25, constant_tol=0.18):
             mate = max((j for j in range(len(samples)) if j != i),
                        key=lambda j: samples[j].q)
             tags = _tag_exponents(rest[i], samples[i].q, rest[mate],
-                                  samples[mate].q, exponent_tol, constant_tol)
-            assigned = _assign_levels(tags, other_levels, constant_tol)
+                                  samples[mate].q)
+            assigned = _assign_levels(tags, other_levels)
             for r in other_levels:
                 vals = assigned.get(r, [])
                 if len(vals) != k:
@@ -406,7 +414,7 @@ def cluster_and_assign(samples, exponent_tol=0.25, constant_tol=0.18):
                 levels[r] = tuple(sorted(vals))
         for r in levels:
             levels[r] = tuple(sorted(list(levels[r]) + [mp.mpf(0)] * b0))
-        inter, intra = _gap_diagnostics(levels, nonzero[i])
+        inter, intra = _gap_diagnostics(levels)
         out.append(ClusterAssignment(s.q, s.precision_bits, levels, inter, intra))
     return out
 
@@ -433,7 +441,7 @@ def _close(a, b, rel_tol):
     return abs(a - b) <= rel_tol * max(abs(a), abs(b))
 
 
-def _tag_exponents(values, q_self, mates, q_mate, exponent_tol, constant_tol):
+def _tag_exponents(values, q_self, mates, q_mate):
     """Tag each value with (e, c) where v = c * q_self^e.
 
     Values of the same hidden pair sort identically at both primes once q
@@ -448,14 +456,14 @@ def _tag_exponents(values, q_self, mates, q_mate, exponent_tol, constant_tol):
     for v, w in zip(sorted(values), sorted(mates)):
         e_real = float((mp.log(v) - mp.log(w)) / (lq_self - lq_mate))
         e = round(e_real)
-        if e == 0 or abs(e_real - e) > exponent_tol:
+        if e == 0 or abs(e_real - e) > _EXPONENT_TOL:
             raise AmbiguousClusteringError(
                 f"cross-prime pair {mp.nstr(v, 8)} / {mp.nstr(w, 8)} has "
                 f"non-integer scaling exponent {e_real:.4f}; retry with a "
                 f"larger prime")
         c_self = v / mp.power(q_self, e)
         c_mate = w / mp.power(q_mate, e)
-        if abs(c_self - c_mate) > constant_tol * max(c_self, c_mate):
+        if abs(c_self - c_mate) > _CONSTANT_TOL * max(c_self, c_mate):
             raise AmbiguousClusteringError(
                 f"cross-prime pair {mp.nstr(v, 8)} / {mp.nstr(w, 8)} has "
                 f"inconsistent branch constants; retry with a larger prime")
@@ -463,7 +471,7 @@ def _tag_exponents(values, q_self, mates, q_mate, exponent_tol, constant_tol):
     return tags
 
 
-def _assign_levels(tags, other_levels, constant_tol):
+def _assign_levels(tags, other_levels):
     """Group tags by branch constant, factor exponents into progressions.
 
     Each eigenvalue branch contributes one value per level, with exponents
@@ -477,7 +485,7 @@ def _assign_levels(tags, other_levels, constant_tol):
     tags = sorted(tags, key=lambda t: t[2])
     groups = []
     for t in tags:
-        if groups and t[2] <= groups[-1][-1][2] * (1 + 2 * constant_tol):
+        if groups and t[2] <= groups[-1][-1][2] * (1 + 2 * _CONSTANT_TOL):
             groups[-1].append(t)
         else:
             groups.append([t])
@@ -503,19 +511,18 @@ def _assign_levels(tags, other_levels, constant_tol):
     return assigned
 
 
-def _gap_diagnostics(levels, nonzero_sorted):
-    """Min gap ratio between adjacent cross-level values, max within a level."""
-    owner = {}
-    for r, vals in levels.items():
-        for v in vals:
-            if v != 0:
-                owner.setdefault(float(v), r)
+def _gap_diagnostics(levels):
+    """Min gap ratio between adjacent cross-level values, max within a level.
+
+    The values are compared as mpf with their levels attached, and only
+    each ratio is rounded to a float, so values that agree to 53 bits stay
+    apart and values beyond the float range keep a finite ratio."""
+    ordered = sorted((v, r) for r, vals in levels.items() for v in vals if v)
     inter = float("inf")
     intra = 1.0
-    ordered = [float(v) for v in nonzero_sorted]
-    for a, b in zip(ordered, ordered[1:]):
-        ratio = b / a if a else float("inf")
-        if owner.get(a) == owner.get(b):
+    for (a, ra), (b, rb) in zip(ordered, ordered[1:]):
+        ratio = float(b / a)
+        if ra == rb:
             intra = max(intra, ratio)
         else:
             inter = min(inter, ratio)
@@ -526,7 +533,7 @@ def _gap_diagnostics(levels, nonzero_sorted):
 # Recovery: clusters -> spectral polynomial
 
 
-def recover_spectral_poly(assignment, q, degree_bound, min_levels=None):
+def recover_spectral_poly(assignment, q, degree_bound):
     """Rebuild the integer spectral polynomial from one cluster assignment.
 
     Per level r the monic polynomial with the cluster values as roots is
@@ -538,15 +545,9 @@ def recover_spectral_poly(assignment, q, degree_bound, min_levels=None):
     every other level within polynomials.SNAP_TOL, all in integer
     arithmetic; only the reported snapping residual is a Fraction.  Any
     window holding level 1 and a second level has such a node, except at
-    q = 2 with a window inside [0, 2], which raises ValidationError.  By
-    default at least degree_bound+1 levels are required, matching the
-    blind interpolation bound; callers that rely on digit decoding alone
-    (the game solver) may lower the gate via min_levels.
+    q = 2 with a window inside [0, 2], which raises ValidationError.  The
+    decode needs only that node, not degree_bound+1 levels.
     """
-    needed = degree_bound + 1 if min_levels is None else min_levels
-    if len(assignment.levels) < needed:
-        raise ValidationError(
-            f"insufficient levels: need {needed}, have {len(assignment.levels)}")
     samples = {Fraction(q) ** (1 - r): _monic_from_roots(values)
                for r, values in assignment.levels.items()}
     return interpolate_spectral_poly(samples, degree_bound)
@@ -762,13 +763,3 @@ def spectrum_from_text(text):
         raise ValidationError(f"spectrum header missing field {exc}")
     values = tuple(parse_exact_decimal(ln) for ln in rows[1:])
     return SpectrumSample(q, r_min, r_max, prec, values)
-
-
-def write_spectrum(sample, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(spectrum_to_text(sample))
-
-
-def read_spectrum(path):
-    with open(path, encoding="utf-8") as fh:
-        return spectrum_from_text(fh.read())

@@ -52,7 +52,7 @@ def test_simulate_cluster_recover_pipeline(tmp_path, k3_file):
     cfile.write_text(first_block)
     out = tmp_path / "rec.spoly"
     assert main(["recover", str(cfile), "--degree-bound", "7",
-                 "--min-levels", "2", "-o", str(out)]) == 0
+                 "-o", str(out)]) == 0
     assert out.read_text() == spoly.read_text()
 
 
@@ -71,6 +71,8 @@ def _spectra_at_two_primes(fields, width):
     ("curve", "3 2\n1 2\n2 3\n", ["--labels", "1"]),
     ("cluster", "spectrum q=5 rmin=0 rmax=1 prec=64\n0\nabc\n", []),
     ("cluster", "spectrum q=5 rmin=0 rmax=1 prec=64\n0\n1e5\n", []),
+    ("cluster", "spectrum q=5 rmin=0 rmax=1 prec=64\n0\n" + "7" * 2_000_001
+     + "\n", []),
     ("recover", "clusters q=5 prec\n1 0\n", ["--degree-bound", "3"]),
     ("evaluate", "spoly n=2\n1 2 0\n-2 1 1\n", ["--y", "abc"]),
     ("separate", "3 2\n1 2\n2 3\n", ["--epsilon", "1/0"]),
@@ -81,6 +83,7 @@ def _spectra_at_two_primes(fields, width):
                  "spectrum q=7 rmin=-1 rmax=1 prec=64\n0\n0\n0\n1\n7\n49\n"), []),
 ], ids=["self-loop", "graph-token", "spectrum-field", "spoly-token",
         "labels-token", "labels-count", "spectrum-value", "spectrum-exponent",
+        "spectrum-digits",
         "clusters-field", "y-value", "epsilon-value", "spectrum-window-reversed",
         "spectrum-window-without-level-1", "spectrum-precision", "spectrum-prime"])
 def test_validation_exit_code(tmp_path, command, text, options):

@@ -6,9 +6,9 @@ from graphspectra.catalog import (complete_graph, connected_graphs,
                                   cycle_graph, path_graph,
                                   random_connected_graph, with_labels)
 from graphspectra.errors import ValidationError
-from graphspectra.forests import (buslov_polynomial, enumerate_forests,
-                                  forest_family_to_text, kelmans_coefficients,
-                                  tree_count)
+from graphspectra.forests import (EDGE_CAP, buslov_polynomial,
+                                  enumerate_forests, forest_family_to_text,
+                                  kelmans_coefficients, tree_count)
 from graphspectra.graphs import Graph, Multigraph, laplacian_matrix
 from graphspectra.polynomials import charpoly_division_free, spectral_polynomial
 
@@ -44,9 +44,9 @@ class TestEnumerateForests:
             assert {i: set(v) for i, v in fam.families.items()} == brute
 
     def test_edge_cap(self):
-        with pytest.raises(ValidationError):
-            enumerate_forests(complete_graph(7))  # 21 edges > default cap
-        assert enumerate_forests(complete_graph(7), edge_cap=21).n == 7
+        assert complete_graph(7).m == EDGE_CAP + 1
+        with pytest.raises(ValidationError, match=f"cap {EDGE_CAP}"):
+            enumerate_forests(complete_graph(7))
 
 
 class TestBuslov:

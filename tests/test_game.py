@@ -98,6 +98,13 @@ class TestProtocolRules:
         reply = s.handle_line("this is not json")
         assert decode_message(reply)["code"] == "bad_message"
 
+    def test_deeply_nested_line_answered(self):
+        # json.loads raises RecursionError on this line
+        s = _session()
+        reply = s.handle_line("[" * 100_000)
+        assert decode_message(reply)["code"] == "bad_message"
+        assert s.handle({"type": "hello"})["type"] == "welcome"
+
     def test_hidden_graph_must_be_connected(self):
         with pytest.raises(ValidationError):
             GameSession(Graph.of(4, [(1, 2), (3, 4)]))
@@ -209,6 +216,20 @@ class TestTransportsAndDeterminism:
             finally:
                 ep.close()
             assert res.won and is_isomorphic(res.graph, cycle_graph(5))
+        finally:
+            server.shutdown()
+
+    def test_non_utf8_line_answered_over_socket(self):
+        server, (host, port) = serve_game(path_graph(3), GameConfig(seed=1))
+        try:
+            ep = SocketEndpoint(host, port, timeout=30)
+            try:
+                ep.sock.sendall(b"\xff\xfe\n")
+                reply = decode_message(ep.reader.readline())
+                assert reply["type"] == "error" and reply["code"] == "bad_message"
+                assert ep.request({"type": "hello"})["type"] == "welcome"
+            finally:
+                ep.close()
         finally:
             server.shutdown()
 

@@ -168,6 +168,6 @@ def test_recover_spectral_poly_matches_fraction_route():
         for q, a in zip((101, 1009), cluster_and_assign(samples)):
             levels = {Fraction(q) ** (1 - r): fraction_monic_from_roots(v)
                       for r, v in a.levels.items()}
-            got = recover_spectral_poly(a, q, D, min_levels=2)
+            got = recover_spectral_poly(a, q, D)
             assert got.polynomial == spectral_polynomial(dp)
             _assert_identical(got, fraction_interpolate(levels, D))

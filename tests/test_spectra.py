@@ -222,12 +222,10 @@ class TestCharpolyRoute:
             want = _coefficient_rule(dp, q, r_min, r_max, floor)
             s = simulate_spectrum(dp, q, r_min, r_max, floor)
             assert s.precision_bits == want
-        # the rule is the least floor accepted without elevation
+        # a floor at or below the rule reads back as exactly the rule
         rule = _coefficient_rule(dp, 101, -3, 1, 0)
-        s = simulate_spectrum(dp, 101, -3, 1, rule, auto_elevate=False)
-        assert s.precision_bits == rule
-        with pytest.raises(PrecisionError):
-            simulate_spectrum(dp, 101, -3, 1, rule - 1, auto_elevate=False)
+        for floor in (8, rule - 1, rule):
+            assert simulate_spectrum(dp, 101, -3, 1, floor).precision_bits == rule
 
     def test_sign_change_certificates(self):
         # every simple nonzero value v is an exact root of some level's
@@ -394,12 +392,10 @@ class TestSimulate:
             simulate_spectrum(dp, 6, 0, 1, 128)
 
     def test_precision_too_low_without_elevation(self):
-        g = path_graph(3)
-        dp = with_labels(g, [1, 8])
-        with pytest.raises(PrecisionError):
-            simulate_spectrum(dp, 101, -14, 1, 64, auto_elevate=False)
-        # the elevated default succeeds on the same window
-        s = simulate_spectrum(dp, 101, -14, 1, 64)
+        # a floor below the coefficient rule is raised to exactly the rule
+        dp = with_labels(path_graph(3), [1, 8])
+        s = simulate_spectrum(dp, 101, -14, 1, 8)
+        assert s.precision_bits == _coefficient_rule(dp, 101, -14, 1, 0)
         assert s.precision_bits > 64
 
 
@@ -423,6 +419,15 @@ class TestClusterAssign:
         assert _floats(a101.level(-1)) == pytest.approx(
             [0, 30603, 30603], rel=1e-20)
         assert a101.min_intercluster_gap > a101.max_intracluster_gap
+
+    def test_gap_diagnostics_keep_close_levels_apart(self):
+        # levels of this C4 hold values that agree to more than 53 bits,
+        # and values beyond the float range: the least cross-level ratio
+        # rounds to exactly 1.0
+        dp = build_diffusion_pair(4, [(1, 2, 1), (1, 3, 4), (2, 4, 8), (3, 4, 2)])
+        samples = [simulate_spectrum(dp, q, -14, 1, 512) for q in (101, 1009)]
+        for a in cluster_and_assign(samples):
+            assert a.min_intercluster_gap < 1 + 2 ** -40
 
     def test_ambiguous_at_small_primes(self):
         dp = with_labels(star_graph(4), [1, 1, 1], require_distinct_labels=False)
@@ -459,13 +464,13 @@ class TestRecovery:
         res = recover_spectral_poly(a, 101, 3)
         assert res.polynomial == spectral_polynomial(dp)
 
-    def test_insufficient_levels_default_gate(self):
+    def test_recovers_below_blind_bound(self):
+        # 7 levels at D = 7: the digit decode needs one node, not D + 1
         dp = build_diffusion_pair(3, [(1, 2, 1), (1, 3, 2), (2, 3, 4)])
         samples = [simulate_spectrum(dp, q, -5, 1, 192) for q in (11, 13)]
         a, _ = cluster_and_assign(samples)
-        with pytest.raises(ValidationError):
-            recover_spectral_poly(a, 11, 7)  # 7 levels, needs 8
-        res = recover_spectral_poly(a, 11, 7, min_levels=2)
+        assert len(a.levels) == 7
+        res = recover_spectral_poly(a, 11, 7)
         assert res.polynomial == spectral_polynomial(dp)
 
     def test_full_pipeline_shallow_window(self):
@@ -480,8 +485,7 @@ class TestRecovery:
             samples = [simulate_spectrum(dp, q, 0, 1, 256)
                        for q in (101, 1009)]
             assignments = cluster_and_assign(samples)
-            res = recover_spectral_poly(assignments[1], 1009,
-                                        dp.total_weight, min_levels=2)
+            res = recover_spectral_poly(assignments[1], 1009, dp.total_weight)
             assert res.polynomial == spectral_polynomial(dp)
             assert res.snap_residual < Fraction(1, 10 ** 6)
 
@@ -499,7 +503,7 @@ class TestRecovery:
             dp = with_labels(g, rng.sample([1, 2, 4, 8], g.m))
             samples = [simulate_spectrum(dp, q, 1, 2, 256) for q in (101, 1009)]
             for q, a in zip((101, 1009), cluster_and_assign(samples)):
-                res = recover_spectral_poly(a, q, dp.total_weight, min_levels=2)
+                res = recover_spectral_poly(a, q, dp.total_weight)
                 assert res.polynomial == spectral_polynomial(dp)
                 assert res.snap_residual < Fraction(1, 10 ** 6)
 
