@@ -231,6 +231,9 @@ class SpectrumSample:
         if self.precision_bits < 8:
             raise ValidationError(f"{self.precision_bits} bits cannot certify "
                                   f"a value; at least 8 are needed")
+        if any(v._mpf_[0] for v in self.values):  # an mpf's sign bit
+            raise ValidationError("spectrum values must be non-negative, as "
+                                  "Laplacian eigenvalues are")
 
     @property
     def width(self):
@@ -339,15 +342,21 @@ def cluster_and_assign(samples):
     """Split >= 2 same-window samples at distinct primes into level multisets.
 
     The level-1 multiset is prime-independent, so it is extracted by
-    cross-sample value matching.  The remaining values are matched across
-    primes: a value pair belonging to the same eigenvalue branch and level
-    satisfies v1/v2 = (q1/q2)^e for an integer e = (1-r)*s, with a shared
-    leading constant; grouping by constant and factoring each group's
-    exponents into complete progressions s*(1-r) identifies the levels.
+    cross-sample value matching within a relative 2^-ceil(p/3), p the least
+    sample precision.  The remaining values are matched across primes: a
+    value pair belonging to the same eigenvalue branch and level satisfies
+    v1/v2 = (q1/q2)^e for an integer e = (1-r)*s, with a shared leading
+    constant; grouping by constant and factoring each group's exponents
+    into complete progressions s*(1-r) identifies the levels.
     Inconsistencies raise AmbiguousClusteringError - the caller's move is
     to retry with a larger prime.  The gap diagnostics are the least ratio
     of adjacent nonzero values from different levels and the largest ratio
-    of adjacent values from one level, each rounded to a float.
+    of adjacent values from one level, each correctly rounded to a float
+    (inf beyond the float range).
+
+    Each sample's nonzero values are read once as integers over one common
+    power of two (see _dyadic_integers), so every comparison is exact
+    integer arithmetic; the levels hold the samples' own mpf values.
     """
     if len(samples) < 2:
         raise ValidationError("need at least two samples at distinct primes")
@@ -368,107 +377,151 @@ def cluster_and_assign(samples):
     b0 = b0s.pop()
     k = n - b0  # nonzero values per level
 
-    tol1 = mp.ldexp(1, -min(s.precision_bits for s in samples) // 3)
-    nonzero = [sorted(s.nonzero_values()) for s in samples]
+    t = -(-min(s.precision_bits for s in samples) // 3)
+    forms = [_integer_form(s) for s in samples]
 
     # Level 1 is the prime-independent multiset.
-    shared_flags = []
-    for i, s in enumerate(samples):
-        flags = [True] * len(nonzero[i])
-        for j, other in enumerate(samples):
-            if j == i:
-                continue
-            matched = _match_multisets(nonzero[i], nonzero[j], tol1)
-            flags = [f and (m is not None) for f, m in zip(flags, matched)]
-        shared_flags.append(flags)
     level_one = []
     rest = []
-    for i in range(len(samples)):
-        ones = [v for v, f in zip(nonzero[i], shared_flags[i]) if f]
-        others = [v for v, f in zip(nonzero[i], shared_flags[i]) if not f]
+    for i, (ints, s, _) in enumerate(forms):
+        shared = [True] * len(ints)
+        for j, (other, u, _) in enumerate(forms):
+            if j != i:
+                matched = _match_multisets(*_common_shift(ints, s, other, u), t)
+                shared = [f and m for f, m in zip(shared, matched)]
+        ones = [m for m, f in zip(ints, shared) if f]
         if len(ones) != k:
             raise AmbiguousClusteringError(
                 f"sample q={samples[i].q}: expected {k} shared level-1 values, "
                 f"found {len(ones)}; retry with a larger prime")
         level_one.append(ones)
-        rest.append(others)
+        rest.append([m for m, f in zip(ints, shared) if not f])
 
     out = []
     other_levels = [r for r in range(r_min, r_max + 1) if r != 1]
-    for i, s in enumerate(samples):
-        levels = {1: tuple(level_one[i])}
+    for i, (sample, (_, s, back)) in enumerate(zip(samples, forms)):
+        levels = {1: level_one[i]}
         if len(other_levels) == 1:
-            levels[other_levels[0]] = tuple(rest[i])
+            levels[other_levels[0]] = rest[i]
         elif other_levels:
             mate = max((j for j in range(len(samples)) if j != i),
                        key=lambda j: samples[j].q)
-            tags = _tag_exponents(rest[i], samples[i].q, rest[mate],
-                                  samples[mate].q)
+            tags = _tag_exponents(rest[i], s, sample.q,
+                                  rest[mate], forms[mate][1], samples[mate].q)
             assigned = _assign_levels(tags, other_levels)
             for r in other_levels:
                 vals = assigned.get(r, [])
                 if len(vals) != k:
                     raise AmbiguousClusteringError(
-                        f"sample q={s.q}: level {r} received {len(vals)} values, "
+                        f"sample q={sample.q}: level {r} received {len(vals)} values, "
                         f"expected {k}")
-                levels[r] = tuple(sorted(vals))
-        for r in levels:
-            levels[r] = tuple(sorted(list(levels[r]) + [mp.mpf(0)] * b0))
+                levels[r] = sorted(vals)
         inter, intra = _gap_diagnostics(levels)
-        out.append(ClusterAssignment(s.q, s.precision_bits, levels, inter, intra))
+        zeros = (mp.mpf(0),) * b0
+        levels = {r: zeros + tuple(back[m] for m in ms)
+                  for r, ms in levels.items()}
+        out.append(ClusterAssignment(sample.q, sample.precision_bits, levels,
+                                     inter, intra))
     return out
 
 
-def _match_multisets(a, b, rel_tol):
-    """Greedy two-pointer matching of ascending lists within relative tol.
+def _integer_form(sample):
+    """A sample's nonzero values as (ascending integers m over one 2^s, s,
+    the map from each m back to its mpf value)."""
+    values = sample.nonzero_values()
+    ints, s = _dyadic_integers(values)
+    return sorted(ints), s, dict(zip(ints, values))
 
-    Returns, for each element of a, the matched index in b or None.
-    """
-    out = [None] * len(a)
-    used = [False] * len(b)
+
+def _dyadic_integers(values):
+    """mpf values as integers m_i over one common 2^s, s >= 0 the least
+    shift that makes every m_i an integer: ([m_i], s)."""
+    parts = []
+    for v in values:
+        sign, man, exp, _ = v._mpf_
+        if not man and exp:
+            raise ValidationError("non-finite value")
+        parts.append((-int(man) if sign else int(man), exp))
+    s = max([-exp for man, exp in parts if man] + [0])
+    return [man << (exp + s) for man, exp in parts], s
+
+
+def _common_shift(a, s, b, u):
+    """Integer lists a over 2^s and b over 2^u, both over 2^max(s, u)."""
+    if u > s:
+        a = [m << (u - s) for m in a]
+    elif s > u:
+        b = [m << (s - u) for m in b]
+    return a, b
+
+
+def _match_multisets(a, b, t):
+    """Greedy two-pointer matching of ascending integer lists within a
+    relative 2^-t: whether each element of a found a partner in b."""
+    out = [False] * len(a)
     j = 0
     for i, v in enumerate(a):
-        while j < len(b) and (used[j] or (b[j] < v and not _close(b[j], v, rel_tol))):
+        while j < len(b) and b[j] < v and not _close(b[j], v, t):
             j += 1
-        if j < len(b) and _close(b[j], v, rel_tol):
-            out[i] = j
-            used[j] = True
+        if j < len(b) and _close(b[j], v, t):
+            out[i] = True
             j += 1
     return out
 
 
-def _close(a, b, rel_tol):
-    return abs(a - b) <= rel_tol * max(abs(a), abs(b))
+def _close(a, b, t):
+    return abs(a - b) << t <= max(abs(a), abs(b))
 
 
-def _tag_exponents(values, q_self, mates, q_mate):
-    """Tag each value with (e, c) where v = c * q_self^e.
+def _tag_exponents(values, s, q_self, mates, u, q_mate):
+    """Tag each value m (of m / 2^s) with (e, c) where m / 2^s = c * q_self^e.
 
     Values of the same hidden pair sort identically at both primes once q
     exceeds the spread of the branch constants (the exponent dominates the
-    ordering), so the two ascending lists correspond positionally; each
-    pair then determines its integer scaling exponent e and constant c.
+    ordering), so the two ascending lists (the mates over 2^u) correspond
+    positionally; each pair then determines its integer scaling exponent e
+    and constant c, a correctly rounded float.
     """
     if len(values) != len(mates):
         raise AmbiguousClusteringError("samples disagree on value counts")
     lq_self, lq_mate = log(q_self), log(q_mate)
+    shift = (u - s) * log(2)
     tags = []
-    for v, w in zip(sorted(values), sorted(mates)):
-        e_real = float((mp.log(v) - mp.log(w)) / (lq_self - lq_mate))
+    for v, w in zip(values, mates):
+        e_real = (log(v) - log(w) + shift) / (lq_self - lq_mate)
         e = round(e_real)
         if e == 0 or abs(e_real - e) > _EXPONENT_TOL:
             raise AmbiguousClusteringError(
-                f"cross-prime pair {mp.nstr(v, 8)} / {mp.nstr(w, 8)} has "
+                f"cross-prime pair {_nstr(v, s)} / {_nstr(w, u)} has "
                 f"non-integer scaling exponent {e_real:.4f}; retry with a "
                 f"larger prime")
-        c_self = v / mp.power(q_self, e)
-        c_mate = w / mp.power(q_mate, e)
+        c_self = _branch_constant(v, s, q_self, e)
+        c_mate = _branch_constant(w, u, q_mate, e)
         if abs(c_self - c_mate) > _CONSTANT_TOL * max(c_self, c_mate):
             raise AmbiguousClusteringError(
-                f"cross-prime pair {mp.nstr(v, 8)} / {mp.nstr(w, 8)} has "
+                f"cross-prime pair {_nstr(v, s)} / {_nstr(w, u)} has "
                 f"inconsistent branch constants; retry with a larger prime")
         tags.append((v, e, c_self))
     return tags
+
+
+def _branch_constant(m, s, q, e):
+    """m / (2^s * q^e), correctly rounded to a float."""
+    num, den = m, 1 << s
+    if e > 0:
+        den *= q ** e
+    else:
+        num *= q ** -e
+    try:
+        return num / den
+    except OverflowError:
+        raise AmbiguousClusteringError(
+            f"branch constant of {_nstr(m, s)} at q={q} is beyond the float "
+            f"range") from None
+
+
+def _nstr(m, s):
+    return mp.nstr(mp.make_mpf(from_man_exp(m, -s)), 8)
 
 
 def _assign_levels(tags, other_levels):
@@ -514,14 +567,17 @@ def _assign_levels(tags, other_levels):
 def _gap_diagnostics(levels):
     """Min gap ratio between adjacent cross-level values, max within a level.
 
-    The values are compared as mpf with their levels attached, and only
-    each ratio is rounded to a float, so values that agree to 53 bits stay
-    apart and values beyond the float range keep a finite ratio."""
-    ordered = sorted((v, r) for r, vals in levels.items() for v in vals if v)
+    levels maps r to its nonzero values as integers over one common 2^s.
+    Each ratio is an int/int true division, correctly rounded, and inf
+    when beyond the float range."""
+    ordered = sorted((m, r) for r, ints in levels.items() for m in ints)
     inter = float("inf")
     intra = 1.0
     for (a, ra), (b, rb) in zip(ordered, ordered[1:]):
-        ratio = float(b / a)
+        try:
+            ratio = b / a
+        except OverflowError:
+            ratio = float("inf")
         if ra == rb:
             intra = max(intra, ratio)
         else:
@@ -557,26 +613,20 @@ def _monic_from_roots(roots):
     """(X - r_1)...(X - r_k) for mpf roots, exactly, as (ascending integer
     numerators, power-of-two denominator).
 
-    Every root is m_i / 2^s over one common shift s.  The integer factors
-    Z - m_i are multiplied pairwise (a product tree), giving
-    prod(Z - m_i) = sum e_j Z^j; at Z = 2^s X the coefficient of X^j is
-    e_j * 2^(s*j) over 2^(s*k).  The power of two the numerators share is
+    Every root is m_i / 2^s over one common shift s (_dyadic_integers).
+    The integer factors Z - m_i are multiplied pairwise (a product tree),
+    giving prod(Z - m_i) = sum e_j Z^j; at Z = 2^s X the coefficient of X^j
+    is e_j * 2^(s*j) over 2^(s*k).  The power of two the numerators share is
     shifted out of the result."""
-    parts = []
-    for root in roots:
-        sign, man, exp, _ = root._mpf_
-        if not man and exp:
-            raise ValidationError("non-finite value")
-        parts.append((-int(man) if sign else int(man), exp))
-    s = max([-exp for man, exp in parts if man] + [0])
-    factors = [[-(man << (exp + s)), 1] for man, exp in parts]
+    ms, s = _dyadic_integers(roots)
+    factors = [[-m, 1] for m in ms]
     while len(factors) > 1:
         paired = [_poly_mul(a, b) for a, b in zip(factors[::2], factors[1::2])]
         factors = paired + factors[len(paired) * 2:]
     e = factors[0] if factors else [1]
     nums = [c << (s * j) for j, c in enumerate(e)]
     shift = min(c & -c for c in nums if c).bit_length() - 1
-    return [c >> shift for c in nums], 1 << (s * len(parts) - shift)
+    return [c >> shift for c in nums], 1 << (s * len(ms) - shift)
 
 
 def _poly_mul(a, b):

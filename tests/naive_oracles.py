@@ -3,23 +3,28 @@
 Deliberately different algorithms and representations from the package:
 bivariate polynomials as plain (xdeg, ydeg) -> coeff dicts, determinants
 by recursive cofactor expansion, isomorphism by exhaustive permutation,
-recovery from level spectra in reduced Fractions throughout, and real
-roots with every point a raw mpf tuple.
+recovery from level spectra in reduced Fractions throughout, real
+roots with every point a raw mpf tuple, and clustering with every value
+an mpf.
 """
 from fractions import Fraction
 from itertools import permutations
+from math import log
 
 from mpmath import mp
 from mpmath.libmp import (from_man_exp, mpf_abs, mpf_add, mpf_cmp, mpf_div,
                           mpf_mul, mpf_neg, mpf_shift, mpf_sub, round_nearest)
 
-from graphspectra.errors import PrecisionError, ValidationError
+from graphspectra.errors import (AmbiguousClusteringError, PrecisionError,
+                                 ValidationError)
 from graphspectra.graphs import Graph
 from graphspectra.polynomials import (SNAP_TOL, InterpolationResult,
                                       SpectralPolynomial, evaluate_y)
 from graphspectra.realroots import (_NEWTON_MIN_BITS, _derivative,
                                     _root_exponent, _sign_changes,
                                     square_free_factors)
+from graphspectra.spectra import (_CONSTANT_TOL, _EXPONENT_TOL,
+                                  ClusterAssignment)
 from graphspectra.unipoly import UniPoly
 
 
@@ -435,3 +440,159 @@ def _mpf_refine(f, df, a, b, below, bits):
 def _mpf_sign_change(f, x, bits):
     lo, hi = (_mpf_evaluate(f, end)[0] for end in _mpf_certificate_interval(x, bits))
     return (lo < 0 < hi) or (hi < 0 < lo)
+
+
+# ---------------------------------------------------------------------------
+# Clustering in mpf: the route cluster_and_assign took before it read the
+# values as integers over a common power of two.  Comparisons, logarithms
+# and branch constants are mpf operations at the default 53-bit context.
+
+
+def mpf_cluster_and_assign(samples):
+    """spectra.cluster_and_assign with every value an mpf."""
+    if len(samples) < 2:
+        raise ValidationError("need at least two samples at distinct primes")
+    qs = [s.q for s in samples]
+    if len(set(qs)) != len(qs):
+        raise ValidationError("samples must use distinct primes")
+    window = {(s.r_min, s.r_max) for s in samples}
+    if len(window) != 1:
+        raise ValidationError("samples must share the level window")
+    r_min, r_max = window.pop()
+    ns = {s.n_per_level for s in samples}
+    if len(ns) != 1:
+        raise ValidationError("samples disagree on matrix size")
+    n = ns.pop()
+    b0s = {s.zeros_per_level for s in samples}
+    if len(b0s) != 1:
+        raise AmbiguousClusteringError("samples disagree on zero counts")
+    b0 = b0s.pop()
+    k = n - b0
+
+    tol1 = mp.ldexp(1, -min(s.precision_bits for s in samples) // 3)
+    nonzero = [sorted(s.nonzero_values()) for s in samples]
+    shared_flags = []
+    for i, s in enumerate(samples):
+        flags = [True] * len(nonzero[i])
+        for j, other in enumerate(samples):
+            if j == i:
+                continue
+            matched = _mpf_match_multisets(nonzero[i], nonzero[j], tol1)
+            flags = [f and (m is not None) for f, m in zip(flags, matched)]
+        shared_flags.append(flags)
+    level_one = []
+    rest = []
+    for i in range(len(samples)):
+        ones = [v for v, f in zip(nonzero[i], shared_flags[i]) if f]
+        others = [v for v, f in zip(nonzero[i], shared_flags[i]) if not f]
+        if len(ones) != k:
+            raise AmbiguousClusteringError(
+                f"sample q={samples[i].q}: expected {k} shared level-1 values, "
+                f"found {len(ones)}")
+        level_one.append(ones)
+        rest.append(others)
+
+    out = []
+    other_levels = [r for r in range(r_min, r_max + 1) if r != 1]
+    for i, s in enumerate(samples):
+        levels = {1: tuple(level_one[i])}
+        if len(other_levels) == 1:
+            levels[other_levels[0]] = tuple(rest[i])
+        elif other_levels:
+            mate = max((j for j in range(len(samples)) if j != i),
+                       key=lambda j: samples[j].q)
+            tags = _mpf_tag_exponents(rest[i], samples[i].q, rest[mate],
+                                      samples[mate].q)
+            assigned = _mpf_assign_levels(tags, other_levels)
+            for r in other_levels:
+                vals = assigned.get(r, [])
+                if len(vals) != k:
+                    raise AmbiguousClusteringError(
+                        f"sample q={s.q}: level {r} received {len(vals)} "
+                        f"values, expected {k}")
+                levels[r] = tuple(sorted(vals))
+        for r in levels:
+            levels[r] = tuple(sorted(list(levels[r]) + [mp.mpf(0)] * b0))
+        inter, intra = _mpf_gap_diagnostics(levels)
+        out.append(ClusterAssignment(s.q, s.precision_bits, levels, inter, intra))
+    return out
+
+
+def _mpf_match_multisets(a, b, rel_tol):
+    out = [None] * len(a)
+    used = [False] * len(b)
+    j = 0
+    for i, v in enumerate(a):
+        while j < len(b) and (used[j] or (b[j] < v and not _mpf_close(b[j], v, rel_tol))):
+            j += 1
+        if j < len(b) and _mpf_close(b[j], v, rel_tol):
+            out[i] = j
+            used[j] = True
+            j += 1
+    return out
+
+
+def _mpf_close(a, b, rel_tol):
+    return abs(a - b) <= rel_tol * max(abs(a), abs(b))
+
+
+def _mpf_tag_exponents(values, q_self, mates, q_mate):
+    if len(values) != len(mates):
+        raise AmbiguousClusteringError("samples disagree on value counts")
+    lq_self, lq_mate = log(q_self), log(q_mate)
+    tags = []
+    for v, w in zip(sorted(values), sorted(mates)):
+        e_real = float((mp.log(v) - mp.log(w)) / (lq_self - lq_mate))
+        e = round(e_real)
+        if e == 0 or abs(e_real - e) > _EXPONENT_TOL:
+            raise AmbiguousClusteringError("non-integer scaling exponent")
+        c_self = v / mp.power(q_self, e)
+        c_mate = w / mp.power(q_mate, e)
+        if abs(c_self - c_mate) > _CONSTANT_TOL * max(c_self, c_mate):
+            raise AmbiguousClusteringError("inconsistent branch constants")
+        tags.append((v, e, c_self))
+    return tags
+
+
+def _mpf_assign_levels(tags, other_levels):
+    multipliers = sorted(1 - r for r in other_levels)
+    tags = sorted(tags, key=lambda t: t[2])
+    groups = []
+    for t in tags:
+        if groups and t[2] <= groups[-1][-1][2] * (1 + 2 * _CONSTANT_TOL):
+            groups[-1].append(t)
+        else:
+            groups.append([t])
+    assigned = {}
+    for group in groups:
+        pool = sorted(group, key=lambda t: t[1])
+        while pool:
+            e0, c0 = pool[0][1], pool[0][2]
+            t0 = multipliers[0]
+            if e0 % t0:
+                raise AmbiguousClusteringError(
+                    f"exponent {e0} incompatible with window multiplier {t0}")
+            scale = e0 // t0
+            for t_mult in multipliers:
+                want = scale * t_mult
+                slot = [idx for idx, tag in enumerate(pool) if tag[1] == want]
+                if not slot:
+                    raise AmbiguousClusteringError(
+                        f"branch with scale {scale}: no value with exponent {want}")
+                idx = min(slot, key=lambda idx: abs(pool[idx][2] - c0))
+                assigned.setdefault(1 - t_mult, []).append(pool[idx][0])
+                pool.pop(idx)
+    return assigned
+
+
+def _mpf_gap_diagnostics(levels):
+    ordered = sorted((v, r) for r, vals in levels.items() for v in vals if v)
+    inter = float("inf")
+    intra = 1.0
+    for (a, ra), (b, rb) in zip(ordered, ordered[1:]):
+        ratio = float(b / a)
+        if ra == rb:
+            intra = max(intra, ratio)
+        else:
+            inter = min(inter, ratio)
+    return inter, intra

@@ -81,11 +81,14 @@ def _spectra_at_two_primes(fields, width):
     ("cluster", _spectra_at_two_primes("rmin=0 rmax=1 prec=0", 2), []),
     ("cluster", ("spectrum q=0 rmin=-1 rmax=1 prec=64\n0\n0\n0\n1\n3\n9\n",
                  "spectrum q=7 rmin=-1 rmax=1 prec=64\n0\n0\n0\n1\n7\n49\n"), []),
+    ("cluster", ("spectrum q=5 rmin=-1 rmax=1 prec=64\n-25\n0\n0\n0\n1\n5\n",
+                 "spectrum q=7 rmin=-1 rmax=1 prec=64\n0\n0\n0\n1\n7\n49\n"), []),
 ], ids=["self-loop", "graph-token", "spectrum-field", "spoly-token",
         "labels-token", "labels-count", "spectrum-value", "spectrum-exponent",
         "spectrum-digits",
         "clusters-field", "y-value", "epsilon-value", "spectrum-window-reversed",
-        "spectrum-window-without-level-1", "spectrum-precision", "spectrum-prime"])
+        "spectrum-window-without-level-1", "spectrum-precision", "spectrum-prime",
+        "spectrum-negative"])
 def test_validation_exit_code(tmp_path, command, text, options):
     texts = text if isinstance(text, tuple) else (
         (text,) * (2 if command in ("cluster", "separate") else 1))

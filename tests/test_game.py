@@ -197,6 +197,19 @@ class TestSolver:
         assert calls == [101, 1009, 10007]
         assert res.primes_used == (1009, 10007)
 
+    def test_negative_spectrum_value_rejected(self):
+        # Laplacian spectra are non-negative: a reply holding a negative
+        # value is malformed, like a file holding one
+        class Negating(LoopbackEndpoint):
+            def request(self, msg):
+                reply = super().request(msg)
+                if reply.get("type") == "spectrum":
+                    reply = dict(reply, values=["-1"] + reply["values"][1:])
+                return reply
+
+        with pytest.raises(ValidationError, match="non-negative"):
+            solve_game(Negating(GameSession(path_graph(3), GameConfig(seed=1))))
+
     def test_random_n6(self):
         rng = random.Random(12)
         for i in range(3):

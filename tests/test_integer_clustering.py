@@ -1,0 +1,145 @@
+"""Clustering on integers over a common power of two against the mpf route.
+
+The reference is the mpf clustering kept in naive_oracles; the integer
+route must reproduce its level multisets bit for bit, its gap floats
+exactly and its error types, and its comparison predicates must agree
+with exact Fraction arithmetic.
+"""
+from fractions import Fraction
+from itertools import permutations
+
+import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
+from mpmath import mp
+from mpmath.libmp import from_man_exp
+
+from graphspectra.catalog import connected_graphs, star_graph, with_labels
+from graphspectra.errors import AmbiguousClusteringError
+from graphspectra.spectra import (SpectrumSample, _branch_constant, _close,
+                                  _common_shift, _gap_diagnostics,
+                                  cluster_and_assign, simulate_spectrum)
+from naive_oracles import mpf_cluster_and_assign
+
+
+def criterion_5_arrangements():
+    """Every connected graph on 2 to 4 vertices with at most 4 edges, with
+    the first m of the labels {1, 2, 4, 8} in every order: 69 in all."""
+    return [(g, labels) for n in range(2, 5) for g in connected_graphs(n)
+            if g.m <= 4 for labels in permutations([1, 2, 4, 8][:g.m])]
+
+
+def assert_same_as_oracle(samples):
+    try:
+        expected = mpf_cluster_and_assign(samples)
+    except Exception as exc:
+        with pytest.raises(type(exc)):
+            cluster_and_assign(samples)
+        return type(exc)
+    got = cluster_and_assign(samples)
+    assert len(got) == len(expected)
+    for a, b in zip(got, expected):
+        assert (a.q, a.precision_bits) == (b.q, b.precision_bits)
+        assert list(a.levels) == list(b.levels)
+        for r in b.levels:
+            assert [v._mpf_ for v in a.levels[r]] == [v._mpf_ for v in b.levels[r]]
+        assert a.min_intercluster_gap == b.min_intercluster_gap
+        assert a.max_intracluster_gap == b.max_intracluster_gap
+    return None
+
+
+def test_criterion_5_arrangements_match_oracle():
+    arrangements = criterion_5_arrangements()
+    assert len(arrangements) == 69
+    for g, labels in arrangements:
+        dp = with_labels(g, list(labels))
+        D = dp.total_weight
+        samples = [simulate_spectrum(dp, q, 1 - D, 1, 512) for q in (101, 1009)]
+        assert assert_same_as_oracle(samples) is None, (g.sorted_edges(), labels)
+
+
+@pytest.mark.parametrize("edges, labels, error", [
+    (((1, 3), (2, 3)), (1, 2), None),
+    (((1, 3), (2, 4), (3, 4)), (1, 2, 4), None),
+    (((1, 4), (2, 4), (3, 4)), (2, 1, 4), None),
+    (((1, 2), (1, 3), (2, 3)), (1, 2, 4), AmbiguousClusteringError),
+])
+def test_window_beyond_level_one_matches_oracle(edges, labels, error):
+    # levels r > 1 hold values below 1, so the common exponent is negative
+    # and far from the exponents of the levels r < 1
+    n = max(max(e) for e in edges)
+    g = next(g for g in connected_graphs(n) if tuple(g.sorted_edges()) == edges)
+    dp = with_labels(g, list(labels))
+    samples = [simulate_spectrum(dp, q, -2, 3, 256) for q in (101, 1009)]
+    assert assert_same_as_oracle(samples) is error
+
+
+def test_three_samples_match_oracle():
+    for g, labels in criterion_5_arrangements()[::7]:
+        dp = with_labels(g, list(labels))
+        samples = [simulate_spectrum(dp, q, -2, 1, 256) for q in (101, 103, 1009)]
+        assert assert_same_as_oracle(samples) is None, (g.sorted_edges(), labels)
+
+
+def test_star_at_small_primes_raises_like_oracle():
+    dp = with_labels(star_graph(4), [1, 1, 1], require_distinct_labels=False)
+    samples = [simulate_spectrum(dp, q, -1, 1, 160) for q in (3, 5)]
+    assert assert_same_as_oracle(samples) is AmbiguousClusteringError
+
+
+@pytest.mark.parametrize("units, error", [
+    (1, None), (2, None), (3, AmbiguousClusteringError)])
+def test_level_one_tolerance(units, error):
+    # at 512 bits level-1 values match within a relative 2^-ceil(512/3):
+    # 1 and 1 + units * 2^-172 match for 1 and 2 units, not for 3
+    def sample(q, one):
+        zero = mp.mpf(0)
+        return SpectrumSample(q, 0, 1, 512, (zero, zero, one, mp.mpf(2 * q)))
+
+    near_one = mp.make_mpf(from_man_exp((1 << 172) + units, -172))
+    samples = [sample(5, mp.mpf(1)), sample(7, near_one)]
+    assert assert_same_as_oracle(samples) is error
+
+
+def test_beyond_float_range():
+    # a gap ratio beyond the float range saturates to inf, as float(mpf)
+    # does; a branch constant there cannot be compared, so it is ambiguous
+    assert _gap_diagnostics({0: [1], -1: [1 << 1100]}) == (float("inf"), 1.0)
+    assert _gap_diagnostics({0: [1, 1 << 1100]}) == (float("inf"), float("inf"))
+    assert _branch_constant(1 << 1100, 100, 3, -2) == float(
+        Fraction(9 << 1100, 1 << 100))
+    with pytest.raises(AmbiguousClusteringError, match="float range"):
+        _branch_constant(1 << 1100, 0, 3, -2)
+
+
+def _exact(m, e):
+    return Fraction(m) * Fraction(2) ** e
+
+
+dyadic = st.tuples(st.integers(-2 ** 200, 2 ** 200), st.integers(-1200, 1200))
+
+
+@st.composite
+def dyadic_pairs(draw):
+    """Two values m * 2^e: independent, or the second within a few units
+    of the first at a finer exponent, so that both outcomes of the
+    closeness test occur."""
+    a = draw(dyadic)
+    if draw(st.booleans()):
+        return a, draw(dyadic)
+    k = draw(st.integers(0, 400))
+    return a, ((a[0] << k) + draw(st.integers(-2 ** 20, 2 ** 20)), a[1] - k)
+
+
+@given(dyadic_pairs(), st.integers(1, 400))
+@example(((3, -1100), (3, 1100)), 171)        # exponents far apart
+@example(((2 ** 171 - 1, 0), (1, 171)), 171)   # exactly at the tolerance
+@example(((2 ** 171 + 2, 0), (1, 171)), 171)   # just beyond it
+@example(((2 ** 171, 0), (1, 171)), 171)       # equal values, unequal exponents
+def test_closeness_and_order_agree_with_fractions(pair, t):
+    (ma, ea), (mb, eb) = pair
+    [ia], [ib] = _common_shift([ma], -ea, [mb], -eb)
+    fa, fb = _exact(ma, ea), _exact(mb, eb)
+    assert (ia < ib) == (fa < fb)
+    assert (ia == ib) == (fa == fb)
+    assert _close(ia, ib, t) == (abs(fa - fb) * 2 ** t <= max(abs(fa), abs(fb)))

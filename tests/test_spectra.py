@@ -1,6 +1,7 @@
 import random
 import time
 from fractions import Fraction
+from itertools import permutations
 from math import gcd
 
 import pytest
@@ -9,7 +10,8 @@ from hypothesis import strategies as st
 from mpmath import mp
 from mpmath.libmp import from_man_exp
 
-from graphspectra.catalog import (complete_graph, cycle_graph, path_graph,
+from graphspectra.catalog import (complete_graph, connected_graphs,
+                                  cycle_graph, path_graph,
                                   random_connected_graph, star_graph,
                                   with_labels)
 from graphspectra.errors import (AmbiguousClusteringError, PrecisionError,
@@ -445,6 +447,65 @@ class TestClusterAssign:
             cluster_and_assign([s])
         with pytest.raises(ValidationError):
             cluster_and_assign([s, s])
+
+
+# Label arrangements (labels in sorted-edge order) on which
+# cluster_and_assign puts values in the wrong level at q = 101 or 1009: two
+# levels hold values with the same q-exponent and nearly equal branch
+# constants, and the nearest-constant choice picks the wrong one (ROADMAP
+# open item 1).  The recovered polynomial is still right.
+CLUSTER_SWAPS = {
+    ((1, 3), (2, 4), (3, 4)): {(2, 4, 1), (4, 2, 1)},
+    ((1, 2), (1, 3), (2, 4), (3, 4)): {
+        (1, 4, 8, 2), (1, 8, 4, 2), (2, 4, 8, 1), (2, 8, 4, 1),
+        (4, 1, 2, 8), (4, 2, 1, 8), (8, 1, 2, 4), (8, 2, 1, 4)},
+    ((1, 4), (2, 3), (2, 4), (3, 4)): {
+        (4, 8, 1, 2), (4, 8, 2, 1), (8, 4, 1, 2), (8, 4, 2, 1)},
+}
+
+
+def _criterion_5_arrangements():
+    """Every connected graph on 2 to 4 vertices with at most 4 edges, with
+    the first m of the labels {1, 2, 4, 8} in every order (69 cases); the
+    CLUSTER_SWAPS ones are strict xfails."""
+    swap = pytest.mark.xfail(strict=True, reason=(
+        "ROADMAP open item 1: the level assignment is not certified and "
+        "misplaces values here"))
+    cases = []
+    for n in range(2, 5):
+        for g in connected_graphs(n):
+            if g.m > 4:
+                continue
+            edges = tuple(g.sorted_edges())
+            for labels in permutations([1, 2, 4, 8][:g.m]):
+                marks = [swap] if labels in CLUSTER_SWAPS.get(edges, ()) else []
+                cases.append(pytest.param(
+                    g, labels, marks=marks,
+                    id="-".join(f"{u}{v}" for u, v in edges) + ":"
+                       + ",".join(map(str, labels))))
+    return cases
+
+
+def _exact(x):
+    sign, man, exp, _ = x._mpf_
+    v = Fraction(int(man)) * Fraction(2) ** exp
+    return -v if sign else v
+
+
+@pytest.mark.parametrize("g, labels", _criterion_5_arrangements())
+def test_level_sums_equal_level_traces(g, labels):
+    # each value lies within a relative 2^-(bits-4) of its eigenvalue, and
+    # level r's Laplacian has trace 2 * sum of q^((1-r)*label)
+    dp = with_labels(g, list(labels))
+    D = dp.total_weight
+    samples = [simulate_spectrum(dp, q, 1 - D, 1, 512) for q in (101, 1009)]
+    for a in cluster_and_assign(samples):
+        assert sorted(a.levels) == list(range(1 - D, 2))
+        for r, values in a.levels.items():
+            y = Fraction(a.q) ** (1 - r)
+            trace = 2 * sum(y ** label for label in labels)
+            total = sum(map(_exact, values), Fraction(0))
+            assert abs(total - trace) <= trace / 2 ** (a.precision_bits - 4), (a.q, r)
 
 
 class TestRecovery:
