@@ -18,8 +18,8 @@ from mpmath import mp
 from . import catalog
 from .errors import PrecisionError, ValidationError, parse_fields, parse_ints
 from .forests import buslov_polynomial, kelmans_coefficients
-from .game import (GameConfig, GameSession, LoopbackEndpoint, SocketEndpoint,
-                   SolverConfig, serve_game, solve_game)
+from .game import (GameConfig, SocketEndpoint, SolverConfig, serve_game,
+                   solve_game)
 from .graphs import (build_diffusion_pair, graph_from_text, graph_to_text,
                      laplacian_matrix, sum_distinct_labels)
 from .polynomials import (charpoly_division_free, evaluate_y,
@@ -120,7 +120,7 @@ def _cmd_reconstruct(args):
 def _cmd_simulate(args):
     dp = _load_pair(args.graph, args.labels, args.seed)
     r_min, r_max = _parse_window(args.window)
-    sample = simulate_spectrum(dp, args.q, r_min, r_max, args.precision_bits)
+    sample = simulate_spectrum(dp, args.q, r_min, r_max)
     _write(args.output, spectrum_to_text(sample))
     return 0
 
@@ -234,8 +234,7 @@ def _cmd_oracle_check(args):
 def _cmd_game_serve(args):
     dp = graph_from_text(_read(args.graph))
     r_min, r_max = _parse_window(args.window)
-    config = GameConfig(r_min=r_min, r_max=r_max,
-                        precision_bits=args.precision_bits, seed=args.seed)
+    config = GameConfig(r_min=r_min, r_max=r_max, seed=args.seed)
     server, (host, port) = serve_game(dp.graph, config,
                                       host=args.host, port=args.port)
     print(f"serving hidden graph on {host}:{port}", file=sys.stderr)
@@ -302,7 +301,6 @@ def build_parser():
     p.add_argument("graph")
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--window", default="0:1", help="'rmin:rmax'")
-    p.add_argument("--precision-bits", type=int, default=512)
     p.add_argument("--labels")
     p.add_argument("--seed", type=int, default=0)
     common(p)
@@ -338,7 +336,6 @@ def build_parser():
     p.add_argument("--host", default="127.0.0.1")
     p.add_argument("--port", type=int, default=0)
     p.add_argument("--window", default="0:1")
-    p.add_argument("--precision-bits", type=int, default=512)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_game_serve)
 

@@ -47,12 +47,11 @@ def decode_message(line):
 
 @dataclass
 class GameConfig:
-    """Server-side knobs: the spectrum window, precision floor, and the
-    seed of the private edge order used when assigning the solver's labels."""
+    """Server-side knobs: the spectrum window and the seed of the private
+    edge order used when assigning the solver's labels."""
 
     r_min: int = 0
     r_max: int = 1
-    precision_bits: int = 512
     seed: int = 0
 
 
@@ -153,7 +152,7 @@ class GameSession:
         if not prime_power:
             return self._error("bad_prime", f"q={q!r} is not a prime power")
         sample = simulate_spectrum(self.pair, q, self.config.r_min,
-                                   self.config.r_max, self.config.precision_bits)
+                                   self.config.r_max)
         return {
             "type": "spectrum",
             "q": sample.q,

@@ -8,7 +8,6 @@ floats.  Vertices are 1-based and edges are stored as (u, v) with u < v.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .errors import ValidationError, parse_ints
 from .unipoly import UniPoly
@@ -204,19 +203,6 @@ def symbolic_laplacian(dp):
     return _assemble_laplacian(
         dp.graph.n, ((e, UniPoly.monomial(1, a)) for e, a in dp.labels),
         UniPoly.zero())
-
-
-def level_laplacian(dp, q, r):
-    """Exact Laplacian at level r: the symbolic matrix evaluated at Y = q^(1-r).
-
-    q must be at least 2.  For r = 1 this is the ordinary combinatorial
-    Laplacian; for r > 1 the entries are genuine rationals.
-    """
-    if q < 2:
-        raise ValidationError("q must be at least 2")
-    y = Fraction(q) ** (1 - r)
-    return _assemble_laplacian(
-        dp.graph.n, ((e, y ** a) for e, a in dp.labels), Fraction(0))
 
 
 def integer_level_laplacian(dp, q, r):

@@ -16,6 +16,7 @@ import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cmp_to_key
 from math import lcm, log
 
 from mpmath import mp
@@ -30,8 +31,7 @@ from .errors import (AmbiguousClusteringError, PrecisionError, ValidationError,
                      parse_fields, parse_ints)
 from .graphs import edge_set_laplacian, integer_level_laplacian, seminorm_sq
 from .polynomials import charpoly_division_free, interpolate_spectral_poly
-from .realroots import real_roots
-from .unipoly import UniPoly
+from .realroots import _align, _difference, real_roots
 
 
 # ---------------------------------------------------------------------------
@@ -354,9 +354,10 @@ def cluster_and_assign(samples):
     of adjacent values from one level, each correctly rounded to a float
     (inf beyond the float range).
 
-    Each sample's nonzero values are read once as integers over one common
-    power of two (see _dyadic_integers), so every comparison is exact
-    integer arithmetic; the levels hold the samples' own mpf values.
+    Each nonzero value is read once as the point (m, e) of realroots, and
+    every comparison, exponent, constant and ratio is exact integer
+    arithmetic on two points at their common exponent; the levels hold the
+    samples' own mpf values.
     """
     if len(samples) < 2:
         raise ValidationError("need at least two samples at distinct primes")
@@ -378,36 +379,37 @@ def cluster_and_assign(samples):
     k = n - b0  # nonzero values per level
 
     t = -(-min(s.precision_bits for s in samples) // 3)
-    forms = [_integer_form(s) for s in samples]
+    forms = [_ascending(s) for s in samples]
 
-    # Level 1 is the prime-independent multiset.
+    # Level 1 is the prime-independent multiset.  Values are identified by
+    # their positions in the sample's ascending order.
     level_one = []
     rest = []
-    for i, (ints, s, _) in enumerate(forms):
-        shared = [True] * len(ints)
-        for j, (other, u, _) in enumerate(forms):
+    for i, (points, _) in enumerate(forms):
+        shared = [True] * len(points)
+        for j, (other, _) in enumerate(forms):
             if j != i:
-                matched = _match_multisets(*_common_shift(ints, s, other, u), t)
+                matched = _match_multisets(points, other, t)
                 shared = [f and m for f, m in zip(shared, matched)]
-        ones = [m for m, f in zip(ints, shared) if f]
+        ones = [p for p, f in enumerate(shared) if f]
         if len(ones) != k:
             raise AmbiguousClusteringError(
                 f"sample q={samples[i].q}: expected {k} shared level-1 values, "
                 f"found {len(ones)}; retry with a larger prime")
         level_one.append(ones)
-        rest.append([m for m, f in zip(ints, shared) if not f])
+        rest.append([p for p, f in enumerate(shared) if not f])
 
     out = []
     other_levels = [r for r in range(r_min, r_max + 1) if r != 1]
-    for i, (sample, (_, s, back)) in enumerate(zip(samples, forms)):
+    for i, (sample, (points, values)) in enumerate(zip(samples, forms)):
         levels = {1: level_one[i]}
         if len(other_levels) == 1:
             levels[other_levels[0]] = rest[i]
         elif other_levels:
             mate = max((j for j in range(len(samples)) if j != i),
                        key=lambda j: samples[j].q)
-            tags = _tag_exponents(rest[i], s, sample.q,
-                                  rest[mate], forms[mate][1], samples[mate].q)
+            tags = _tag_exponents(rest[i], points, sample.q, rest[mate],
+                                  forms[mate][0], samples[mate].q)
             assigned = _assign_levels(tags, other_levels)
             for r in other_levels:
                 vals = assigned.get(r, [])
@@ -416,98 +418,92 @@ def cluster_and_assign(samples):
                         f"sample q={sample.q}: level {r} received {len(vals)} values, "
                         f"expected {k}")
                 levels[r] = sorted(vals)
-        inter, intra = _gap_diagnostics(levels)
+        inter, intra = _gap_diagnostics(levels, points)
         zeros = (mp.mpf(0),) * b0
-        levels = {r: zeros + tuple(back[m] for m in ms)
-                  for r, ms in levels.items()}
+        levels = {r: zeros + tuple(values[p] for p in ps)
+                  for r, ps in levels.items()}
         out.append(ClusterAssignment(sample.q, sample.precision_bits, levels,
                                      inter, intra))
     return out
 
 
-def _integer_form(sample):
-    """A sample's nonzero values as (ascending integers m over one 2^s, s,
-    the map from each m back to its mpf value)."""
-    values = sample.nonzero_values()
-    ints, s = _dyadic_integers(values)
-    return sorted(ints), s, dict(zip(ints, values))
+def _point_of(v):
+    """The finite mpf v as the pair (m, e), v = m * 2^e."""
+    sign, man, exp, _ = v._mpf_
+    if not man and exp:
+        raise ValidationError("non-finite value")
+    return (-int(man) if sign else int(man)), exp
 
 
-def _dyadic_integers(values):
-    """mpf values as integers m_i over one common 2^s, s >= 0 the least
-    shift that makes every m_i an integer: ([m_i], s)."""
-    parts = []
-    for v in values:
-        sign, man, exp, _ = v._mpf_
-        if not man and exp:
-            raise ValidationError("non-finite value")
-        parts.append((-int(man) if sign else int(man), exp))
-    s = max([-exp for man, exp in parts if man] + [0])
-    return [man << (exp + s) for man, exp in parts], s
-
-
-def _common_shift(a, s, b, u):
-    """Integer lists a over 2^s and b over 2^u, both over 2^max(s, u)."""
-    if u > s:
-        a = [m << (u - s) for m in a]
-    elif s > u:
-        b = [m << (s - u) for m in b]
-    return a, b
+def _ascending(sample):
+    """A sample's nonzero values in ascending order, as (points, the
+    sample's own mpf objects); two points compare at their common exponent."""
+    pairs = [(x, v) for x, v in zip(map(_point_of, sample.values),
+                                    sample.values) if x[0]]
+    pairs.sort(key=cmp_to_key(lambda a, b: _difference(a[0], b[0])[0]))
+    return [x for x, _ in pairs], [v for _, v in pairs]
 
 
 def _match_multisets(a, b, t):
-    """Greedy two-pointer matching of ascending integer lists within a
+    """Greedy two-pointer matching of ascending point lists within a
     relative 2^-t: whether each element of a found a partner in b."""
     out = [False] * len(a)
     j = 0
     for i, v in enumerate(a):
-        while j < len(b) and b[j] < v and not _close(b[j], v, t):
-            j += 1
-        if j < len(b) and _close(b[j], v, t):
-            out[i] = True
+        while j < len(b):
+            m, n, _ = _align(b[j], v)
+            if _close(m, n, t):
+                out[i] = True
+                j += 1
+                break
+            if m > n:
+                break
             j += 1
     return out
 
 
 def _close(a, b, t):
+    """Whether the integers a and b agree within a relative 2^-t."""
     return abs(a - b) << t <= max(abs(a), abs(b))
 
 
-def _tag_exponents(values, s, q_self, mates, u, q_mate):
-    """Tag each value m (of m / 2^s) with (e, c) where m / 2^s = c * q_self^e.
+def _tag_exponents(values, points, q_self, mates, mate_points, q_mate):
+    """Tag each position p in values with (p, e, c): points[p] = c * q_self^e.
 
     Values of the same hidden pair sort identically at both primes once q
     exceeds the spread of the branch constants (the exponent dominates the
-    ordering), so the two ascending lists (the mates over 2^u) correspond
-    positionally; each pair then determines its integer scaling exponent e
-    and constant c, a correctly rounded float.
+    ordering), so the two ascending lists of positions (the mates indexing
+    mate_points) correspond positionally; each pair then determines its
+    integer scaling exponent e and constant c, a correctly rounded float.
     """
     if len(values) != len(mates):
         raise AmbiguousClusteringError("samples disagree on value counts")
     lq_self, lq_mate = log(q_self), log(q_mate)
-    shift = (u - s) * log(2)
     tags = []
-    for v, w in zip(values, mates):
-        e_real = (log(v) - log(w) + shift) / (lq_self - lq_mate)
+    for p, w in zip(values, mates):
+        x, y = points[p], mate_points[w]
+        m, n, _ = _align(x, y)
+        e_real = (log(m) - log(n)) / (lq_self - lq_mate)
         e = round(e_real)
         if e == 0 or abs(e_real - e) > _EXPONENT_TOL:
             raise AmbiguousClusteringError(
-                f"cross-prime pair {_nstr(v, s)} / {_nstr(w, u)} has "
+                f"cross-prime pair {_nstr(x)} / {_nstr(y)} has "
                 f"non-integer scaling exponent {e_real:.4f}; retry with a "
                 f"larger prime")
-        c_self = _branch_constant(v, s, q_self, e)
-        c_mate = _branch_constant(w, u, q_mate, e)
+        c_self = _branch_constant(x, q_self, e)
+        c_mate = _branch_constant(y, q_mate, e)
         if abs(c_self - c_mate) > _CONSTANT_TOL * max(c_self, c_mate):
             raise AmbiguousClusteringError(
-                f"cross-prime pair {_nstr(v, s)} / {_nstr(w, u)} has "
+                f"cross-prime pair {_nstr(x)} / {_nstr(y)} has "
                 f"inconsistent branch constants; retry with a larger prime")
-        tags.append((v, e, c_self))
+        tags.append((p, e, c_self))
     return tags
 
 
-def _branch_constant(m, s, q, e):
-    """m / (2^s * q^e), correctly rounded to a float."""
-    num, den = m, 1 << s
+def _branch_constant(x, q, e):
+    """The point x over q^e, correctly rounded to a float."""
+    m, k = x
+    num, den = (m << k, 1) if k >= 0 else (m, 1 << -k)
     if e > 0:
         den *= q ** e
     else:
@@ -516,12 +512,12 @@ def _branch_constant(m, s, q, e):
         return num / den
     except OverflowError:
         raise AmbiguousClusteringError(
-            f"branch constant of {_nstr(m, s)} at q={q} is beyond the float "
+            f"branch constant of {_nstr(x)} at q={q} is beyond the float "
             f"range") from None
 
 
-def _nstr(m, s):
-    return mp.nstr(mp.make_mpf(from_man_exp(m, -s)), 8)
+def _nstr(x):
+    return mp.nstr(mp.make_mpf(from_man_exp(*x)), 8)
 
 
 def _assign_levels(tags, other_levels):
@@ -564,18 +560,23 @@ def _assign_levels(tags, other_levels):
     return assigned
 
 
-def _gap_diagnostics(levels):
+def _gap_diagnostics(levels, points):
     """Min gap ratio between adjacent cross-level values, max within a level.
 
-    levels maps r to its nonzero values as integers over one common 2^s.
-    Each ratio is an int/int true division, correctly rounded, and inf
-    when beyond the float range."""
-    ordered = sorted((m, r) for r, ints in levels.items() for m in ints)
+    levels maps r to positions in points, the sample's nonzero values in
+    ascending order; equal values are ordered by level.  Each ratio is an
+    int/int true division at the pair's common exponent, correctly rounded,
+    and inf when beyond the float range."""
+    # equal values share their first position, so they sort by level
+    first = {x: p for p, x in reversed(list(enumerate(points)))}
+    ordered = sorted((first[points[p]], r)
+                     for r, ps in levels.items() for p in ps)
     inter = float("inf")
     intra = 1.0
     for (a, ra), (b, rb) in zip(ordered, ordered[1:]):
+        m, n, _ = _align(points[b], points[a])
         try:
-            ratio = b / a
+            ratio = m / n
         except OverflowError:
             ratio = float("inf")
         if ra == rb:
@@ -613,29 +614,34 @@ def _monic_from_roots(roots):
     """(X - r_1)...(X - r_k) for mpf roots, exactly, as (ascending integer
     numerators, power-of-two denominator).
 
-    Every root is m_i / 2^s over one common shift s (_dyadic_integers).
-    The integer factors Z - m_i are multiplied pairwise (a product tree),
-    giving prod(Z - m_i) = sum e_j Z^j; at Z = 2^s X the coefficient of X^j
-    is e_j * 2^(s*j) over 2^(s*k).  The power of two the numerators share is
-    shifted out of the result."""
-    ms, s = _dyadic_integers(roots)
-    factors = [[-m, 1] for m in ms]
-    while len(factors) > 1:
-        paired = [_poly_mul(a, b) for a, b in zip(factors[::2], factors[1::2])]
-        factors = paired + factors[len(paired) * 2:]
-    e = factors[0] if factors else [1]
-    nums = [c << (s * j) for j, c in enumerate(e)]
-    shift = min(c & -c for c in nums if c).bit_length() - 1
-    return [c >> shift for c in nums], 1 << (s * len(ms) - shift)
+    A root m * 2^e is the zero of the integer factor 2^a X - m 2^(e+a),
+    a = max(-e, 0), so the product of the factors, multiplied pairwise (a
+    product tree, see _poly_mul), is the polynomial times the roots' own
+    powers of two.  Its leading coefficient is the least denominator:
+    modulo 2 each factor with a > 0 is the constant m (an mpf mantissa is
+    odd) and every other factor is monic, so some coefficient is odd."""
+    polys = [[-(m << max(e, 0)), 1 << max(-e, 0)]
+             for m, e in map(_point_of, roots)]
+    while len(polys) > 1:
+        paired = [_poly_mul(f, g) for f, g in zip(polys[::2], polys[1::2])]
+        polys = paired + polys[len(paired) * 2:]
+    nums = polys[0] if polys else [1]
+    return nums, nums[-1]
 
 
 def _poly_mul(a, b):
-    """Product of two ascending integer coefficient lists."""
-    out = [0] * (len(a) + len(b) - 1)
+    """Product of two ascending integer coefficient lists whose leading
+    coefficients are powers of two, by which the other terms are shifted."""
+    sa, sb = a[-1].bit_length() - 1, b[-1].bit_length() - 1
+    a, b = a[:-1], b[:-1]
+    out = [0] * (len(a) + len(b)) + [1 << (sa + sb)]
     for i, x in enumerate(a):
         if x:
             for j, y in enumerate(b):
                 out[i + j] += x * y
+            out[i + len(b)] += x << sb
+    for j, y in enumerate(b):
+        out[len(a) + j] += y << sa
     return out
 
 

@@ -56,6 +56,20 @@ def biv_neg(a):
     return {k: -c for k, c in a.items()}
 
 
+def level_laplacian(dp, q, r):
+    """The level-r Laplacian in Fractions, entry by entry: -q^((1-r)*a) off
+    the diagonal for an edge labelled a, row sums zero."""
+    if q < 2:
+        raise ValidationError("q must be at least 2")
+    n = dp.graph.n
+    weight = {}
+    for (u, v), a in dp.labels:
+        weight[u - 1, v - 1] = weight[v - 1, u - 1] = Fraction(q) ** ((1 - r) * a)
+    return [[-weight.get((i, j), 0) if i != j
+             else sum((w for (k, _), w in weight.items() if k == i), Fraction(0))
+             for j in range(n)] for i in range(n)]
+
+
 def cofactor_det(rows, cols, matrix, memo):
     if not rows:
         return {(0, 0): 1}

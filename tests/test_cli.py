@@ -42,9 +42,9 @@ def test_simulate_cluster_recover_pipeline(tmp_path, k3_file):
     s1 = tmp_path / "a.spec"
     s2 = tmp_path / "b.spec"
     assert main(["simulate", str(k3_file), "--q", "101", "--window=0:1",
-                 "--precision-bits", "192", "-o", str(s1)]) == 0
+                 "-o", str(s1)]) == 0
     assert main(["simulate", str(k3_file), "--q", "103", "--window=0:1",
-                 "--precision-bits", "192", "-o", str(s2)]) == 0
+                 "-o", str(s2)]) == 0
     clusters = tmp_path / "k3.clusters"
     assert main(["cluster", str(s1), str(s2), "-o", str(clusters)]) == 0
     first_block = clusters.read_text().split("\n\n")[0]

@@ -1,6 +1,10 @@
 import random
+import sys
 
 import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, initialize, rule
 
 from graphspectra import game
 from graphspectra.catalog import (complete_graph, connected_graphs,
@@ -294,3 +298,110 @@ class TestTransportsAndDeterminism:
             replies.append(encode_message(
                 s.handle({"type": "choose_prime", "q": 101})))
         assert replies[0] == replies[1]
+
+
+# ---------------------------------------------------------------------------
+# Any sequence of lines gets one protocol reply per line
+
+
+_REPLY_TYPES = {"welcome", "delta_ack", "spectrum", "verdict", "error"}
+_json_scalar = (st.none() | st.booleans() | st.integers() | st.text(max_size=8)
+                | st.floats(allow_nan=False, allow_infinity=False))
+_json = st.recursive(_json_scalar,
+                     lambda inner: st.lists(inner, max_size=4)
+                     | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+                     max_leaves=12)
+# Labels stay at most 16: a request's work is not capped yet, and large
+# labels make one spectrum arbitrarily expensive.
+_labels = (st.lists(st.integers(-2, 16), max_size=6)
+           | st.lists(_json_scalar, max_size=4) | _json_scalar)
+_q = (st.sampled_from([2, 3, 4, 6, 9, 101, 2 ** 61 - 1, 2 ** 64 + 13, 3 ** 40])
+      | st.integers(-3, 200) | st.integers(2 ** 63, 2 ** 80) | _json_scalar)
+
+
+class ProtocolMachine(RuleBasedStateMachine):
+    """Sends well-formed, malformed and out-of-phase lines, as str or as
+    bytes, to one session; every line must get exactly one decodable
+    protocol message back, recorded in the transcript, and no exception may
+    escape handle_line."""
+
+    def __init__(self):
+        super().__init__()
+        self.session = GameSession(path_graph(3), GameConfig(seed=1))
+
+    def send(self, line, as_bytes=False):
+        if as_bytes:
+            line = line.encode("utf-8", "surrogatepass")
+        before = len(self.session.transcript)
+        reply = self.session.handle_line(line)
+        assert isinstance(reply, str) and "\n" not in reply
+        msg = decode_message(reply)
+        assert msg["type"] in _REPLY_TYPES
+        if msg["type"] == "error":
+            assert set(msg) == {"type", "code", "message"}
+            assert isinstance(msg["code"], str) and isinstance(msg["message"], str)
+        assert len(self.session.transcript) == before + 2
+        assert self.session.transcript[-1] == ("send", reply)
+
+    def send_message(self, msg, as_bytes):
+        self.send(encode_message(msg), as_bytes)
+
+    @initialize(phase=st.sampled_from(["awaiting_hello", "awaiting_delta",
+                                       "playing"]),
+                labels=st.lists(st.integers(1, 16), min_size=2, max_size=4,
+                                unique=True))
+    def open_session(self, phase, labels):
+        if phase != "awaiting_hello":
+            self.send_message({"type": "hello"}, False)
+        if phase == "playing":
+            self.send_message({"type": "choose_delta", "labels": labels},
+                              False)
+        assert self.session.phase == phase
+
+    @rule(as_bytes=st.booleans())
+    def hello(self, as_bytes):
+        self.send_message({"type": "hello"}, as_bytes)
+
+    @rule(labels=_labels, as_bytes=st.booleans())
+    def choose_delta(self, labels, as_bytes):
+        self.send_message({"type": "choose_delta", "labels": labels}, as_bytes)
+
+    @rule(q=_q, as_bytes=st.booleans())
+    def choose_prime(self, q, as_bytes):
+        self.send_message({"type": "choose_prime", "q": q}, as_bytes)
+
+    @rule(n=_json_scalar, edges=_json, as_bytes=st.booleans())
+    def submit(self, n, edges, as_bytes):
+        self.send_message({"type": "submit", "n": n, "edges": edges}, as_bytes)
+
+    @rule(msg=st.dictionaries(st.sampled_from(["type", "q", "labels", "n"]),
+                              _json, max_size=3),
+          as_bytes=st.booleans())
+    def any_object(self, msg, as_bytes):
+        self.send_message(msg, as_bytes)
+
+    @rule(line=st.text(max_size=40), as_bytes=st.booleans())
+    def any_text(self, line, as_bytes):
+        self.send(line, as_bytes)
+
+    @rule(line=st.binary(max_size=40))
+    def any_bytes(self, line):
+        self.send(line)
+
+    @rule(inside=st.booleans(), as_bytes=st.booleans())
+    def deep_nesting(self, inside, as_bytes):
+        # json.loads, and the encoder a few frames deeper, run out of stack
+        # at depths just below the recursion limit less the frames in use
+        frames, f = 0, sys._getframe()
+        while f:
+            frames, f = frames + 1, f.f_back
+        edge = sys.getrecursionlimit() - frames
+        for depth in range(edge - 40, edge + 10):
+            nested = "[" * depth + "]" * depth
+            self.send('{"type": "hello", "x": %s}' % nested if inside
+                      else nested, as_bytes)
+
+
+TestProtocolMachine = ProtocolMachine.TestCase
+TestProtocolMachine.settings = settings(max_examples=40,
+                                        stateful_step_count=25, deadline=None)

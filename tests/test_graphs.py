@@ -13,14 +13,15 @@ from graphspectra.errors import ValidationError
 from graphspectra.graphs import (Graph, Multigraph, build_diffusion_pair,
                                  canonical_form, cartesian_product,
                                  edge_set_laplacian, graph_from_text,
-                                 graph_to_text, is_isomorphic,
-                                 is_subset_sum_distinct, laplacian_matrix,
-                                 level_laplacian, quotient_graph,
+                                 graph_to_text, integer_level_laplacian,
+                                 is_isomorphic, is_subset_sum_distinct,
+                                 laplacian_matrix, quotient_graph,
                                  relabel_graph, seminorm_sq,
                                  sum_distinct_labels, symbolic_laplacian)
 from graphspectra.unipoly import UniPoly
 
-from naive_oracles import brute_subset_sums_distinct, exhaustive_isomorphic
+from naive_oracles import (brute_subset_sums_distinct, exhaustive_isomorphic,
+                           level_laplacian)
 
 
 class TestBuildDiffusionPair:
@@ -103,6 +104,8 @@ class TestLevelLaplacian:
         dp = build_diffusion_pair(2, [(1, 2, 1)])
         with pytest.raises(ValidationError):
             level_laplacian(dp, 1, 0)
+        with pytest.raises(ValidationError):
+            integer_level_laplacian(dp, 1, 0)
 
 
 class TestEdgeSetLaplacian:

@@ -1,10 +1,11 @@
-"""Clustering on integers over a common power of two against the mpf route.
+"""Clustering on (mantissa, exponent) points against the mpf route.
 
 The reference is the mpf clustering kept in naive_oracles; the integer
 route must reproduce its level multisets bit for bit, its gap floats
 exactly and its error types, and its comparison predicates must agree
 with exact Fraction arithmetic.
 """
+import tracemalloc
 from fractions import Fraction
 from itertools import permutations
 
@@ -16,9 +17,10 @@ from mpmath.libmp import from_man_exp
 
 from graphspectra.catalog import connected_graphs, star_graph, with_labels
 from graphspectra.errors import AmbiguousClusteringError
-from graphspectra.spectra import (SpectrumSample, _branch_constant, _close,
-                                  _common_shift, _gap_diagnostics,
-                                  cluster_and_assign, simulate_spectrum)
+from graphspectra.realroots import _align
+from graphspectra.spectra import (SpectrumSample, _ascending, _branch_constant,
+                                  _close, _gap_diagnostics, cluster_and_assign,
+                                  simulate_spectrum)
 from naive_oracles import mpf_cluster_and_assign
 
 
@@ -104,12 +106,36 @@ def test_level_one_tolerance(units, error):
 def test_beyond_float_range():
     # a gap ratio beyond the float range saturates to inf, as float(mpf)
     # does; a branch constant there cannot be compared, so it is ambiguous
-    assert _gap_diagnostics({0: [1], -1: [1 << 1100]}) == (float("inf"), 1.0)
-    assert _gap_diagnostics({0: [1, 1 << 1100]}) == (float("inf"), float("inf"))
-    assert _branch_constant(1 << 1100, 100, 3, -2) == float(
+    points = [(1, 0), (1, 1100)]
+    assert _gap_diagnostics({0: [0], -1: [1]}, points) == (float("inf"), 1.0)
+    assert _gap_diagnostics({0: [0, 1]}, points) == (float("inf"), float("inf"))
+    assert _branch_constant((1, 1000), 3, -2) == float(
         Fraction(9 << 1100, 1 << 100))
     with pytest.raises(AmbiguousClusteringError, match="float range"):
-        _branch_constant(1 << 1100, 0, 3, -2)
+        _branch_constant((1, 1100), 3, -2)
+
+
+def test_gap_walk_orders_equal_values_by_level():
+    # 1 at levels -1 and 0, then 3 at level 0: walked as (1, -1), (1, 0),
+    # (3, 0), the ratio 3 is within level 0
+    points = [(1, 0), (1, 0), (3, 0)]
+    assert _gap_diagnostics({0: [0, 2], -1: [1]}, points) == (1.0, 3.0)
+
+
+def test_one_tiny_value_stays_small():
+    # one value 2^-200000 among 3,999 ones against 4,000 ones: every
+    # integer is bounded by its own value, not by the least exponent
+    tiny = mp.make_mpf(from_man_exp(1, -200000))
+    samples = [SpectrumSample(5, 0, 1, 512, (tiny,) + (mp.mpf(1),) * 3999),
+               SpectrumSample(7, 0, 1, 512, (mp.mpf(1),) * 4000)]
+    tracemalloc.start()
+    try:
+        with pytest.raises(AmbiguousClusteringError, match="level-1"):
+            cluster_and_assign(samples)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2 ** 20
 
 
 def _exact(m, e):
@@ -137,9 +163,13 @@ def dyadic_pairs(draw):
 @example(((2 ** 171 + 2, 0), (1, 171)), 171)   # just beyond it
 @example(((2 ** 171, 0), (1, 171)), 171)       # equal values, unequal exponents
 def test_closeness_and_order_agree_with_fractions(pair, t):
-    (ma, ea), (mb, eb) = pair
-    [ia], [ib] = _common_shift([ma], -ea, [mb], -eb)
-    fa, fb = _exact(ma, ea), _exact(mb, eb)
-    assert (ia < ib) == (fa < fb)
-    assert (ia == ib) == (fa == fb)
-    assert _close(ia, ib, t) == (abs(fa - fb) * 2 ** t <= max(abs(fa), abs(fb)))
+    x, y = pair
+    m, n, _ = _align(x, y)
+    fa, fb = _exact(*x), _exact(*y)
+    assert (m < n) == (fa < fb)
+    assert (m == n) == (fa == fb)
+    assert _close(m, n, t) == (abs(fa - fb) * 2 ** t <= max(abs(fa), abs(fb)))
+    # a sample's nonzero values sort by exact value
+    values = [mp.make_mpf(from_man_exp(abs(m), e)) for m, e in (y, x)]
+    points, _ = _ascending(SpectrumSample(5, 0, 1, 512, tuple(values)))
+    assert [_exact(*p) for p in points] == sorted(abs(v) for v in (fa, fb) if v)

@@ -5,8 +5,10 @@ identical, polynomial and exact snapping residual both, and a decode that
 fails must fail in both routes.
 """
 import random
+import tracemalloc
 from fractions import Fraction
 from itertools import product
+from math import comb
 
 import pytest
 from hypothesis import given
@@ -82,8 +84,25 @@ def test_monic_from_roots_random_dyadic():
         for _ in range(60):
             roots = [_random_mpf(rng) for _ in range(rng.randint(0, 9))]
             nums, den = _monic_from_roots(roots)
-            assert den & (den - 1) == 0
+            assert den & (den - 1) == 0 and nums[-1] == den
+            assert den == 1 or any(c & 1 for c in nums)  # least denominator
             assert _as_unipoly(nums, den) == fraction_monic_from_roots(roots)
+
+
+def test_monic_from_roots_one_tiny_root():
+    # (X - 1)^60 (X - 2^-50000): only the tiny root's own factor carries
+    # its power of two, so no other coefficient grows to 50,000 bits
+    roots = [mp.ldexp(1, -50000)] + [mp.mpf(1)] * 60
+    tracemalloc.start()
+    try:
+        nums, den = _monic_from_roots(roots)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 2 ** 20
+    c = [comb(60, j) * (-1) ** (60 - j) for j in range(61)] + [0]
+    assert den == 1 << 50000
+    assert nums == [((c[j - 1] if j else 0) << 50000) - c[j] for j in range(62)]
 
 
 def test_decode_integer_and_reciprocal_nodes():

@@ -14,12 +14,11 @@ from mpmath.libmp import from_man_exp, mpf_div, mpf_mul, round_nearest
 
 from graphspectra.catalog import random_connected_graph, with_labels
 from graphspectra.errors import PrecisionError
-from graphspectra.graphs import (build_diffusion_pair, integer_level_laplacian,
-                                 level_laplacian)
+from graphspectra.graphs import build_diffusion_pair, integer_level_laplacian
 from graphspectra.realroots import _newton_point, real_roots
 from graphspectra.spectra import _integer_charpoly, _scaled_charpoly, sym_eigs
 
-from naive_oracles import mpf_real_roots
+from naive_oracles import level_laplacian, mpf_real_roots
 
 
 def _outcome(roots_of, coeffs, bits):

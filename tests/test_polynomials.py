@@ -9,7 +9,7 @@ from graphspectra.catalog import (complete_graph, connected_graphs,
                                   cospectral_pair, random_connected_graph,
                                   with_labels, with_powers_of_two)
 from graphspectra.errors import PrecisionError, ValidationError
-from graphspectra.graphs import build_diffusion_pair, level_laplacian
+from graphspectra.graphs import build_diffusion_pair
 from graphspectra.polynomials import (SpectralPolynomial,
                                       charpoly_division_free, evaluate_y,
                                       interpolate_spectral_poly,
@@ -18,7 +18,8 @@ from graphspectra.polynomials import (SpectralPolynomial,
                                       spectral_poly_to_text, tangent_cone)
 from graphspectra.unipoly import UniPoly
 
-from naive_oracles import as_monomial_dict, naive_charpoly, naive_spectral_polynomial
+from naive_oracles import (as_monomial_dict, level_laplacian, naive_charpoly,
+                           naive_spectral_polynomial)
 
 
 class TestUniPoly:
