@@ -28,7 +28,7 @@ from graphspectra.graphs import Graph, relabel_graph
 print("--- a pair the perturbation separates ---")
 ga = Graph.of(5, [(1, 2), (2, 3), (3, 4), (4, 5)])
 gb = Graph.of(5, [(1, 2), (2, 3), (3, 4), (3, 5)])
-full, half, ratio = prediction_error_ratio(ga, gb, Fraction(1, 1000), 192)
+full, half, ratio = prediction_error_ratio(ga, gb, Fraction(1, 1000))
 print("C  =", full.common_edges)
 print("C1 =", full.extra_edges[0], " C2 =", full.extra_edges[1])
 print("Hausdorff distance:", mp.nstr(full.hausdorff_distance, 8))
@@ -54,7 +54,7 @@ def perturbed_charpolys(g1, g2):
 
 print("\n--- the catalog cospectral pair, standard labeling: it resists ---")
 g1, g2 = cospectral_pair_graphs()
-rep = separation_experiment(g1, g2, Fraction(1, 1000), 192)
+rep = separation_experiment(g1, g2, Fraction(1, 1000))
 print("C1 =", rep.extra_edges[0], " C2 =", rep.extra_edges[1])
 print("Hausdorff distance:", mp.nstr(rep.hausdorff_distance, 8),
       "(numerically zero)")
@@ -66,7 +66,7 @@ print("\n--- the same pair, vertices 2 and 3 of the right graph exchanged ---")
 g2 = relabel_graph(g2, {v: v for v in range(1, 9)} | {2: 3, 3: 2})
 p1, p2 = perturbed_charpolys(g1, g2)
 print("charpolys equal identically in eps:", p1 == p2)
-full, half, ratio = prediction_error_ratio(g1, g2, Fraction(1, 1000), 192)
+full, half, ratio = prediction_error_ratio(g1, g2, Fraction(1, 1000))
 print("C1 =", full.extra_edges[0], " C2 =", full.extra_edges[1])
 print("Hausdorff distance:", mp.nstr(full.hausdorff_distance, 8))
 s1, s2 = full.separating_seminorms

@@ -172,8 +172,7 @@ def _cmd_separate(args):
     eps = _parse_fraction(args.epsilon, "--epsilon")
     g1 = graph_from_text(_read(args.graph1)).graph
     g2 = graph_from_text(_read(args.graph2)).graph
-    full, half, ratio = prediction_error_ratio(
-        g1, g2, eps, args.precision_bits)
+    full, half, ratio = prediction_error_ratio(g1, g2, eps)
     report = {
         "epsilon": str(eps),
         "common_edges": [list(e) for e in full.common_edges],
@@ -321,7 +320,6 @@ def build_parser():
     p.add_argument("graph1")
     p.add_argument("graph2")
     p.add_argument("--epsilon", default="1/1000")
-    p.add_argument("--precision-bits", type=int, default=192)
     p.add_argument("--format", choices=("text", "json"), default="text")
     common(p)
     p.set_defaults(func=_cmd_separate)

@@ -5,18 +5,22 @@ a_i(Y) names exactly one spanning forest: the exponent is the sum of the
 forest's labels (decoded back into a unique label subset) and the
 magnitude is the forest's component-size product.  The edge labels
 themselves are the exponents of a_(n-1), whose forests are single edges.
-A graph realizing the decoded family is then built: one decoded spanning
-tree is drawn edge by edge from its label adjacency (which labels share a
-vertex), the remaining labels are placed on the endpoints of their
-fundamental-circuit paths, and the candidate is accepted only if its full
-forest family reproduces the decoded one.  Uniqueness of the result up to
-isomorphism is exactly the reconstruction guarantee this package
-demonstrates.
+The labeled graph is then drawn from two facts the family holds: which
+labels share a vertex (two-edge forests of component product 3, against
+4 for disjoint labels), which is its line graph, and which pairwise
+adjacent triples are triangles (those missing from the three-edge
+forests).  By Whitney's theorem (H. Whitney, "Congruent graphs and the
+connectivity of graphs", Amer. J. Math. 54, 1932) these determine a
+connected graph up to renumbering its vertices.  A drawing is accepted
+only if its full forest family reproduces the decoded one.  Uniqueness of
+the result up to isomorphism is exactly the reconstruction guarantee this
+package demonstrates.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import combinations
 
 from .errors import RealizationError, ValidationError
 from .forests import enumerate_forests
@@ -132,32 +136,18 @@ def decode_forest_family(P):
 def realize_graph(fam):
     """A labeled graph whose forest family equals the decoded one.
 
-    Fix the lexicographically smallest decoded spanning tree S.  Its
-    pairwise label adjacency (component products 3 = sharing a vertex,
-    4 = disjoint) is the line graph of the realizing tree, so every way of
-    drawing S is found by attaching its labels one at a time; the
-    fundamental circuit of every non-tree label then forces its endpoints.
-    A candidate survives only if its enumerated family matches exactly.
+    Two labels share a vertex exactly when their two-edge forest has
+    component product 3 (4 when disjoint), which gives the line graph; three
+    pairwise adjacent labels form a triangle exactly when they are missing
+    from the three-edge forests.  By Whitney (1932) these determine a
+    connected graph up to renumbering its vertices, so the first drawing
+    that agrees with them is, for a family read off a real graph, that
+    graph.  A drawing is accepted only if its enumerated forest family
+    equals the decoded one, which also rejects every family that no graph
+    has (disconnected, not downward closed, wrong magnitudes).
     """
-    n = fam.n
-    if 1 not in fam.families or not fam.families[1]:
-        raise RealizationError("no spanning tree in the family: graph not "
-                               "connected or family invalid")
-    if n == 1:
-        return Realization(Graph(1), {})
-    _check_downward_closed(fam)
-    trees = sorted(sorted(edges) for edges, _ in fam.families[1])
-    S = tuple(trees[0])
-    if n == 2:
-        return Realization(Graph.of(2, [(1, 2)]), {(1, 2): S[0]})
-    non_tree = [a for a in fam.labels if a not in S]
-    circuits = {e: _fundamental_circuit(fam, S, e) for e in non_tree}
-    share = _label_adjacency(fam, S)
-    for sigma in _tree_drawings(S, share):
-        candidate = _place_non_tree_edges(n, sigma, circuits)
-        if candidate is None:
-            continue
-        graph, edge_labels = candidate
+    for edge_labels in _drawings(fam):
+        graph = Graph.of(fam.n, list(edge_labels))
         produced = enumerate_forests(graph).as_label_families(edge_labels)
         if produced == fam.families:
             return Realization(graph, edge_labels)
@@ -169,123 +159,51 @@ def reconstruct_from_polynomial(P):
     return realize_graph(decode_forest_family(P)).graph
 
 
-def _check_downward_closed(fam):
-    for i, records in fam.families.items():
-        if i >= fam.n:
-            continue
-        larger = {edges for edges, _ in records}
-        smaller = {edges for edges, _ in fam.families.get(i + 1, frozenset())}
-        for edges in larger:
-            for e in edges:
-                if edges - {e} not in smaller:
-                    raise ValidationError(
-                        f"family not downward closed: {sorted(edges)} present "
-                        f"but {sorted(edges - {e})} missing")
+def _drawings(fam):
+    """Every placement of the labels as edges on vertices 1..n, as an
+    edge -> label dict, whose adjacencies and triangles agree with the two-
+    and three-edge forests, vertices numbered in order of first use.
 
-
-def _fundamental_circuit(fam, S, e):
-    """Labels s of S with (S - s) + e a spanning tree: the circuit of e minus e."""
-    trees = {edges for edges, _ in fam.families[1]}
-    circuit = frozenset(
-        s for s in S if (frozenset(S) - {s}) | {e} in trees)
-    if not circuit:
-        raise ValidationError(
-            f"label {e} closes no circuit over the chosen tree; family invalid")
-    return circuit
-
-
-def _label_adjacency(fam, S):
-    n = fam.n
-    pair_gamma = {edges: g for edges, g in fam.families.get(n - 2, frozenset())}
-    share = {}
-    for a in S:
-        for b in S:
-            if a == b:
-                continue
-            g = pair_gamma.get(frozenset({a, b}))
-            if g is None:
-                raise ValidationError(
-                    f"pair {{{a},{b}}} missing from the two-edge family")
-            if g not in (3, 4):
-                raise ValidationError(
-                    f"two-edge forest {{{a},{b}}} has magnitude {g}, "
-                    f"expected 3 or 4")
-            share[(a, b)] = 1 if g == 3 else 0
-    return share
-
-
-def _tree_drawings(S, share):
-    """Every drawing of the labels of S as a tree on vertices 1..len(S)+1
-    whose edge adjacency is `share`, up to renumbering the vertices.
-
-    S[0] is the edge (1, 2); each further label, in breadth-first order of
-    the label adjacency, shares an endpoint with its already drawn
-    predecessor and brings the next fresh vertex.  Which endpoint is forced
-    by the labels it shares a vertex with, except for the first step, so a
-    tree has at most a few drawings and no labeled tree is enumerated.
+    Labels are drawn in breadth-first order of the line graph from the
+    smallest, which is the edge (1, 2); each further label takes an endpoint
+    of its already drawn parent, and its other end is a drawn vertex or the
+    next fresh one, never past n.  A real graph's family has at most two
+    drawings, mirror images through the edge (1, 2).
     """
-    order, parent = [S[0]], {S[0]: None}
+    n, labels = fam.n, fam.labels
+    adjacent = {edges for edges, g in fam.families.get(n - 2, ()) if g == 3}
+    stars = {edges for edges, _ in fam.families.get(n - 3, ())}
+    order, parent = list(labels[:1]), dict.fromkeys(labels[:1])
     for a in order:
-        for b in S:
-            if b not in parent and share[(a, b)]:
+        for b in labels:
+            if b not in parent and frozenset((a, b)) in adjacent:
                 parent[b] = a
                 order.append(b)
-    if len(order) < len(S):
-        return  # the edge adjacency of a tree is connected
-    sigma = {S[0]: (1, 2)}
+    if len(order) < len(labels):
+        return  # the line graph of a connected graph is connected
+    sigma = {}
 
-    def extend(i):
+    def fits(a, e, near):
+        # e touches exactly the drawn labels adjacent to a, and passes
+        # through the shared vertex of two adjacent ones b, c exactly when
+        # a, b, c form a star (a three-edge forest) rather than a triangle
+        touching = {b for b, f in sigma.items() if e[0] in f or e[1] in f}
+        return touching == near and all(
+            (frozenset((a, b, c)) in stars) == (set(sigma[b]) & set(sigma[c]) <= set(e))
+            for b, c in combinations(near, 2) if frozenset((b, c)) in adjacent)
+
+    def extend(i, drawn):
         if i == len(order):
-            yield dict(sigma)
+            yield {e: a for a, e in sigma.items()}
             return
-        a, fresh = order[i], i + 2
-        for u in sigma[parent[a]]:
-            if all(share[(a, b)] == (u in e) for b, e in sigma.items()):
-                sigma[a] = (u, fresh)
-                yield from extend(i + 1)
-                del sigma[a]
+        a = order[i]
+        near = {b for b in sigma if frozenset((a, b)) in adjacent}
+        for u in (1,) if parent[a] is None else sigma[parent[a]]:
+            for w in range(1, min(drawn + 1, n) + 1):
+                e = (min(u, w), max(u, w))
+                if w != u and e not in sigma.values() and fits(a, e, near):
+                    sigma[a] = e
+                    yield from extend(i + 1, max(drawn, w))
+                    del sigma[a]
 
-    yield from extend(1)
-
-
-def _place_non_tree_edges(n, sigma, circuits):
-    edge_labels = {e: a for a, e in sigma.items()}
-    for label, circuit in circuits.items():
-        path_edges = [sigma[s] for s in circuit]
-        endpoints = _path_endpoints(path_edges)
-        if endpoints is None:
-            return None
-        u, v = endpoints
-        e = (u, v) if u < v else (v, u)
-        if e in edge_labels:
-            return None
-        edge_labels[e] = label
-    graph = Graph.of(n, list(edge_labels))
-    return graph, edge_labels
-
-
-def _path_endpoints(path_edges):
-    """Endpoints if the edges form one simple path, else None."""
-    degree = {}
-    for u, v in path_edges:
-        degree[u] = degree.get(u, 0) + 1
-        degree[v] = degree.get(v, 0) + 1
-    odd = sorted(u for u, d in degree.items() if d == 1)
-    if len(odd) != 2 or any(d > 2 for d in degree.values()):
-        return None
-    # connectivity: walk from one endpoint
-    adj = {}
-    for u, v in path_edges:
-        adj.setdefault(u, []).append(v)
-        adj.setdefault(v, []).append(u)
-    seen = {odd[0]}
-    stack = [odd[0]]
-    while stack:
-        x = stack.pop()
-        for y in adj[x]:
-            if y not in seen:
-                seen.add(y)
-                stack.append(y)
-    if len(seen) != len(degree):
-        return None
-    return odd[0], odd[1]
+    yield from extend(0, 1)

@@ -20,7 +20,7 @@ from functools import cmp_to_key
 from math import lcm, log
 
 from mpmath import mp
-from mpmath.libmp import from_man_exp
+from mpmath.libmp import from_man_exp, fzero
 
 # Exact decimal serialization of high-precision values routinely exceeds
 # the interpreter's default int<->str conversion guard.
@@ -246,13 +246,10 @@ class SpectrumSample:
         return len(self.values) // self.width
 
     def zero_values(self):
-        return [v for v in self.values if self._is_zero(v)]
+        return [v for v in self.values if v._mpf_ == fzero]
 
     def nonzero_values(self):
-        return [v for v in self.values if not self._is_zero(v)]
-
-    def _is_zero(self, v):
-        return v == 0
+        return [v for v in self.values if v._mpf_ != fzero]
 
     @property
     def zeros_per_level(self):
@@ -664,7 +661,10 @@ class SeparationReport:
     max_prediction_error: tuple  # per i
 
 
-def separation_experiment(g1, g2, epsilon, precision_bits=192):
+SEPARATION_BITS = 192  # working precision of the perturbation experiment
+
+
+def separation_experiment(g1, g2, epsilon):
     """Perturb the common-edge Laplacian toward each graph and compare.
 
     C = E1 & E2, C_i = E_i - C.  For each eigenvalue group of U(C) the
@@ -692,11 +692,11 @@ def separation_experiment(g1, g2, epsilon, precision_bits=192):
     UC = edge_set_laplacian(n, C)
     U1 = edge_set_laplacian(n, C1)
     U2 = edge_set_laplacian(n, C2)
-    wp = precision_bits + 64
+    wp = SEPARATION_BITS + 64
     with mp.workprec(wp):
-        base_vals, base_vecs = sym_eigs(UC, precision_bits, want_vectors=True)
+        base_vals, base_vecs = sym_eigs(UC, SEPARATION_BITS, want_vectors=True)
         eps = mp.mpf(eps_f.numerator) / mp.mpf(eps_f.denominator)
-        group_tol = mp.ldexp(max(abs(v) for v in base_vals) + 1, -(precision_bits // 2))
+        group_tol = mp.ldexp(max(abs(v) for v in base_vals) + 1, -(SEPARATION_BITS // 2))
         groups = _group_degenerate(base_vals, group_tol)
         predictions = []
         for U in (U1, U2):
@@ -708,12 +708,12 @@ def separation_experiment(g1, g2, epsilon, precision_bits=192):
                      for a in range(len(idxs))]
                 W = [[(W[a][b] + W[b][a]) / 2 for b in range(len(idxs))]
                      for a in range(len(idxs))]
-                for mu in sym_eigs(W, precision_bits):
+                for mu in sym_eigs(W, SEPARATION_BITS):
                     preds.append(lam + eps * mu)
             predictions.append(sorted(preds))
         # exact matrices, so the spectra are certified charpoly roots
         spectra = [sym_eigs([[UC[i][j] + eps_f * U[i][j] for j in range(n)]
-                             for i in range(n)], precision_bits)
+                             for i in range(n)], SEPARATION_BITS)
                    for U in (U1, U2)]
         errors = tuple(
             max(abs(a - p) for a, p in zip(spectra[i], predictions[i]))
@@ -723,7 +723,7 @@ def separation_experiment(g1, g2, epsilon, precision_bits=192):
         # compression to some eigenspace of U(C); searching those
         # compressions is complete, unlike scanning one eigenbasis.
         sep_vec = sep_norms = None
-        sep_tol = mp.ldexp(1, -(precision_bits // 4))
+        sep_tol = mp.ldexp(1, -(SEPARATION_BITS // 4))
         Ud = [[U1[i][j] - U2[i][j] for j in range(n)] for i in range(n)]
         best = sep_tol
         for idxs in groups:
@@ -732,7 +732,7 @@ def separation_experiment(g1, g2, epsilon, precision_bits=192):
             Wd = [[_quadratic_form(Ud, basis[a], basis[b]) for b in range(k)]
                   for a in range(k)]
             Wd = [[(Wd[a][b] + Wd[b][a]) / 2 for b in range(k)] for a in range(k)]
-            mus, ws = sym_eigs(Wd, precision_bits, want_vectors=True)
+            mus, ws = sym_eigs(Wd, SEPARATION_BITS, want_vectors=True)
             for mu, w in zip(mus, ws):
                 if abs(mu) > best:
                     best = abs(mu)
@@ -754,15 +754,15 @@ def separation_experiment(g1, g2, epsilon, precision_bits=192):
     )
 
 
-def prediction_error_ratio(g1, g2, epsilon, precision_bits=192):
+def prediction_error_ratio(g1, g2, epsilon):
     """Max first-order error at eps divided by the error at eps/2.
 
     Analytic perturbation makes the first-order error O(eps^2), so the
     ratio approaches 4 from below as eps shrinks.
     """
     eps = Fraction(epsilon)
-    full = separation_experiment(g1, g2, eps, precision_bits)
-    half = separation_experiment(g1, g2, eps / 2, precision_bits)
+    full = separation_experiment(g1, g2, eps)
+    half = separation_experiment(g1, g2, eps / 2)
     err_full = max(full.max_prediction_error)
     err_half = max(half.max_prediction_error)
     if err_half == 0:

@@ -152,7 +152,7 @@ def test_criterion_6_perturbation_separation():
     p1, p2 = perturbed_charpolys(g1, g2)
     assert p1 != p2, "perturbed charpolys coincide exactly in eps"
     eps = Fraction(1, 1000)
-    full, half, ratio = prediction_error_ratio(g1, g2, eps, 192)
+    full, half, ratio = prediction_error_ratio(g1, g2, eps)
     assert full.extra_edges == (((1, 7), (3, 4)), ((1, 3), (2, 4)))
     hausdorff_positive = full.hausdorff_distance > mp.ldexp(1, -48)
     separating_found = full.separating_vector is not None

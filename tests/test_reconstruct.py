@@ -2,15 +2,16 @@ import random
 
 import pytest
 
-from graphspectra.catalog import (complete_graph, cospectral_pair_graphs,
-                                  path_graph, random_connected_graph,
-                                  with_labels, with_powers_of_two)
+from graphspectra.catalog import (complete_graph, connected_graphs,
+                                  cospectral_pair_graphs, path_graph,
+                                  random_connected_graph, with_labels,
+                                  with_powers_of_two)
 from graphspectra.errors import RealizationError, ValidationError
 from graphspectra.forests import enumerate_forests
 from graphspectra.graphs import Graph, build_diffusion_pair, is_isomorphic, relabel_graph
 from graphspectra.polynomials import SpectralPolynomial, spectral_polynomial
-from graphspectra.reconstruct import (DecodedFamily, decode_forest_family,
-                                      realize_graph,
+from graphspectra.reconstruct import (DecodedFamily, _drawings,
+                                      decode_forest_family, realize_graph,
                                       reconstruct_from_polynomial)
 from graphspectra.unipoly import UniPoly
 
@@ -94,6 +95,52 @@ class TestRealize:
             4: frozenset({(frozenset(), 1)})})
         with pytest.raises(RealizationError):
             realize_graph(fam)
+
+    def test_triangle_listed_as_forest_rejected(self):
+        # the paw: triangle 1, 2, 4 on vertices 1..3, pendant 8 at vertex 3.
+        # Its pair adjacency is the paw's line graph, but the triangle is
+        # also listed as a three-edge forest, which no graph has.
+        paw = {
+            1: frozenset({(frozenset({1, 2, 8}), 4), (frozenset({1, 4, 8}), 4),
+                          (frozenset({2, 4, 8}), 4), (frozenset({1, 2, 4}), 4)}),
+            2: frozenset({(frozenset({1, 2}), 3), (frozenset({1, 4}), 3),
+                          (frozenset({2, 4}), 3), (frozenset({2, 8}), 3),
+                          (frozenset({4, 8}), 3), (frozenset({1, 8}), 4)}),
+            3: frozenset({(frozenset({a}), 2) for a in (1, 2, 4, 8)}),
+            4: frozenset({(frozenset(), 1)})}
+        with pytest.raises(RealizationError):
+            realize_graph(DecodedFamily(4, (1, 2, 4, 8), paw))
+
+    def test_family_not_downward_closed_rejected(self):
+        # the path 1, 2 with the single-edge forest {2} missing
+        fam = DecodedFamily(3, (1, 2), {
+            1: frozenset({(frozenset({1, 2}), 3)}),
+            2: frozenset({(frozenset({1}), 2)}),
+            3: frozenset({(frozenset(), 1)})})
+        with pytest.raises(RealizationError):
+            realize_graph(fam)
+
+    def test_every_small_connected_graph(self):
+        # n <= 6 and m <= 11 (133 graphs), each under two shuffled
+        # powers-of-two labelings; includes Whitney's small cases K3, the
+        # star K1,3, the paw, K4 - e and K4.  With triangles told apart from
+        # stars, only the mirror image through the first edge is left.
+        rng = random.Random(5)
+        for n in range(2, 7):
+            for g in connected_graphs(n):
+                if g.m > 11:
+                    continue
+                for _ in range(2):
+                    labels = [1 << i for i in range(g.m)]
+                    rng.shuffle(labels)
+                    dp = with_labels(g, labels, check_subset_sums=True)
+                    fam = decode_forest_family(spectral_polynomial(dp))
+                    assert sum(1 for _ in _drawings(fam)) <= 2
+                    real = realize_graph(fam)
+                    assert is_isomorphic(real.graph, g), (g.edges, labels)
+                    produced = enumerate_forests(real.graph).as_label_families(
+                        real.edge_labels)
+                    assert produced == fam.families
 
     def test_realized_family_round_trips(self):
         rng = random.Random(77)

@@ -585,7 +585,7 @@ class TestSeparation:
     GB = Graph.of(5, [(1, 2), (2, 3), (3, 4), (3, 5)])
 
     def test_split_pair(self):
-        rep = separation_experiment(self.GA, self.GB, Fraction(1, 1000), 192)
+        rep = separation_experiment(self.GA, self.GB, Fraction(1, 1000))
         assert rep.extra_edges == (((4, 5),), ((3, 5),))
         assert rep.hausdorff_distance > mp.mpf(10) ** -10
         assert rep.separating_vector is not None
@@ -594,7 +594,7 @@ class TestSeparation:
 
     def test_first_order_error_shrinks_quadratically(self):
         full, half, ratio = prediction_error_ratio(
-            self.GA, self.GB, Fraction(1, 1000), 192)
+            self.GA, self.GB, Fraction(1, 1000))
         assert float(ratio) >= 3.5
         assert max(float(e) for e in full.max_prediction_error) < 1e-4
 
@@ -603,7 +603,7 @@ class TestSeparation:
             separation_experiment(self.GA, self.GA, Fraction(1, 1000))
 
     def test_prediction_count_matches_spectrum(self):
-        rep = separation_experiment(self.GA, self.GB, Fraction(1, 1000), 160)
+        rep = separation_experiment(self.GA, self.GB, Fraction(1, 1000))
         assert len(rep.predictions[0]) == 5
         assert len(rep.spectra[0]) == 5
 
@@ -616,7 +616,7 @@ class TestSeparation:
         from graphspectra.catalog import cospectral_pair_graphs
 
         g1, g2 = cospectral_pair_graphs()
-        rep = separation_experiment(g1, g2, Fraction(1, 1000), 192)
+        rep = separation_experiment(g1, g2, Fraction(1, 1000))
         assert rep.common_edges == tuple(sorted(set(g1.edges) & set(g2.edges)))
         assert rep.extra_edges == (((1, 7),), ((1, 3),))
         assert len(rep.common_edges) == 9
