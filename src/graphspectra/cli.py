@@ -109,11 +109,12 @@ def _cmd_evaluate(args):
 
 
 def _cmd_reconstruct(args):
-    from .reconstruct import reconstruct_from_polynomial
+    from .reconstruct import decode_forest_family, realize_graph
 
     P = spectral_poly_from_text(_read(args.polynomial))
-    g = reconstruct_from_polynomial(P)
-    _write(args.output, graph_to_text(g))
+    edge_labels = realize_graph(decode_forest_family(P)).edge_labels
+    dp = build_diffusion_pair(P.n, [(u, v, a) for (u, v), a in edge_labels.items()])
+    _write(args.output, graph_to_text(dp))
     return 0
 
 

@@ -12,7 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
+from operator import mul
 
 from .errors import PrecisionError, ValidationError, parse_ints
 from .graphs import symbolic_laplacian
@@ -119,18 +120,113 @@ class SpectralPolynomial:
         return " + ".join(parts) if parts else "0"
 
 
+# Packed size up to which spectral_polynomial substitutes Y = 2^B.  On
+# powers-of-two graphs with n = 5..8 (CPU time, 2-vCPU x86 machine) the
+# packed run was 1.6x to 11x as fast as the Z[Y] run up to 2^16 bits, and
+# 0.28x to 2.5x as fast from 126,992 to 617,747 bits, where CPython's
+# Karatsuba products are mostly zero digits.
+_PACKED_MAX_BITS = 1 << 16
+
+
 def spectral_polynomial(dp):
     """Exact P(X, Y) of a diffusion pair.
 
-    The division-free characteristic polynomial runs once over the
-    polynomial ring Z[Y] on the symbolic Laplacian, so the cost follows the
-    sparse supports of the entries, not the total label weight.
+    The division-free characteristic polynomial runs once on the symbolic
+    Laplacian L(Y).  Every coefficient of a_i(Y) has the sign (-1)^(n-i)
+    (all-minors matrix-tree theorem), so their absolute values sum to at
+    most sum_i |a_i(1)| = det(I + L(1)) <= prod_v (1 + deg v) (Hadamard).
+    With 2^(B-1) above that product, the integer a_i(2^B) holds the
+    coefficients of a_i as B-bit digits.  While the packed integers have at
+    most _PACKED_MAX_BITS bits, the recursion runs once on them
+    (`_packed_charpoly`); beyond that, where the products are mostly zero
+    digits, it runs over Z[Y], whose cost follows the sparse supports of
+    the entries rather than the label weight.
     """
     n = dp.graph.n
+    width = prod(1 + dp.graph.degree(u) for u in range(1, n + 1)).bit_length() + 1
+    # a forest has at most n - 1 edges, which bounds every Y-degree
+    count = 1 + sum(sorted(dp.label_values(), reverse=True)[:n - 1])
+    if width * count <= _PACKED_MAX_BITS:
+        return SpectralPolynomial(n, _packed_charpoly(n, dp.labels, width, count))
     cp = charpoly_division_free(symbolic_laplacian(dp))
     # the leading 1 comes back as a plain int; lift every a_i into Z[Y]
     return SpectralPolynomial(
         n, tuple(UniPoly.zero() + cp.coefficient(i) for i in range(n + 1)))
+
+
+def _packed_charpoly(n, labels, width, count):
+    """a_0 .. a_n of det(X*I - L(Y)) for the Laplacian of the labelled
+    edges ((u, v), a), given that its coefficients are B-bit digits
+    (B = width) of Y-degree below count, by one Berkowitz run on integers
+    at Y = 2^B (Kronecker substitution).
+
+    Y -> 2^B followed by reduction mod 2^N, N = B * count, is a ring map,
+    so the recursion runs on residues: a value is cut to its balanced
+    residue once it outgrows N bits.  Every off-diagonal entry is -Y^a and
+    every diagonal entry a sum of such powers, so products with entries
+    are shifts and adds; only the Toeplitz step multiplies two packed
+    integers.  Since |a_i(2^B)| < 2^(N-1), the balanced residue of a_i is
+    a_i(2^B) itself.
+    """
+    N = width * count
+    mask = (1 << N) - 1
+
+    def residue(x):
+        x &= mask
+        return x - (1 << N) if x >> (N - 1) else x
+
+    def cut(x):
+        return residue(x) if x.bit_length() > N else x
+
+    # the edges at each vertex as (other end, shift) pairs
+    star = [[] for _ in range(n)]
+    for (u, w), a in labels:
+        star[u - 1].append((w - 1, width * a))
+        star[w - 1].append((u - 1, width * a))
+
+    # charpoly of the leading k x k block, descending powers of X
+    C = [1, -sum(1 << s for _, s in star[0])]
+    for k in range(1, n):
+        v = [0] * k  # the column above the diagonal entry L[k][k]
+        for i, s in star[k]:
+            if i < k:
+                v[i] = -1 << s
+        t = [1, -sum(1 << s for _, s in star[k])]
+        for j in range(k):
+            # -R * v, where row k left of the diagonal is -Y^a at each neighbour
+            t.append(cut(sum(v[i] << s for i, s in star[k] if i < k)))
+            if j < k - 1:
+                # M * v: each edge at i adds Y^a (v_i - v_l), v_l only inside the block
+                v = [cut(sum((x - v[l] if l < k else x) << s for l, s in star[i]))
+                     for i, x in enumerate(v)]
+        # C_new = T * C with T lower-triangular Toeplitz, first column t:
+        # C_new[i] = sum_j t[i - j] * C[j], a dot product with t reversed
+        t.reverse()
+        C = [cut(sum(map(mul, t[k + 1 - i:], C))) for i in range(k + 2)]
+    coeffs = []
+    for x in reversed(C):
+        x = residue(x)
+        digits = _digits(abs(x), width)
+        coeffs.append(UniPoly({k: -d for k, d in digits.items()} if x < 0 else digits))
+    return tuple(coeffs)
+
+
+def _digits(x, width):
+    """The nonzero base-2^width digits of x >= 0 as {position: digit}; a
+    run of zero digits is skipped in one shift."""
+    out = {}
+    low = (1 << width) - 1
+    k = 0
+    while x:
+        if x & low:
+            out[k] = x & low
+            x >>= width
+            k += 1
+        else:
+            zeros = ((x & -x).bit_length() - 1) // width
+            x >>= width * zeros
+            k += zeros
+    return out
 
 
 def evaluate_y(P, y):
@@ -382,7 +478,7 @@ def spectral_poly_from_text(text):
     if not rows or not rows[0].startswith("spoly n="):
         raise ValidationError("missing 'spoly n=<n>' header")
     [n] = parse_ints([rows[0].split("=", 1)[1]], rows[0])
-    coeffs = [dict() for _ in range(n + 1)]
+    coeffs = {}
     for ln in rows[1:]:
         parts = ln.split()
         if len(parts) != 3:
@@ -390,7 +486,13 @@ def spectral_poly_from_text(text):
         c, j, k = parse_ints(parts, ln)
         if not 0 <= j <= n:
             raise ValidationError(f"X-degree {j} outside 0..{n}")
-        if k in coeffs[j]:
+        terms = coeffs.setdefault(j, {})
+        if k in terms:
             raise ValidationError(f"duplicate monomial X^{j} Y^{k}")
-        coeffs[j][k] = c
-    return SpectralPolynomial(n, tuple(UniPoly(d) for d in coeffs))
+        terms[k] = c
+    # a dict only for the X-degrees present: absent degrees share one zero
+    # (nothing mutates .terms), so a large n costs a pointer per degree
+    a = [UniPoly.zero()] * (n + 1)
+    for j, terms in coeffs.items():
+        a[j] = UniPoly(terms)
+    return SpectralPolynomial(n, tuple(a))

@@ -53,8 +53,11 @@ class UniPoly:
 
     def is_integer(self):
         """True when every stored coefficient is an integer value."""
+        if not self.terms:
+            return True
         for c in self.terms.values():
-            if isinstance(c, Fraction) and c.denominator != 1:
+            # ints first: isinstance against Fraction goes through the ABC machinery
+            if not isinstance(c, int) and isinstance(c, Fraction) and c.denominator != 1:
                 return False
         return True
 

@@ -17,12 +17,19 @@ def k3_file(tmp_path):
 
 
 def test_curve_reconstruct_round_trip(tmp_path, k3_file):
-    poly = tmp_path / "k3.spoly"
-    assert main(["curve", str(k3_file), "-o", str(poly)]) == 0
-    out = tmp_path / "back.graph"
-    assert main(["reconstruct", str(poly), "-o", str(out)]) == 0
-    g = graph_from_text(out.read_text()).graph
-    assert g.n == 3 and g.m == 3
+    p3_file = tmp_path / "p3.graph"
+    p3_file.write_text("3 2\n1 2 1\n2 3 1000000000\n")
+    for source, m in ((k3_file, 3), (p3_file, 2)):
+        poly = tmp_path / "first.spoly"
+        assert main(["curve", str(source), "-o", str(poly)]) == 0
+        out = tmp_path / "back.graph"
+        assert main(["reconstruct", str(poly), "-o", str(out)]) == 0
+        g = graph_from_text(out.read_text()).graph
+        assert g.n == 3 and g.m == m
+        # the recovered labels are written, so the curve comes back byte for byte
+        again = tmp_path / "again.spoly"
+        assert main(["curve", str(out), "-o", str(again)]) == 0
+        assert again.read_bytes() == poly.read_bytes()
 
 
 def test_tangent_cone_and_evaluate(tmp_path, k3_file, capsys):

@@ -1,15 +1,20 @@
 import random
+import time
+import tracemalloc
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from graphspectra import polynomials
 from graphspectra.catalog import (complete_graph, connected_graphs,
                                   cospectral_pair, random_connected_graph,
                                   with_labels, with_powers_of_two)
 from graphspectra.errors import PrecisionError, ValidationError
-from graphspectra.graphs import build_diffusion_pair
+from graphspectra.forests import buslov_polynomial
+from graphspectra.graphs import Graph, build_diffusion_pair, graph_from_text
 from graphspectra.polynomials import (SpectralPolynomial,
                                       charpoly_division_free, evaluate_y,
                                       interpolate_spectral_poly,
@@ -133,6 +138,54 @@ class TestSpectralPolynomial:
             assert P.y_degree == best
             assert P.y_degree <= dp.total_weight
             assert (P.y_degree == dp.total_weight) == (g.m == g.n - 1)
+
+
+def _route_cases():
+    """(name, pair, packed?) on both sides of the 2^16-bit packed size."""
+    rng = random.Random(53)
+    yield "single vertex", build_diffusion_pair(1, []), True
+    two_parts = Graph.of(6, [(1, 2), (1, 3), (2, 3), (4, 5), (5, 6)])
+    yield "disconnected", with_labels(two_parts, rng.sample(range(1, 201), 5)), True
+    yield "default labels", graph_from_text(
+        "5 7\n1 2\n1 3\n2 3\n3 4\n4 5\n2 5\n1 5\n"), True
+    for n in (4, 5, 6, 7):
+        g = random_connected_graph(n, rng)
+        labels = rng.sample(range(1, 201), g.m)
+        yield f"labels 1..200, n={n}", with_labels(g, labels), True
+    k6 = list(combinations(range(1, 7), 2))
+    for m, packed in ((10, True), (13, False), (15, False)):
+        dp = with_powers_of_two(Graph.of(6, k6[:m]))
+        yield f"powers of two, n=6, m={m}", dp, packed
+    k5 = complete_graph(5)
+    dp = with_labels(k5, rng.sample(range(1, 5001), k5.m))
+    yield "K5, labels 1..5000", dp, False
+    g = random_connected_graph(7, rng)
+    labels = [1 << i for i in range(g.m)]
+    rng.shuffle(labels)
+    yield "powers of two, n=7", with_labels(g, labels), True
+
+
+class TestPackedRoute:
+    def test_both_routes_match_oracles(self, monkeypatch):
+        calls = []
+        packed = polynomials._packed_charpoly
+        monkeypatch.setattr(polynomials, "_packed_charpoly",
+                            lambda *args: calls.append(args) or packed(*args))
+        for name, dp, expect_packed in _route_cases():
+            calls.clear()
+            P = spectral_polynomial(dp)
+            assert bool(calls) == expect_packed, name
+            assert P == buslov_polynomial(dp), name
+            if dp.graph.n <= 6:
+                assert as_monomial_dict(P) == naive_spectral_polynomial(dp), name
+
+    def test_huge_label_takes_the_ring_route_quickly(self):
+        # packing (1, 10^9) would need an integer of about 10^10 bits
+        dp = build_diffusion_pair(3, [(1, 2, 1), (2, 3, 10 ** 9)])
+        start = time.process_time()
+        P = spectral_polynomial(dp)
+        assert time.process_time() - start < 1
+        assert P == buslov_polynomial(dp)
 
 
 class TestEvaluateY:
@@ -301,3 +354,16 @@ class TestPolyFormat:
     def test_header_required(self):
         with pytest.raises(ValidationError):
             spectral_poly_from_text("1 2 0\n")
+
+    def test_large_header_costs_no_memory_per_absent_degree(self):
+        # n = 2,000,000 needed 353 MiB when every X-degree got its own dict;
+        # now only the pointers to one shared zero remain
+        n = 2_000_000
+        tracemalloc.start()
+        try:
+            P = spectral_poly_from_text(f"spoly n={n}\n1 {n} 0\n")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert P.n == n and P.coefficient(n) == UniPoly.const(1)
+        assert peak < 24 * (n + 1)
