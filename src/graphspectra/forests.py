@@ -51,57 +51,59 @@ class ForestFamily:
         return out
 
 
-def enumerate_forests(g):
-    """Every acyclic edge subset of g with its component-size product gamma.
+def forest_masks(n, edges):
+    """Every acyclic subset of `edges` on vertices 1..n, as a list of
+    (components, bit mask over indices into `edges`, gamma) records.
 
-    Depth-first over the sorted edge list with union-find pruning, so only
-    forests (plus one rejected extension each) are ever visited.  A graph
-    with more than EDGE_CAP edges raises ValidationError.
+    Depth-first over the edges in the given order with union-find pruning,
+    so only forests (plus one rejected extension each) are ever visited.
+    Gamma, the component-size product, is carried through each union of
+    sizes a and b as gamma * (a + b) / (a * b), exact because a * b divides
+    it.  More than EDGE_CAP edges raise ValidationError.
     """
-    if g.m > EDGE_CAP:
+    if len(edges) > EDGE_CAP:
         raise ValidationError(
-            f"edge count {g.m} above enumeration cap {EDGE_CAP}")
-    edges = g.sorted_edges()
-    n = g.n
+            f"edge count {len(edges)} above enumeration cap {EDGE_CAP}")
     parent = list(range(n + 1))
     size = [1] * (n + 1)
+    out = []
 
     def find(u):
         while parent[u] != u:
             u = parent[u]
         return u
 
-    families = {}
-
-    def record(chosen):
-        i = n - len(chosen)
-        gamma = 1
-        for u in range(1, n + 1):
-            if find(u) == u:
-                gamma *= size[u]
-        families.setdefault(i, []).append((frozenset(chosen), gamma))
-
-    chosen = []
-
-    def explore(start):
-        record(chosen)
+    def explore(start, i, mask, gamma):
+        out.append((i, mask, gamma))
         for j in range(start, len(edges)):
             u, v = edges[j]
             ru, rv = find(u), find(v)
             if ru == rv:
                 continue
-            if size[ru] < size[rv]:
-                ru, rv = rv, ru
+            a, b = size[ru], size[rv]
+            if a < b:
+                ru, rv, a, b = rv, ru, b, a
             parent[rv] = ru
-            size[ru] += size[rv]
-            chosen.append(edges[j])
-            explore(j + 1)
-            chosen.pop()
-            size[ru] -= size[rv]
+            size[ru] = a + b
+            explore(j + 1, i - 1, mask | 1 << j, gamma // (a * b) * (a + b))
+            size[ru] = a
             parent[rv] = rv
 
-    explore(0)
-    return ForestFamily(n, {i: tuple(recs) for i, recs in families.items()})
+    explore(0, n, 0, 1)
+    return out
+
+
+def enumerate_forests(g):
+    """Every acyclic edge subset of g with its component-size product gamma,
+    enumerated by forest_masks over the sorted edge list.  A graph with more
+    than EDGE_CAP edges raises ValidationError.
+    """
+    edges = g.sorted_edges()
+    families = {}
+    for i, mask, gamma in forest_masks(g.n, edges):
+        chosen = frozenset(e for j, e in enumerate(edges) if mask >> j & 1)
+        families.setdefault(i, []).append((chosen, gamma))
+    return ForestFamily(g.n, {i: tuple(recs) for i, recs in families.items()})
 
 
 def buslov_polynomial(dp):

@@ -474,7 +474,7 @@ def spectral_poly_to_text(P):
 
 
 def spectral_poly_from_text(text):
-    rows = [ln.strip() for ln in text.splitlines() if ln.strip()]
+    rows = [ln for ln in map(str.strip, text.splitlines()) if ln]
     if not rows or not rows[0].startswith("spoly n="):
         raise ValidationError("missing 'spoly n=<n>' header")
     [n] = parse_ints([rows[0].split("=", 1)[1]], rows[0])
@@ -483,9 +483,14 @@ def spectral_poly_from_text(text):
         parts = ln.split()
         if len(parts) != 3:
             raise ValidationError(f"bad monomial line {ln!r}")
-        c, j, k = parse_ints(parts, ln)
+        try:
+            c, j, k = map(int, parts)
+        except ValueError:
+            raise ValidationError(f"non-integer token in {ln!r}") from None
         if not 0 <= j <= n:
             raise ValidationError(f"X-degree {j} outside 0..{n}")
+        if k < 0:
+            raise ValidationError(f"negative Y-degree {k}")
         terms = coeffs.setdefault(j, {})
         if k in terms:
             raise ValidationError(f"duplicate monomial X^{j} Y^{k}")

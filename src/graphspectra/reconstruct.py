@@ -23,7 +23,7 @@ from functools import lru_cache
 from itertools import combinations
 
 from .errors import RealizationError, ValidationError
-from .forests import enumerate_forests
+from .forests import forest_masks
 from .graphs import Graph
 
 
@@ -54,30 +54,46 @@ def _component_size_products(n, parts):
     return frozenset(out)
 
 
-def _subset_with_sum(labels, target, limit=2):
-    """Label subsets summing to target, at most `limit` collected."""
-    labels = sorted(labels, reverse=True)
-    suffix = [0] * (len(labels) + 1)
-    for i in range(len(labels) - 1, -1, -1):
-        suffix[i] = suffix[i + 1] + labels[i]
-    found = []
+def _subset_decoder(labels):
+    """A function from a target to the bit masks (bit j for labels[j]) of
+    the label subsets summing to it, at most two collected: two mean the
+    labels are not subset-sum distinct.
 
-    def walk(i, t, chosen):
-        if len(found) >= limit:
-            return
-        if t == 0:
-            found.append(frozenset(chosen))
-            return
-        if i == len(labels) or t < 0 or t > suffix[i]:
-            return
-        if labels[i] <= t:
-            chosen.append(labels[i])
-            walk(i + 1, t - labels[i], chosen)
-            chosen.pop()
-        walk(i + 1, t, chosen)
+    Labels are tried largest first, depth first on an explicit stack: each
+    branch takes labels while it can, stacking the branch that skips one
+    instead whenever the labels after it still reach the target.
+    """
+    order = sorted(range(len(labels)), key=labels.__getitem__, reverse=True)
+    values = [labels[j] for j in order]
+    bits = [1 << j for j in order]
+    suffix = [0] * (len(values) + 1)
+    for i in range(len(values) - 1, -1, -1):
+        suffix[i] = suffix[i + 1] + values[i]
+    depth = len(values)
 
-    walk(0, target, [])
-    return found
+    def subsets(target):
+        if target == 0:
+            return [0]
+        found = []
+        stack = [(0, target, 0)] if target <= suffix[0] else []
+        while stack and len(found) < 2:
+            i, t, mask = stack.pop()  # 0 < t <= suffix[i]
+            for j in range(i, depth):
+                v = values[j]
+                if t <= suffix[j + 1]:
+                    if v > t:
+                        continue
+                    stack.append((j + 1, t, mask))
+                elif v > t:
+                    break
+                t -= v
+                mask |= bits[j]
+                if not t:
+                    found.append(mask)
+                    break
+        return found
+
+    return subsets
 
 
 def decode_forest_family(P):
@@ -96,9 +112,11 @@ def decode_forest_family(P):
         if c != -2:
             raise ValidationError(
                 f"single-edge coefficient at Y^{k} is {c}, expected -2")
+    subsets = _subset_decoder(labels)
     families = {}
     for i in range(1, n + 1):
         sign = (-1) ** (n - i)
+        products = _component_size_products(n, i)
         records = set()
         for k, c in P.coefficient(i).terms.items():
             if c * sign < 0:
@@ -107,7 +125,7 @@ def decode_forest_family(P):
             if k == 0:
                 subset = frozenset()
             else:
-                hits = _subset_with_sum(labels, k)
+                hits = subsets(k)
                 if not hits:
                     raise ValidationError(
                         f"exponent {k} in a_{i} has no label-subset decomposition")
@@ -115,13 +133,14 @@ def decode_forest_family(P):
                     raise ValidationError(
                         f"exponent {k} in a_{i} decomposes into several label "
                         f"subsets; labels are not subset-sum distinct")
-                subset = hits[0]
+                subset = frozenset(
+                    [a for j, a in enumerate(labels) if hits[0] >> j & 1])
             if len(subset) != n - i:
                 raise ValidationError(
                     f"exponent {k} in a_{i} decodes to {len(subset)} edges, "
                     f"expected {n - i}")
             gamma = abs(c)
-            if gamma not in _component_size_products(n, i):
+            if gamma not in products:
                 raise ValidationError(
                     f"magnitude {gamma} in a_{i} is not a product of component "
                     f"sizes for {i} components on {n} vertices")
@@ -131,6 +150,23 @@ def decode_forest_family(P):
     if n not in families:
         raise ValidationError("missing empty forest (a_n must be 1)")
     return DecodedFamily(n, labels, families)
+
+
+def _label_masks(fam):
+    """fam.families as a set of (components, label bit mask, gamma), or None
+    when no graph's family equals it: a subset holds a label outside
+    fam.labels, or some component count has no forest listed.  A subset
+    listed with two gammas gives two records, which no graph's set has.
+    """
+    if not all(fam.families.values()):
+        return None
+    bit = {a: 1 << j for j, a in enumerate(fam.labels)}
+    try:
+        return {(i, sum(map(bit.__getitem__, subset)), gamma)
+                for i, records in fam.families.items()
+                for subset, gamma in records}
+    except KeyError:
+        return None
 
 
 def realize_graph(fam):
@@ -144,12 +180,16 @@ def realize_graph(fam):
     that agrees with them is, for a family read off a real graph, that
     graph.  A drawing is accepted only if its enumerated forest family
     equals the decoded one, which also rejects every family that no graph
-    has (disconnected, not downward closed, wrong magnitudes).
+    has (disconnected, not downward closed, wrong magnitudes).  The drawing's
+    edges are enumerated in fam.labels order, so its edge masks are label
+    masks and both families compare as sets of (components, mask, gamma).
     """
+    target = _label_masks(fam)
     for edge_labels in _drawings(fam):
         graph = Graph.of(fam.n, list(edge_labels))
-        produced = enumerate_forests(graph).as_label_families(edge_labels)
-        if produced == fam.families:
+        edge_of = {a: e for e, a in edge_labels.items()}
+        edges = [edge_of[a] for a in fam.labels]
+        if set(forest_masks(fam.n, edges)) == target:
             return Realization(graph, edge_labels)
     raise RealizationError("no graph realizes the decoded forest family")
 

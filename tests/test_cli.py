@@ -74,6 +74,7 @@ def _spectra_at_two_primes(fields, width):
     ("curve", "3 2\n1 x 3\n2 3 1\n", []),
     ("cluster", "spectrum q=5 rmin rmax=1 prec=64\n0\n", []),
     ("reconstruct", "spoly n=2\n1 2 0\n1 2 z\n", []),
+    ("reconstruct", "spoly n=2\n1 2 0\n-2 1 -1\n", []),
     ("curve", "3 2\n1 2\n2 3\n", ["--labels", "1,b"]),
     ("curve", "3 2\n1 2\n2 3\n", ["--labels", "1"]),
     ("cluster", "spectrum q=5 rmin=0 rmax=1 prec=64\n0\nabc\n", []),
@@ -91,8 +92,8 @@ def _spectra_at_two_primes(fields, width):
     ("cluster", ("spectrum q=5 rmin=-1 rmax=1 prec=64\n-25\n0\n0\n0\n1\n5\n",
                  "spectrum q=7 rmin=-1 rmax=1 prec=64\n0\n0\n0\n1\n7\n49\n"), []),
 ], ids=["self-loop", "graph-token", "spectrum-field", "spoly-token",
-        "labels-token", "labels-count", "spectrum-value", "spectrum-exponent",
-        "spectrum-digits",
+        "spoly-negative-degree", "labels-token", "labels-count",
+        "spectrum-value", "spectrum-exponent", "spectrum-digits",
         "clusters-field", "y-value", "epsilon-value", "spectrum-window-reversed",
         "spectrum-window-without-level-1", "spectrum-precision", "spectrum-prime",
         "spectrum-negative"])

@@ -114,6 +114,7 @@ def test_spectrum_parser_fuzz(text):
 @given(_text(st.builds(lambda n: f"spoly n={n}", _TOKEN),
              st.one_of(_row(_TOKEN, _TOKEN, _TOKEN), _row(_TOKEN, _TOKEN))))
 @example("spoly n=-1\n")  # no coefficient to be monic
+@example("spoly n=2\n1 2 0\n-2 1 -1\n")  # negative Y-degree
 def test_spectral_poly_parser_fuzz(text):
     _round_trips(spectral_poly_from_text, spectral_poly_to_text, text)
 

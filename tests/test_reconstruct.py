@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from graphspectra.catalog import (complete_graph, connected_graphs,
                                   cospectral_pair_graphs, path_graph,
@@ -11,9 +13,11 @@ from graphspectra.forests import enumerate_forests
 from graphspectra.graphs import Graph, build_diffusion_pair, is_isomorphic, relabel_graph
 from graphspectra.polynomials import SpectralPolynomial, spectral_polynomial
 from graphspectra.reconstruct import (DecodedFamily, _drawings,
-                                      decode_forest_family, realize_graph,
+                                      _subset_decoder, decode_forest_family,
+                                      realize_graph,
                                       reconstruct_from_polynomial)
 from graphspectra.unipoly import UniPoly
+from naive_oracles import subset_with_sum
 
 
 def _poly(n, coeff_dicts):
@@ -64,6 +68,20 @@ class TestDecode:
             dp = with_powers_of_two(g)
             fam = decode_forest_family(spectral_polynomial(dp))
             assert sorted(fam.labels) == sorted(dp.label_values())
+
+
+@given(st.data(), st.one_of(
+    st.sets(st.integers(1, 40), max_size=8),
+    st.sampled_from([{1, 2, 3}, {1, 2, 3, 4, 5}, {2, 4, 6, 8}, {3, 5, 8, 13}])))
+def test_decoder_agrees_with_recursive_search(data, labels):
+    # labels need not be subset-sum distinct: {1, 2, 3} reads 3 as {3} or {1, 2}
+    labels = tuple(sorted(labels))
+    target = data.draw(st.integers(0, sum(labels)))
+    masks = _subset_decoder(labels)(target)
+    oracle = subset_with_sum(labels, target)
+    assert len(masks) == len(oracle)
+    if len(masks) == 1:
+        assert {a for j, a in enumerate(labels) if masks[0] >> j & 1} == oracle[0]
 
 
 class TestRealize:
@@ -117,6 +135,26 @@ class TestRealize:
             1: frozenset({(frozenset({1, 2}), 3)}),
             2: frozenset({(frozenset({1}), 2)}),
             3: frozenset({(frozenset(), 1)})})
+        with pytest.raises(RealizationError):
+            realize_graph(fam)
+
+    # K3 with labels 1, 2, 4, each family changed where the drawings do
+    # not look (the drawings read only the two- and three-edge forests)
+    _K3 = {1: frozenset({(frozenset({1, 2}), 3), (frozenset({1, 4}), 3),
+                         (frozenset({2, 4}), 3)}),
+           2: frozenset({(frozenset({1}), 2), (frozenset({2}), 2),
+                         (frozenset({4}), 2)}),
+           3: frozenset({(frozenset(), 1)})}
+
+    @pytest.mark.parametrize("changed", [
+        {2: _K3[2] | {(frozenset({8}), 2)}},  # a label outside fam.labels
+        {0: frozenset()},  # a component count with no forest listed
+        {2: _K3[2] | {(frozenset({1}), 3)}},  # one subset with two gammas
+    ], ids=["foreign-label", "empty-records", "two-gammas"])
+    def test_hand_built_family_rejected(self, changed):
+        assert realize_graph(DecodedFamily(3, (1, 2, 4), self._K3)).graph.m == 3
+        fam = DecodedFamily(3, (1, 2, 4), {**self._K3, **changed})
+        assert sum(1 for _ in _drawings(fam)) > 0
         with pytest.raises(RealizationError):
             realize_graph(fam)
 
@@ -212,3 +250,38 @@ class TestReconstruct:
         r2 = reconstruct_from_polynomial(P2)
         assert r1.edges == r2.edges
         assert is_isomorphic(r1, g)
+
+
+_GRAPHS = [g for n in range(2, 6) for g in connected_graphs(n)]
+
+
+@st.composite
+def _small_polynomials(draw):
+    """Random monic P with a_0 = 0 (n <= 5, Y-degrees <= 12, coefficients
+    -8..8), or a small graph's P under labels from 1..12 with at most one
+    monomial changed, so that both rejection and success are reached."""
+    if draw(st.booleans()):
+        n = draw(st.integers(1, 5))
+        middle = [draw(st.dictionaries(st.integers(0, 12), st.integers(-8, 8),
+                                       max_size=6)) for _ in range(n - 1)]
+        return _poly(n, [{}] + middle + [{0: 1}])
+    g = draw(st.sampled_from(_GRAPHS))
+    labels = draw(st.lists(st.integers(1, 12), min_size=g.m, max_size=g.m,
+                           unique=True))
+    P = spectral_polynomial(with_labels(g, labels))
+    coeffs = [dict(a.terms) for a in P.coeffs]
+    if draw(st.booleans()):
+        i = draw(st.integers(1, g.n - 1))
+        coeffs[i][draw(st.integers(0, 12))] = draw(st.integers(-8, 8))
+    return _poly(g.n, coeffs)
+
+
+@given(_small_polynomials())
+def test_reconstruction_reproduces_polynomial_or_rejects(P):
+    try:
+        reconstruct_from_polynomial(P)
+    except ValidationError:
+        return
+    real = realize_graph(decode_forest_family(P))
+    dp = build_diffusion_pair(P.n, [(u, v, a) for (u, v), a in real.edge_labels.items()])
+    assert spectral_polynomial(dp) == P
