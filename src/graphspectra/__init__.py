@@ -16,8 +16,7 @@ from .graphs import (DiffusionPair, Graph, Multigraph, build_diffusion_pair,
                      canonical_form, cartesian_product, edge_set_laplacian,
                      graph_from_text, graph_to_text, is_isomorphic,
                      is_subset_sum_distinct, laplacian_matrix,
-                     quotient_graph, seminorm_sq,
-                     sum_distinct_labels, symbolic_laplacian)
+                     quotient_graph, seminorm_sq, sum_distinct_labels)
 from .polynomials import (HomogeneousPart, InterpolationResult,
                           SpectralPolynomial, charpoly_division_free,
                           evaluate_y, interpolate_spectral_poly,

@@ -12,7 +12,7 @@ from functools import lru_cache
 from itertools import combinations
 
 from .errors import ValidationError
-from .graphs import Graph, build_diffusion_pair, canonical_form, is_isomorphic
+from .graphs import Graph, build_diffusion_pair, canonical_form
 
 
 def path_graph(n):

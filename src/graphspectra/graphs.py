@@ -2,15 +2,14 @@
 
 A diffusion pair is a finite simple graph together with distinct positive
 integer edge labels; edge {u,v} with label a carries the symbolic weight
-Y^a.  Everything here is exact: matrices hold ints or Fractions, never
-floats.  Vertices are 1-based and edges are stored as (u, v) with u < v.
+Y^a.  Everything here is exact: matrices hold ints, never floats.
+Vertices are 1-based and edges are stored as (u, v) with u < v.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
 from .errors import ValidationError, parse_ints
-from .unipoly import UniPoly
 
 
 def _normalize_edge(u, v):
@@ -122,7 +121,6 @@ class DiffusionPair:
 
     graph: Graph
     labels: tuple = ()  # sorted tuple of ((u, v), label)
-    subset_sum_distinct: bool | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "labels", tuple(sorted(self.labels)))
@@ -159,7 +157,7 @@ def build_diffusion_pair(n, weighted_edges, require_distinct_labels=True,
 
     Distinct labels are required by default; disable only for oracle-style
     uses (e.g. uniform weights).  With check_subset_sums=True the strictly
-    stronger distinct-subset-sum property is verified and recorded.
+    stronger distinct-subset-sum property is verified too.
     """
     edges = []
     labels = []
@@ -175,55 +173,9 @@ def build_diffusion_pair(n, weighted_edges, require_distinct_labels=True,
     values = [a for _, a in labels]
     if require_distinct_labels and len(set(values)) != len(values):
         raise ValidationError("duplicate label (labels must be pairwise distinct)")
-    ssd = None
-    if check_subset_sums:
-        ssd = is_subset_sum_distinct(values)
-        if not ssd:
-            raise ValidationError("labels do not have distinct subset sums")
-    return DiffusionPair(graph, tuple(labels), ssd)
-
-
-def _assemble_laplacian(n, weighted_edges, zero):
-    """Sum of w * (e_u - e_v)(e_u - e_v)^T over ((u, v), w) pairs.
-
-    Entries are rebound, never mutated in place, so the shared zero is safe
-    for any immutable ring element (int, Fraction, UniPoly).
-    """
-    L = [[zero] * n for _ in range(n)]
-    for (u, v), w in weighted_edges:
-        L[u - 1][v - 1] -= w
-        L[v - 1][u - 1] -= w
-        L[u - 1][u - 1] += w
-        L[v - 1][v - 1] += w
-    return L
-
-
-def symbolic_laplacian(dp):
-    """Matrix over Z[Y]: entry (a,b) = -Y^{label(ab)} on edges, row sums zero."""
-    return _assemble_laplacian(
-        dp.graph.n, ((e, UniPoly.monomial(1, a)) for e, a in dp.labels),
-        UniPoly.zero())
-
-
-def integer_level_laplacian(dp, q, r):
-    """(s, s * L_r): the level-r Laplacian scaled by the least s >= 1 that
-    makes every entry an integer.
-
-    For r <= 1 the weights q^((1-r)*a) are integers and s = 1.  For r > 1,
-    with t = q^(r-1) and A the largest label, the weights 1/t^a become
-    t^(A-a) and s = t^A: the edge labelled A alone makes an off-diagonal
-    entry -1/t^A, so no smaller s clears the denominators.
-    """
-    if q < 2:
-        raise ValidationError("q must be at least 2")
-    if r <= 1:
-        y = q ** (1 - r)
-        return 1, _assemble_laplacian(
-            dp.graph.n, ((e, y ** a) for e, a in dp.labels), 0)
-    t = q ** (r - 1)
-    top = max((a for _, a in dp.labels), default=0)
-    return t ** top, _assemble_laplacian(
-        dp.graph.n, ((e, t ** (top - a)) for e, a in dp.labels), 0)
+    if check_subset_sums and not is_subset_sum_distinct(values):
+        raise ValidationError("labels do not have distinct subset sums")
+    return DiffusionPair(graph, tuple(labels))
 
 
 def laplacian_matrix(g):
@@ -233,11 +185,16 @@ def laplacian_matrix(g):
 
 def edge_set_laplacian(n, pairs):
     """Sum of single-edge Laplacians over the pairs (repeats add up); positive semidefinite."""
-    edges = [_normalize_edge(u, v) for u, v in pairs]
-    for e in edges:
-        if e[1] > n:
-            raise ValidationError(f"pair {e} outside 1..{n}")
-    return _assemble_laplacian(n, ((e, 1) for e in edges), 0)
+    L = [[0] * n for _ in range(n)]
+    for u, v in pairs:
+        u, v = _normalize_edge(u, v)
+        if v > n:
+            raise ValidationError(f"pair {(u, v)} outside 1..{n}")
+        L[u - 1][v - 1] -= 1
+        L[v - 1][u - 1] -= 1
+        L[u - 1][u - 1] += 1
+        L[v - 1][v - 1] += 1
+    return L
 
 
 def seminorm_sq(v, pairs):
@@ -336,49 +293,11 @@ def _refine_colors(g):
 
 
 def is_isomorphic(g1, g2):
-    """Backtracking vertex-bijection search with degree and adjacency pruning."""
-    if g1.n != g2.n or g1.m != g2.m:
-        return False
-    if g1.degree_sequence() != g2.degree_sequence():
-        return False
-    c1, c2 = _refine_colors(g1), _refine_colors(g2)
-    if sorted(c1.values()) != sorted(c2.values()):
-        return False
-    n = g1.n
-    adj1 = {u: g1.neighbors(u) for u in range(1, n + 1)}
-    adj2 = {u: g2.neighbors(u) for u in range(1, n + 1)}
-    # Map most-constrained vertices first.
-    order = sorted(range(1, n + 1), key=lambda u: (-g1.degree(u), c1[u], u))
-    mapping = {}
-    used = set()
-
-    def extend(i):
-        if i == n:
-            return True
-        u = order[i]
-        for v in range(1, n + 1):
-            if v in used or c1[u] != c2[v]:
-                continue
-            ok = True
-            for w in adj1[u]:
-                if w in mapping and mapping[w] not in adj2[v]:
-                    ok = False
-                    break
-            if ok:
-                for w in range(1, n + 1):
-                    if w in mapping and w not in adj1[u] and mapping[w] in adj2[v]:
-                        ok = False
-                        break
-            if ok:
-                mapping[u] = v
-                used.add(v)
-                if extend(i + 1):
-                    return True
-                del mapping[u]
-                used.remove(v)
-        return False
-
-    return extend(0)
+    """Equal canonical forms, after the cheap invariants: vertex count, edge
+    count and degree sequence."""
+    return (g1.n == g2.n and g1.m == g2.m
+            and g1.degree_sequence() == g2.degree_sequence()
+            and canonical_form(g1) == canonical_form(g2))
 
 
 def canonical_form(g):

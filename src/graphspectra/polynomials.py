@@ -13,10 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm, prod
-from operator import mul
+from operator import lshift, mul
 
 from .errors import PrecisionError, ValidationError, parse_ints
-from .graphs import symbolic_laplacian
 from .unipoly import UniPoly
 
 
@@ -131,13 +130,13 @@ _PACKED_MAX_BITS = 1 << 16
 def spectral_polynomial(dp):
     """Exact P(X, Y) of a diffusion pair.
 
-    The division-free characteristic polynomial runs once on the symbolic
-    Laplacian L(Y).  Every coefficient of a_i(Y) has the sign (-1)^(n-i)
+    One run of laplacian_charpoly on the labelled edges, in one of two
+    rings.  Every coefficient of a_i(Y) has the sign (-1)^(n-i)
     (all-minors matrix-tree theorem), so their absolute values sum to at
     most sum_i |a_i(1)| = det(I + L(1)) <= prod_v (1 + deg v) (Hadamard).
     With 2^(B-1) above that product, the integer a_i(2^B) holds the
     coefficients of a_i as B-bit digits.  While the packed integers have at
-    most _PACKED_MAX_BITS bits, the recursion runs once on them
+    most _PACKED_MAX_BITS bits, the recursion runs on them
     (`_packed_charpoly`); beyond that, where the products are mostly zero
     digits, it runs over Z[Y], whose cost follows the sparse supports of
     the entries rather than the label weight.
@@ -148,25 +147,68 @@ def spectral_polynomial(dp):
     count = 1 + sum(sorted(dp.label_values(), reverse=True)[:n - 1])
     if width * count <= _PACKED_MAX_BITS:
         return SpectralPolynomial(n, _packed_charpoly(n, dp.labels, width, count))
-    cp = charpoly_division_free(symbolic_laplacian(dp))
+    edges = [(e, UniPoly.monomial(1, a)) for e, a in dp.labels]
     # the leading 1 comes back as a plain int; lift every a_i into Z[Y]
-    return SpectralPolynomial(
-        n, tuple(UniPoly.zero() + cp.coefficient(i) for i in range(n + 1)))
+    return SpectralPolynomial(n, tuple(
+        UniPoly.zero() + c for c in laplacian_charpoly(n, edges, mul, _as_is)))
+
+
+def laplacian_charpoly(n, weighted_edges, scale, reduce):
+    """a_0 .. a_n of det(X*I - L) for the Laplacian L on vertices 1..n
+    with entry -w at (u, v) and (v, u) for each edge ((u, v), w), row sums
+    zero, by Berkowitz's division-free recursion on the edge list.
+
+    The weights stand for ring elements: scale(x, w) is x times the weight
+    w, and reduce maps a ring element to a congruent one no larger (the
+    identity where nothing needs cutting).  Every off-diagonal entry is -w
+    and every diagonal entry a sum of weights, so products with entries are
+    scale calls on the edges alone; only the Toeplitz step multiplies two
+    ring elements.
+    """
+    # the edges at each vertex as (other end, weight) pairs
+    star = [[] for _ in range(n)]
+    for (u, v), w in weighted_edges:
+        star[u - 1].append((v - 1, w))
+        star[v - 1].append((u - 1, w))
+
+    # charpoly of the leading k x k block, descending powers of X
+    C = [1, -sum(scale(1, w) for _, w in star[0])]
+    for k in range(1, n):
+        below = [(i, w) for i, w in star[k] if i < k]
+        v = [0] * k  # the column above the diagonal entry L[k][k]
+        for i, w in below:
+            v[i] = -scale(1, w)
+        t = [1, -sum(scale(1, w) for _, w in star[k])]
+        for j in range(k):
+            # -R * v, where row k left of the diagonal is -w at each neighbour
+            t.append(reduce(sum(scale(v[i], w) for i, w in below)))
+            if j < k - 1:
+                # M * v: each edge at i adds w (v_i - v_l), v_l only inside the block
+                v = [reduce(sum(scale(x - v[l] if l < k else x, w) for l, w in star[i]))
+                     for i, x in enumerate(v)]
+        # C_new = T * C with T lower-triangular Toeplitz, first column t:
+        # C_new[i] = sum_j t[i - j] * C[j], a dot product with t reversed
+        t.reverse()
+        C = [reduce(sum(map(mul, t[k + 1 - i:], C))) for i in range(k + 2)]
+    C.reverse()
+    return C
+
+
+def _as_is(x):
+    return x
 
 
 def _packed_charpoly(n, labels, width, count):
     """a_0 .. a_n of det(X*I - L(Y)) for the Laplacian of the labelled
     edges ((u, v), a), given that its coefficients are B-bit digits
-    (B = width) of Y-degree below count, by one Berkowitz run on integers
+    (B = width) of Y-degree below count, by laplacian_charpoly on integers
     at Y = 2^B (Kronecker substitution).
 
     Y -> 2^B followed by reduction mod 2^N, N = B * count, is a ring map,
     so the recursion runs on residues: a value is cut to its balanced
-    residue once it outgrows N bits.  Every off-diagonal entry is -Y^a and
-    every diagonal entry a sum of such powers, so products with entries
-    are shifts and adds; only the Toeplitz step multiplies two packed
-    integers.  Since |a_i(2^B)| < 2^(N-1), the balanced residue of a_i is
-    a_i(2^B) itself.
+    residue once it outgrows N bits.  Each edge weight Y^a is the shift
+    B * a, so products with entries are shifts and adds.  Since
+    |a_i(2^B)| < 2^(N-1), the balanced residue of a_i is a_i(2^B) itself.
     """
     N = width * count
     mask = (1 << N) - 1
@@ -178,33 +220,9 @@ def _packed_charpoly(n, labels, width, count):
     def cut(x):
         return residue(x) if x.bit_length() > N else x
 
-    # the edges at each vertex as (other end, shift) pairs
-    star = [[] for _ in range(n)]
-    for (u, w), a in labels:
-        star[u - 1].append((w - 1, width * a))
-        star[w - 1].append((u - 1, width * a))
-
-    # charpoly of the leading k x k block, descending powers of X
-    C = [1, -sum(1 << s for _, s in star[0])]
-    for k in range(1, n):
-        v = [0] * k  # the column above the diagonal entry L[k][k]
-        for i, s in star[k]:
-            if i < k:
-                v[i] = -1 << s
-        t = [1, -sum(1 << s for _, s in star[k])]
-        for j in range(k):
-            # -R * v, where row k left of the diagonal is -Y^a at each neighbour
-            t.append(cut(sum(v[i] << s for i, s in star[k] if i < k)))
-            if j < k - 1:
-                # M * v: each edge at i adds Y^a (v_i - v_l), v_l only inside the block
-                v = [cut(sum((x - v[l] if l < k else x) << s for l, s in star[i]))
-                     for i, x in enumerate(v)]
-        # C_new = T * C with T lower-triangular Toeplitz, first column t:
-        # C_new[i] = sum_j t[i - j] * C[j], a dot product with t reversed
-        t.reverse()
-        C = [cut(sum(map(mul, t[k + 1 - i:], C))) for i in range(k + 2)]
+    shifts = [(e, width * a) for e, a in labels]
     coeffs = []
-    for x in reversed(C):
+    for x in laplacian_charpoly(n, shifts, lshift, cut):
         x = residue(x)
         digits = _digits(abs(x), width)
         coeffs.append(UniPoly({k: -d for k, d in digits.items()} if x < 0 else digits))

@@ -23,7 +23,7 @@ from functools import lru_cache
 from itertools import combinations
 
 from .errors import RealizationError, ValidationError
-from .forests import forest_masks
+from .forests import EDGE_CAP, forest_masks
 from .graphs import Graph
 
 
@@ -99,9 +99,11 @@ def _subset_decoder(labels):
 def decode_forest_family(P):
     """Read labels and the complete forest family out of a spectral polynomial.
 
-    Fails loudly when an exponent has no label-subset decomposition, when a
-    decomposition is not unique (labels were not subset-sum distinct), or
-    when a magnitude cannot be a component-size product.
+    Fails loudly when there are more than forests.EDGE_CAP labels (no
+    family that large is realized, and the subset search is exponential in
+    the label count), when an exponent has no label-subset decomposition,
+    when a decomposition is not unique (labels were not subset-sum
+    distinct), or when a magnitude cannot be a component-size product.
     """
     n = P.n
     if n == 1:
@@ -112,6 +114,9 @@ def decode_forest_family(P):
         if c != -2:
             raise ValidationError(
                 f"single-edge coefficient at Y^{k} is {c}, expected -2")
+    if len(labels) > EDGE_CAP:
+        raise ValidationError(
+            f"{len(labels)} edge labels above the enumeration cap {EDGE_CAP}")
     subsets = _subset_decoder(labels)
     families = {}
     for i in range(1, n + 1):

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
 from math import lcm, log
+from operator import mul
 
 from mpmath import mp
 from mpmath.libmp import from_man_exp, fzero
@@ -29,8 +30,9 @@ if sys.get_int_max_str_digits() < 2_000_000:
 
 from .errors import (AmbiguousClusteringError, PrecisionError, ValidationError,
                      parse_fields, parse_ints)
-from .graphs import edge_set_laplacian, integer_level_laplacian, seminorm_sq
-from .polynomials import charpoly_division_free, interpolate_spectral_poly
+from .graphs import edge_set_laplacian, seminorm_sq
+from .polynomials import (_as_is, charpoly_division_free, interpolate_spectral_poly,
+                          laplacian_charpoly)
 from .realroots import _align, _difference, real_roots
 
 
@@ -277,8 +279,7 @@ def simulate_spectrum(dp, q, r_min, r_max, precision_bits=512):
         raise ValidationError("window must satisfy r_min <= 1 <= r_max")
     b0 = dp.graph.component_count()
     levels = range(r_min, r_max + 1)
-    charpolys = [_scaled_charpoly(*integer_level_laplacian(dp, q, r))
-                 for r in levels]
+    charpolys = [_level_charpoly(dp, q, r) for r in levels]
     wp = max(precision_bits, max(bits for _, bits in charpolys) + 64)
     values = []
     for r, (coeffs, _) in zip(levels, charpolys):
@@ -292,21 +293,43 @@ def simulate_spectrum(dp, q, r_min, r_max, precision_bits=512):
     return SpectrumSample(q, r_min, r_max, wp, tuple(values))
 
 
+def _level_charpoly(dp, q, r):
+    """_scaled_charpoly of the level-r Laplacian, from its edge list."""
+    s, weights = _level_weights(dp, q, r)
+    return _scaled_charpoly(s, laplacian_charpoly(dp.graph.n, weights, mul, _as_is))
+
+
+def _level_weights(dp, q, r):
+    """(s, [((u, v), w)]): the edge weights of the level-r Laplacian scaled
+    by the least s >= 1 that makes every weight an integer.
+
+    For r <= 1 the weights q^((1-r)*a) are integers and s = 1.  For r > 1,
+    with t = q^(r-1) and A the largest label, the weights 1/t^a become
+    t^(A-a) and s = t^A: the edge labelled A alone makes an off-diagonal
+    entry -1/t^A, so no smaller s clears the denominators.
+    """
+    if r <= 1:
+        y = q ** (1 - r)
+        return 1, [(e, y ** a) for e, a in dp.labels]
+    t = q ** (r - 1)
+    top = max((a for _, a in dp.labels), default=0)
+    return t ** top, [(e, t ** (top - a)) for e, a in dp.labels]
+
+
 def _integer_charpoly(M):
     """_scaled_charpoly of M scaled by s, the lcm of M's denominators."""
     s = lcm(*(Fraction(x).denominator for row in M for x in row))
-    return _scaled_charpoly(s, [[int(x * s) for x in row] for row in M])
+    P = charpoly_division_free([[int(x * s) for x in row] for row in M])
+    return _scaled_charpoly(s, [P.coefficient(i) for i in range(len(M) + 1)])
 
 
-def _scaled_charpoly(s, scaled):
-    """s^n * det(X*I - M) as ascending ints, for the integer matrix
-    scaled = s*M, and the bit size of the largest coefficient of
-    det(X*I - s*M).
+def _scaled_charpoly(s, coeffs):
+    """s^n * det(X*I - M) as ascending ints, from the ascending integer
+    coefficients of det(X*I - s*M), and the bit size of the largest of
+    those.
 
     The first polynomial has M's eigenvalues as roots; it is det(Y*I - s*M)
     at Y = s*X."""
-    P = charpoly_division_free(scaled)
-    coeffs = [P.coefficient(i) for i in range(len(scaled) + 1)]
     bits = max(abs(c).bit_length() for c in coeffs)
     return [c * s ** i for i, c in enumerate(coeffs)], bits
 

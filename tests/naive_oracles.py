@@ -70,6 +70,43 @@ def level_laplacian(dp, q, r):
              for j in range(n)] for i in range(n)]
 
 
+def assemble_laplacian(n, weighted_edges, zero):
+    """The dense matrix sum of w * (e_u - e_v)(e_u - e_v)^T over
+    ((u, v), w) pairs; entries are rebound, never mutated in place, so the
+    shared zero is safe for any immutable ring element."""
+    L = [[zero] * n for _ in range(n)]
+    for (u, v), w in weighted_edges:
+        L[u - 1][v - 1] -= w
+        L[v - 1][u - 1] -= w
+        L[u - 1][u - 1] += w
+        L[v - 1][v - 1] += w
+    return L
+
+
+def symbolic_laplacian(dp):
+    """L(Y) over Z[Y]: entry -Y^a off the diagonal for an edge labelled a,
+    row sums zero."""
+    return assemble_laplacian(
+        dp.graph.n, ((e, UniPoly.monomial(1, a)) for e, a in dp.labels),
+        UniPoly.zero())
+
+
+def integer_level_laplacian(dp, q, r):
+    """(s, s * L_r) as a dense int matrix, s the least scale >= 1 that
+    clears the denominators of the level-r Laplacian: 1 for r <= 1, and
+    t^A for r > 1 with t = q^(r-1) and A the largest label."""
+    if q < 2:
+        raise ValidationError("q must be at least 2")
+    if r <= 1:
+        y = q ** (1 - r)
+        return 1, assemble_laplacian(
+            dp.graph.n, ((e, y ** a) for e, a in dp.labels), 0)
+    t = q ** (r - 1)
+    top = max((a for _, a in dp.labels), default=0)
+    return t ** top, assemble_laplacian(
+        dp.graph.n, ((e, t ** (top - a)) for e, a in dp.labels), 0)
+
+
 def cofactor_det(rows, cols, matrix, memo):
     if not rows:
         return {(0, 0): 1}

@@ -13,15 +13,16 @@ from graphspectra.errors import ValidationError
 from graphspectra.graphs import (Graph, Multigraph, build_diffusion_pair,
                                  canonical_form, cartesian_product,
                                  edge_set_laplacian, graph_from_text,
-                                 graph_to_text, integer_level_laplacian,
-                                 is_isomorphic, is_subset_sum_distinct,
-                                 laplacian_matrix, quotient_graph,
-                                 relabel_graph, seminorm_sq,
-                                 sum_distinct_labels, symbolic_laplacian)
+                                 graph_to_text, is_isomorphic,
+                                 is_subset_sum_distinct, laplacian_matrix,
+                                 quotient_graph, relabel_graph, seminorm_sq,
+                                 sum_distinct_labels)
+from graphspectra.spectra import simulate_spectrum
 from graphspectra.unipoly import UniPoly
 
 from naive_oracles import (brute_subset_sums_distinct, exhaustive_isomorphic,
-                           level_laplacian)
+                           integer_level_laplacian, level_laplacian,
+                           symbolic_laplacian)
 
 
 class TestBuildDiffusionPair:
@@ -106,6 +107,8 @@ class TestLevelLaplacian:
             level_laplacian(dp, 1, 0)
         with pytest.raises(ValidationError):
             integer_level_laplacian(dp, 1, 0)
+        with pytest.raises(ValidationError):
+            simulate_spectrum(dp, 1, 0, 1)
 
 
 class TestEdgeSetLaplacian:
@@ -210,6 +213,13 @@ class TestLabels:
     def test_subset_sum_examples(self):
         assert is_subset_sum_distinct([1, 2, 4, 8])
         assert not is_subset_sum_distinct([6, 10, 15, 19])  # 6+19 == 10+15
+        # the check validates and leaves nothing on the pair
+        g = path_graph(5)
+        checked = with_labels(g, [1, 2, 4, 8], check_subset_sums=True)
+        assert checked == with_labels(g, [1, 2, 4, 8])
+        assert hash(checked) == hash(with_labels(g, [1, 2, 4, 8]))
+        with pytest.raises(ValidationError):
+            with_labels(g, [6, 10, 15, 19], check_subset_sums=True)
 
     def test_custom_validation(self):
         with pytest.raises(ValidationError):

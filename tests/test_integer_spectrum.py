@@ -1,5 +1,5 @@
 """The integer-pair route of realroots against the mpf-tuple route it
-replaced, and the integer level matrices against the Fraction ones.
+replaced, and the integer level weights against the Fraction matrices.
 
 Roots must come out as the same mpf tuples, bit for bit, and a polynomial
 that one route refuses with PrecisionError the other must refuse too.
@@ -14,11 +14,12 @@ from mpmath.libmp import from_man_exp, mpf_div, mpf_mul, round_nearest
 
 from graphspectra.catalog import random_connected_graph, with_labels
 from graphspectra.errors import PrecisionError
-from graphspectra.graphs import build_diffusion_pair, integer_level_laplacian
+from graphspectra.graphs import build_diffusion_pair
 from graphspectra.realroots import _newton_point, real_roots
-from graphspectra.spectra import _integer_charpoly, _scaled_charpoly, sym_eigs
+from graphspectra.spectra import (_integer_charpoly, _level_charpoly,
+                                  _level_weights, sym_eigs)
 
-from naive_oracles import level_laplacian, mpf_real_roots
+from naive_oracles import assemble_laplacian, level_laplacian, mpf_real_roots
 
 
 def _outcome(roots_of, coeffs, bits):
@@ -91,7 +92,7 @@ def test_graded_level_charpolys():
         g = random_connected_graph(rng.randint(2, 5), rng, max_extra_edges=1)
         dp = with_labels(g, rng.sample([1, 2, 4, 8, 16], g.m))
         for r in range(-6, 2):
-            coeffs, bits = _scaled_charpoly(*integer_level_laplacian(dp, 101, r))
+            coeffs, bits = _level_charpoly(dp, 101, r)
             for wp in (bits + 64, bits // 2 + 8):
                 _assert_same_roots(coeffs, max(wp, 8))
 
@@ -118,7 +119,8 @@ def test_integer_level_matrices_match_fraction_route(q):
         pairs.append(with_labels(g, rng.sample(range(1, 9), g.m)))
     for dp in pairs:
         for r in range(-3, 4):
-            s, M = integer_level_laplacian(dp, q, r)
-            assert all(type(x) is int for row in M for x in row)
+            s, weights = _level_weights(dp, q, r)
+            assert all(type(w) is int for _, w in weights)
+            M = assemble_laplacian(dp.graph.n, weights, 0)
             assert [[Fraction(x, s) for x in row] for row in M] == level_laplacian(dp, q, r)
-            assert _scaled_charpoly(s, M) == _integer_charpoly(level_laplacian(dp, q, r))
+            assert _level_charpoly(dp, q, r) == _integer_charpoly(level_laplacian(dp, q, r))

@@ -3,6 +3,7 @@ import time
 import tracemalloc
 from fractions import Fraction
 from itertools import combinations
+from operator import lshift, mul
 
 import pytest
 from hypothesis import given
@@ -15,15 +16,17 @@ from graphspectra.catalog import (complete_graph, connected_graphs,
 from graphspectra.errors import PrecisionError, ValidationError
 from graphspectra.forests import buslov_polynomial
 from graphspectra.graphs import Graph, build_diffusion_pair, graph_from_text
-from graphspectra.polynomials import (SpectralPolynomial,
+from graphspectra.polynomials import (SpectralPolynomial, _as_is,
                                       charpoly_division_free, evaluate_y,
                                       interpolate_spectral_poly,
-                                      spectral_polynomial,
+                                      laplacian_charpoly, spectral_polynomial,
                                       spectral_poly_from_text,
                                       spectral_poly_to_text, tangent_cone)
+from graphspectra.spectra import _level_weights
 from graphspectra.unipoly import UniPoly
 
-from naive_oracles import (as_monomial_dict, level_laplacian, naive_charpoly,
+from naive_oracles import (as_monomial_dict, assemble_laplacian,
+                           level_laplacian, naive_charpoly,
                            naive_spectral_polynomial)
 
 
@@ -165,6 +168,27 @@ def _route_cases():
     yield "powers of two, n=7", with_labels(g, labels), True
 
 
+def _assert_rings_match_dense(name, dp, width):
+    """laplacian_charpoly against charpoly_division_free of the dense
+    Laplacian: over Z[Y], on the integers at Y = 2^width (unreduced) when
+    the pair took the packed route, and on the integer level weights at
+    r = 0, 1 and 2."""
+    n = dp.graph.n
+    Y = [(e, UniPoly.monomial(1, a)) for e, a in dp.labels]
+    rings = [(Y, Y, mul, UniPoly.zero())]
+    if width is not None:
+        rings.append(([(e, width * a) for e, a in dp.labels],
+                      [(e, 1 << width * a) for e, a in dp.labels], lshift, 0))
+    for q, r in ((2, 0), (3, 1), (2, 2)):
+        _, weights = _level_weights(dp, q, r)
+        rings.append((weights, weights, mul, 0))
+    for weights, dense_weights, scale, zero in rings:
+        cp = charpoly_division_free(assemble_laplacian(n, dense_weights, zero))
+        want = [zero + cp.coefficient(i) for i in range(n + 1)]
+        got = [zero + c for c in laplacian_charpoly(n, weights, scale, _as_is)]
+        assert got == want, name
+
+
 class TestPackedRoute:
     def test_both_routes_match_oracles(self, monkeypatch):
         calls = []
@@ -178,6 +202,7 @@ class TestPackedRoute:
             assert P == buslov_polynomial(dp), name
             if dp.graph.n <= 6:
                 assert as_monomial_dict(P) == naive_spectral_polynomial(dp), name
+            _assert_rings_match_dense(name, dp, calls[0][2] if calls else None)
 
     def test_huge_label_takes_the_ring_route_quickly(self):
         # packing (1, 10^9) would need an integer of about 10^10 bits

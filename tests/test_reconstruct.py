@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 from hypothesis import given
@@ -9,9 +10,10 @@ from graphspectra.catalog import (complete_graph, connected_graphs,
                                   random_connected_graph, with_labels,
                                   with_powers_of_two)
 from graphspectra.errors import RealizationError, ValidationError
-from graphspectra.forests import enumerate_forests
+from graphspectra.forests import EDGE_CAP, enumerate_forests
 from graphspectra.graphs import Graph, build_diffusion_pair, is_isomorphic, relabel_graph
-from graphspectra.polynomials import SpectralPolynomial, spectral_polynomial
+from graphspectra.polynomials import (SpectralPolynomial, spectral_poly_from_text,
+                                      spectral_polynomial)
 from graphspectra.reconstruct import (DecodedFamily, _drawings,
                                       _subset_decoder, decode_forest_family,
                                       realize_graph,
@@ -50,6 +52,19 @@ class TestDecode:
         bad = _poly(3, [{}, {4: 3, 5: 3}, {1: -2, 2: -2, 3: -2}, {0: 1}])
         with pytest.raises(ValidationError, match="subset-sum distinct"):
             decode_forest_family(bad)
+
+    def test_label_count_capped_before_the_subset_search(self):
+        # the even labels 2..64 and one odd exponent: no subset sums to it,
+        # and an uncapped search for one takes time exponential in the labels
+        n = 33
+        lines = [f"spoly n={n}", f"1 {n} 0"]
+        lines += [f"-2 {n - 1} {2 * k}" for k in range(1, n)]
+        lines.append(f"3 {n - 2} 529")
+        P = spectral_poly_from_text("\n".join(lines) + "\n")
+        start = time.process_time()
+        with pytest.raises(ValidationError, match=f"cap {EDGE_CAP}"):
+            decode_forest_family(P)
+        assert time.process_time() - start < 1
 
     def test_bad_magnitude(self):
         bad = _poly(3, [{}, {3: 7, 5: 3, 6: 3}, {1: -2, 2: -2, 4: -2}, {0: 1}])
