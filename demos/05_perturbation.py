@@ -16,11 +16,11 @@ identification, with C1 = {(1,7),(3,4)} and C2 = {(1,3),(2,4)}; there the
 exact polynomials differ and the experiment separates the pair.
 """
 from fractions import Fraction
+from operator import mul
 
 from mpmath import mp
 
-from graphspectra import (UniPoly, charpoly_division_free,
-                          edge_set_laplacian, prediction_error_ratio,
+from graphspectra import (UniPoly, laplacian_charpoly, prediction_error_ratio,
                           separation_experiment)
 from graphspectra.catalog import cospectral_pair_graphs
 from graphspectra.graphs import Graph, relabel_graph
@@ -39,17 +39,13 @@ print("prediction error ratio eps/(eps/2): %.4f (eps^2 decay -> 4)" % ratio)
 
 
 def perturbed_charpolys(g1, g2):
-    """det(X*I - U(C) - eps*U(C_i)) for i = 1, 2, exactly over Z[eps][X]."""
-    n = g1.n
+    """det(X*I - U(C) - eps*U(C_i)) for i = 1, 2, exactly over Z[eps][X]:
+    the Laplacian with weight 1 on C and eps on C_i, as UniPolys in eps."""
     E1, E2 = set(g1.edges), set(g2.edges)
-    UC = edge_set_laplacian(n, sorted(E1 & E2))
-    out = []
-    for Ci in (E1 - E2, E2 - E1):
-        U = edge_set_laplacian(n, sorted(Ci))
-        out.append(charpoly_division_free(
-            [[UniPoly({0: UC[i][j], 1: U[i][j]}) for j in range(n)]
-             for i in range(n)]))
-    return out
+    one, eps = UniPoly.const(1), UniPoly.monomial(1, 1)
+    common = [(e, one) for e in E1 & E2]
+    return [laplacian_charpoly(g1.n, common + [(e, eps) for e in Ci], mul, lambda x: x)
+            for Ci in (E1 - E2, E2 - E1)]
 
 
 print("\n--- the catalog cospectral pair, standard labeling: it resists ---")

@@ -18,8 +18,8 @@ from .graphs import (DiffusionPair, Graph, Multigraph, build_diffusion_pair,
                      is_subset_sum_distinct, laplacian_matrix,
                      quotient_graph, seminorm_sq, sum_distinct_labels)
 from .polynomials import (HomogeneousPart, InterpolationResult,
-                          SpectralPolynomial, charpoly_division_free,
-                          evaluate_y, interpolate_spectral_poly,
+                          SpectralPolynomial, evaluate_y,
+                          interpolate_spectral_poly, laplacian_charpoly,
                           spectral_polynomial, spectral_poly_from_text,
                           spectral_poly_to_text, tangent_cone)
 from .forests import (ForestFamily, buslov_polynomial, enumerate_forests,

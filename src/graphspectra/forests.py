@@ -16,10 +16,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from operator import mul
 
 from .errors import ValidationError
-from .graphs import Graph, Multigraph, quotient_graph
-from .polynomials import SpectralPolynomial, charpoly_division_free
+from .graphs import quotient_graph
+from .polynomials import SpectralPolynomial, _as_is, laplacian_charpoly
 from .unipoly import UniPoly
 
 EDGE_CAP = 20
@@ -127,16 +128,15 @@ def buslov_polynomial(dp):
 
 
 def tree_count(mg):
-    """Number of spanning trees of a multigraph, via the matrix-tree minor.
+    """Number of spanning trees of a graph or multigraph (parallel edges
+    count as distinct), 0 for disconnected input.
 
-    Multiplicities act as integer edge weights; 0 for disconnected input.
-    The minor's determinant is (-1)^(n-1) times the constant term of its
-    characteristic polynomial det(X*I - minor).
+    By the matrix-tree theorem every principal (n-1)-minor of the Laplacian
+    is the count, so the X coefficient of det(X*I - L), which sums those
+    minors, is a_1 = (-1)^(n-1) * n * count.
     """
-    if isinstance(mg, Graph):
-        mg = Multigraph(mg.n, tuple(mg.sorted_edges()))
-    minor = [row[1:] for row in mg.laplacian()[1:]]
-    return (-1) ** (mg.n - 1) * charpoly_division_free(minor).coefficient(0)
+    a = laplacian_charpoly(mg.n, [(e, 1) for e in mg.edges], mul, _as_is)
+    return (-1) ** (mg.n - 1) * a[1] // mg.n
 
 
 def kelmans_coefficients(g):

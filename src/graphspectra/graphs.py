@@ -110,10 +110,6 @@ class Multigraph:
         e = _normalize_edge(u, v)
         return sum(1 for f in self.edges if f == e)
 
-    def laplacian(self):
-        """Integer Laplacian with multiplicities as edge weights."""
-        return edge_set_laplacian(self.n, self.edges)
-
 
 @dataclass(frozen=True)
 class DiffusionPair:

@@ -20,44 +20,6 @@ from .unipoly import UniPoly
 
 
 # ---------------------------------------------------------------------------
-# Exact linear algebra on small dense matrices
-
-
-def charpoly_division_free(M):
-    """Characteristic polynomial det(X*I - M) of an exact square matrix.
-
-    Division-free (Berkowitz 1984): only +, -, * on the entries, so it is
-    exact over any commutative ring - ints, Fractions, or UniPoly entries
-    for matrices over Z[Y].  Returns a UniPoly in X.
-    """
-    n = len(M)
-    for row in M:
-        if len(row) != n:
-            raise ValidationError("matrix is not square")
-    if n == 0:
-        return UniPoly.const(1)
-    # coeffs of charpoly of the leading k x k block, descending powers of X
-    C = [1, -M[0][0]]
-    for k in range(1, n):
-        R = M[k][:k]
-        S = [M[i][k] for i in range(k)]
-        t = [1, -M[k][k]]
-        v = S
-        for _ in range(k):
-            t.append(-sum(R[l] * v[l] for l in range(k)))
-            v = [sum(M[i][l] * v[l] for l in range(k)) for i in range(k)]
-        # C_new = T * C with T lower-triangular Toeplitz, first column t
-        C_new = [0] * (k + 2)
-        for i in range(k + 2):
-            acc = 0
-            for j in range(max(0, i - len(t) + 1), min(i, k) + 1):
-                acc = acc + t[i - j] * C[j]
-            C_new[i] = acc
-        C = C_new
-    return UniPoly({n - i: c for i, c in enumerate(C) if c})
-
-
-# ---------------------------------------------------------------------------
 # Spectral polynomials
 
 
@@ -155,8 +117,10 @@ def spectral_polynomial(dp):
 
 def laplacian_charpoly(n, weighted_edges, scale, reduce):
     """a_0 .. a_n of det(X*I - L) for the Laplacian L on vertices 1..n
-    with entry -w at (u, v) and (v, u) for each edge ((u, v), w), row sums
-    zero, by Berkowitz's division-free recursion on the edge list.
+    with entry -w at (u, v) and (v, u) for each edge ((u, v), w), parallel
+    edges adding up, and row sums zero, by Berkowitz's division-free
+    recursion on the edge list.  Every exact spectrum in the package comes
+    from this routine.
 
     The weights stand for ring elements: scale(x, w) is x times the weight
     w, and reduce maps a ring element to a congruent one no larger (the
@@ -177,7 +141,7 @@ def laplacian_charpoly(n, weighted_edges, scale, reduce):
         below = [(i, w) for i, w in star[k] if i < k]
         v = [0] * k  # the column above the diagonal entry L[k][k]
         for i, w in below:
-            v[i] = -scale(1, w)
+            v[i] -= scale(1, w)
         t = [1, -sum(scale(1, w) for _, w in star[k])]
         for j in range(k):
             # -R * v, where row k left of the diagonal is -w at each neighbour

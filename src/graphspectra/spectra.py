@@ -17,7 +17,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
-from math import lcm, log
+from math import log
 from operator import mul
 
 from mpmath import mp
@@ -31,8 +31,7 @@ if sys.get_int_max_str_digits() < 2_000_000:
 from .errors import (AmbiguousClusteringError, PrecisionError, ValidationError,
                      parse_fields, parse_ints)
 from .graphs import edge_set_laplacian, seminorm_sq
-from .polynomials import (_as_is, charpoly_division_free, interpolate_spectral_poly,
-                          laplacian_charpoly)
+from .polynomials import _as_is, interpolate_spectral_poly, laplacian_charpoly
 from .realroots import _align, _difference, real_roots
 
 
@@ -92,24 +91,19 @@ def _parse_rounded(f):
 
 
 # ---------------------------------------------------------------------------
-# Eigenvalues: certified roots of the exact charpoly, or mpmath's eigsy
+# Numeric eigenvalues and eigenvectors: mpmath's eigsy
 
 
 def sym_eigs(M, precision_bits, want_vectors=False):
-    """Eigenvalues (ascending) of a symmetric exact or float matrix.
+    """Eigenvalues (ascending) of a symmetric int, Fraction or mpf matrix.
 
-    For an exact (int or Fraction) matrix without vectors the eigenvalues
-    are the certified roots of its exact characteristic polynomial: zeros
-    are exact, and every other value is rounded to precision_bits bits
-    within a relative 2^-(precision_bits-4) of an eigenvalue.
-
-    Otherwise (eigenvectors wanted, or mpf entries) mpmath's eigsy
-    (Householder tridiagonalisation, then implicit QL) runs at
-    precision_bits plus 64 guard bits, without a certificate; the
+    mpmath's eigsy (Householder tridiagonalisation, then implicit QL) runs
+    at precision_bits plus 64 guard bits, without a certificate; the
     eigenvalue sum must match the trace within 2^-(precision_bits/2) times
     the Frobenius norm, and a failure to converge raises PrecisionError.
     With want_vectors=True returns (values, vectors), vectors[i] being the
-    unit eigenvector for values[i].
+    unit eigenvector for values[i].  Certified eigenvalues of a weighted
+    Laplacian are the real_roots of its _scaled_charpoly instead.
     """
     n = len(M)
     for i, row in enumerate(M):
@@ -120,9 +114,6 @@ def sym_eigs(M, precision_bits, want_vectors=False):
                 raise ValidationError("matrix is not symmetric")
     if n == 0:
         return ([], []) if want_vectors else []
-    if not want_vectors and all(isinstance(x, (int, Fraction))
-                                for row in M for x in row):
-        return real_roots(_integer_charpoly(M)[0], precision_bits)
     with mp.workprec(precision_bits + 64):
         A = mp.matrix([[_entry_to_mpf(x) for x in row] for row in M])
         try:
@@ -265,13 +256,13 @@ def simulate_spectrum(dp, q, r_min, r_max, precision_bits=512):
     """Union of the level spectra for r in [r_min, r_max], each level once.
 
     Each level's eigenvalues are the certified roots of its exact
-    characteristic polynomial (see sym_eigs); the zero count is the X-adic
-    valuation, checked against the graph's component count.  Recovery
-    multiplies the values of a level back into the integer coefficients of
-    that polynomial, so the working precision is the bit size of the
-    largest coefficient over the window plus 64 guard bits; precision_bits
-    is a floor that is raised to that rule when below it, and the effective
-    precision is recorded on the sample.
+    characteristic polynomial (see _scaled_charpoly); the zero count is
+    the X-adic valuation, checked against the graph's component count.
+    Recovery multiplies the values of a level back into the integer
+    coefficients of that polynomial, so the working precision is the bit
+    size of the largest coefficient over the window plus 64 guard bits;
+    precision_bits is a floor that is raised to that rule when below it,
+    and the effective precision is recorded on the sample.
     """
     if not is_prime_power(q):
         raise ValidationError(f"q={q} is not a prime power")
@@ -294,9 +285,8 @@ def simulate_spectrum(dp, q, r_min, r_max, precision_bits=512):
 
 
 def _level_charpoly(dp, q, r):
-    """_scaled_charpoly of the level-r Laplacian, from its edge list."""
-    s, weights = _level_weights(dp, q, r)
-    return _scaled_charpoly(s, laplacian_charpoly(dp.graph.n, weights, mul, _as_is))
+    """_scaled_charpoly of the level-r Laplacian."""
+    return _scaled_charpoly(dp.graph.n, *_level_weights(dp, q, r))
 
 
 def _level_weights(dp, q, r):
@@ -316,20 +306,15 @@ def _level_weights(dp, q, r):
     return t ** top, [(e, t ** (top - a)) for e, a in dp.labels]
 
 
-def _integer_charpoly(M):
-    """_scaled_charpoly of M scaled by s, the lcm of M's denominators."""
-    s = lcm(*(Fraction(x).denominator for row in M for x in row))
-    P = charpoly_division_free([[int(x * s) for x in row] for row in M])
-    return _scaled_charpoly(s, [P.coefficient(i) for i in range(len(M) + 1)])
+def _scaled_charpoly(n, s, weights):
+    """s^n * det(X*I - L) as ascending ints, for the Laplacian L on
+    vertices 1..n whose edges ((u, v), w) carry the weights w / s with w
+    an integer, and the bit size of the largest coefficient of
+    det(X*I - s*L), which laplacian_charpoly computes.
 
-
-def _scaled_charpoly(s, coeffs):
-    """s^n * det(X*I - M) as ascending ints, from the ascending integer
-    coefficients of det(X*I - s*M), and the bit size of the largest of
-    those.
-
-    The first polynomial has M's eigenvalues as roots; it is det(Y*I - s*M)
-    at Y = s*X."""
+    The first polynomial has L's eigenvalues as roots, certified by
+    real_roots; it is det(Y*I - s*L) at Y = s*X."""
+    coeffs = laplacian_charpoly(n, weights, mul, _as_is)
     bits = max(abs(c).bit_length() for c in coeffs)
     return [c * s ** i for i, c in enumerate(coeffs)], bits
 
@@ -695,10 +680,10 @@ def separation_experiment(g1, g2, epsilon):
     predictions lambda + eps*mu that match the true eigenvalues of
     U(C) + eps*U(C_i) up to O(eps^2).  A separating eigenvector (one whose
     two seminorms differ) certifies that the perturbed spectra split.
-    U(C) + eps*U(C_i) is built exactly, so its spectrum is certified (see
-    sym_eigs) and exactly isospectral perturbations read a Hausdorff
-    distance of 0; only the eigenvectors of U(C) and the compressions to
-    its eigenspaces are numeric.
+    U(C) + eps*U(C_i) is a Laplacian with edge weights 1 and eps, so its
+    spectrum is certified (see _scaled_charpoly) and exactly isospectral
+    perturbations read a Hausdorff distance of 0; only the eigenvectors of
+    U(C) and the compressions to its eigenspaces are numeric.
     """
     if g1.n != g2.n:
         raise ValidationError("graphs must share the vertex range")
@@ -734,10 +719,11 @@ def separation_experiment(g1, g2, epsilon):
                 for mu in sym_eigs(W, SEPARATION_BITS):
                     preds.append(lam + eps * mu)
             predictions.append(sorted(preds))
-        # exact matrices, so the spectra are certified charpoly roots
-        spectra = [sym_eigs([[UC[i][j] + eps_f * U[i][j] for j in range(n)]
-                             for i in range(n)], SEPARATION_BITS)
-                   for U in (U1, U2)]
+        # eps = p/d: d times the perturbed Laplacian weighs C by d, C_i by p
+        d = eps_f.denominator
+        spectra = [real_roots(_scaled_charpoly(
+            n, d, [(e, d) for e in C] + [(e, eps_f.numerator) for e in Ci])[0],
+            SEPARATION_BITS) for Ci in (C1, C2)]
         errors = tuple(
             max(abs(a - p) for a, p in zip(spectra[i], predictions[i]))
             for i in range(2))

@@ -8,8 +8,8 @@ roots with every point a raw mpf tuple, and clustering with every value
 an mpf.
 """
 from fractions import Fraction
-from itertools import permutations
-from math import log
+from itertools import combinations, permutations
+from math import lcm, log
 
 from mpmath import mp
 from mpmath.libmp import (from_man_exp, mpf_abs, mpf_add, mpf_cmp, mpf_div,
@@ -161,6 +161,75 @@ def naive_charpoly(M):
             matrix[i][j] = d
     det = cofactor_det(tuple(range(n)), tuple(range(n)), matrix, {})
     return {i: c for (i, _), c in det.items()}
+
+
+def charpoly_division_free(M):
+    """Characteristic polynomial det(X*I - M) of an exact square matrix.
+
+    Division-free (Berkowitz 1984): only +, -, * on the entries, so it is
+    exact over any commutative ring - ints, Fractions, or UniPoly entries
+    for matrices over Z[Y].  Returns a UniPoly in X.
+    """
+    n = len(M)
+    for row in M:
+        if len(row) != n:
+            raise ValidationError("matrix is not square")
+    if n == 0:
+        return UniPoly.const(1)
+    # coeffs of charpoly of the leading k x k block, descending powers of X
+    C = [1, -M[0][0]]
+    for k in range(1, n):
+        R = M[k][:k]
+        S = [M[i][k] for i in range(k)]
+        t = [1, -M[k][k]]
+        v = S
+        for _ in range(k):
+            t.append(-sum(R[l] * v[l] for l in range(k)))
+            v = [sum(M[i][l] * v[l] for l in range(k)) for i in range(k)]
+        # C_new = T * C with T lower-triangular Toeplitz, first column t
+        C_new = [0] * (k + 2)
+        for i in range(k + 2):
+            acc = 0
+            for j in range(max(0, i - len(t) + 1), min(i, k) + 1):
+                acc = acc + t[i - j] * C[j]
+            C_new[i] = acc
+        C = C_new
+    return UniPoly({n - i: c for i, c in enumerate(C) if c})
+
+
+def dense_scaled_charpoly(M):
+    """What spectra._scaled_charpoly returns, for any exact symmetric
+    matrix M, by charpoly_division_free on the dense s*M, s the lcm of M's
+    denominators: s^n * det(X*I - M) as ascending ints, and the bit size
+    of the largest coefficient of det(X*I - s*M)."""
+    s = lcm(*(Fraction(x).denominator for row in M for x in row))
+    P = charpoly_division_free([[int(x * s) for x in row] for row in M])
+    coeffs = [P.coefficient(i) for i in range(len(M) + 1)]
+    bits = max(abs(c).bit_length() for c in coeffs)
+    return [c * s ** i for i, c in enumerate(coeffs)], bits
+
+
+def brute_tree_count(n, edges):
+    """Spanning trees of the multigraph on 1..n with the edge list `edges`,
+    parallel edges distinct: the (n-1)-edge subsets, taken by position,
+    that join every vertex, each checked by union-find."""
+    count = 0
+    for subset in combinations(edges, n - 1):
+        parent = list(range(n + 1))
+
+        def find(u):
+            while parent[u] != u:
+                u = parent[u]
+            return u
+
+        joins = 0
+        for u, v in subset:
+            ru, rv = find(u), find(v)
+            if ru != rv:
+                parent[ru] = rv
+                joins += 1
+        count += joins == n - 1
+    return count
 
 
 def exhaustive_isomorphic(g1, g2):

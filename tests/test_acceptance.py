@@ -18,13 +18,14 @@ from graphspectra.forests import buslov_polynomial, kelmans_coefficients
 from graphspectra.game import GameConfig, GameSession, LoopbackEndpoint, solve_game
 from graphspectra.graphs import (cartesian_product, is_isomorphic,
                                  laplacian_matrix, relabel_graph)
-from graphspectra.polynomials import (charpoly_division_free, evaluate_y,
-                                      spectral_polynomial, tangent_cone)
+from graphspectra.polynomials import (evaluate_y, spectral_polynomial,
+                                      tangent_cone)
+from graphspectra.realroots import real_roots
 from graphspectra.reconstruct import reconstruct_from_polynomial
 from graphspectra.spectra import (cluster_and_assign, prediction_error_ratio,
-                                  recover_spectral_poly, simulate_spectrum,
-                                  sym_eigs)
-from test_spectra import perturbed_charpolys
+                                  recover_spectral_poly, simulate_spectrum)
+from naive_oracles import charpoly_division_free
+from test_spectra import _graph_charpoly, perturbed_charpolys
 
 SNAP_TOL = Fraction(1, 10 ** 6)
 
@@ -176,11 +177,11 @@ def test_criterion_7_product_additivity():
     spectra = {}
     with mp.workprec(256):
         for g in graphs:
-            spectra[g] = sym_eigs(laplacian_matrix(g), 200)
+            spectra[g] = real_roots(_graph_charpoly(g), 200)
         for i, g in enumerate(graphs):
             for h in graphs[i:]:
                 prod = cartesian_product(g, h)
-                got = sym_eigs(laplacian_matrix(prod), 200)
+                got = real_roots(_graph_charpoly(prod), 200)
                 want = sorted(a + b for a in spectra[g] for b in spectra[h])
                 assert len(got) == len(want)
                 assert all(abs(x - y) <= tol for x, y in zip(got, want)), \

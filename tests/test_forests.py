@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import pytest
 
@@ -9,10 +10,10 @@ from graphspectra.errors import ValidationError
 from graphspectra.forests import (EDGE_CAP, buslov_polynomial,
                                   enumerate_forests, forest_family_to_text,
                                   kelmans_coefficients, tree_count)
-from graphspectra.graphs import Graph, Multigraph, laplacian_matrix
-from graphspectra.polynomials import charpoly_division_free, spectral_polynomial
+from graphspectra.graphs import Graph, Multigraph, laplacian_matrix, quotient_graph
+from graphspectra.polynomials import spectral_polynomial
 
-from naive_oracles import brute_forests
+from naive_oracles import brute_forests, brute_tree_count, charpoly_division_free
 
 
 class TestEnumerateForests:
@@ -119,6 +120,24 @@ class TestTreeCount:
         for _ in range(10):
             g = random_connected_graph(6, rng)
             assert tree_count(g) == len(enumerate_forests(g).record(1))
+
+    def test_quotients_match_brute_force(self):
+        # every graph with n <= 5 and each of its quotient multigraphs,
+        # against the (n-1)-edge subsets with parallel edges kept distinct
+        from graphspectra.catalog import all_graphs
+
+        checked = multi = 0
+        for n in range(1, 6):
+            for g in all_graphs(n):
+                assert tree_count(g) == brute_tree_count(n, sorted(g.edges))
+                for k in range(1, n + 1):
+                    for S in combinations(range(1, n + 1), k):
+                        mg = quotient_graph(g, S)
+                        assert tree_count(mg) == brute_tree_count(mg.n, mg.edges), \
+                            (sorted(g.edges), S)
+                        checked += 1
+                        multi += len(set(mg.edges)) < len(mg.edges)
+        assert checked > 1000 and multi > 100
 
 
 class TestKelmans:

@@ -16,10 +16,10 @@ from graphspectra.catalog import random_connected_graph, with_labels
 from graphspectra.errors import PrecisionError
 from graphspectra.graphs import build_diffusion_pair
 from graphspectra.realroots import _newton_point, real_roots
-from graphspectra.spectra import (_integer_charpoly, _level_charpoly,
-                                  _level_weights, sym_eigs)
+from graphspectra.spectra import _level_charpoly, _level_weights
 
-from naive_oracles import assemble_laplacian, level_laplacian, mpf_real_roots
+from naive_oracles import (assemble_laplacian, dense_scaled_charpoly,
+                           level_laplacian, mpf_real_roots)
 
 
 def _outcome(roots_of, coeffs, bits):
@@ -97,7 +97,7 @@ def test_graded_level_charpolys():
                 _assert_same_roots(coeffs, max(wp, 8))
 
 
-def test_indefinite_integer_matrices_through_sym_eigs():
+def test_indefinite_integer_matrix_charpolys():
     rng = random.Random(13)
     for _ in range(40):
         n = rng.randint(1, 6)
@@ -106,8 +106,7 @@ def test_indefinite_integer_matrices_through_sym_eigs():
             for j in range(i, n):
                 M[i][j] = M[j][i] = rng.randint(-60, 60)
         bits = rng.choice((16, 64, 160))
-        want = _outcome(mpf_real_roots, _integer_charpoly(M)[0], bits)
-        assert _outcome(sym_eigs, M, bits) == want
+        _assert_same_roots(dense_scaled_charpoly(M)[0], bits)
 
 
 @pytest.mark.parametrize("q", [2, 3, 101])
@@ -123,4 +122,4 @@ def test_integer_level_matrices_match_fraction_route(q):
             assert all(type(w) is int for _, w in weights)
             M = assemble_laplacian(dp.graph.n, weights, 0)
             assert [[Fraction(x, s) for x in row] for row in M] == level_laplacian(dp, q, r)
-            assert _level_charpoly(dp, q, r) == _integer_charpoly(level_laplacian(dp, q, r))
+            assert _level_charpoly(dp, q, r) == dense_scaled_charpoly(level_laplacian(dp, q, r))

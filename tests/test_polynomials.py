@@ -6,7 +6,7 @@ from itertools import combinations
 from operator import lshift, mul
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from graphspectra import polynomials
@@ -16,8 +16,7 @@ from graphspectra.catalog import (complete_graph, connected_graphs,
 from graphspectra.errors import PrecisionError, ValidationError
 from graphspectra.forests import buslov_polynomial
 from graphspectra.graphs import Graph, build_diffusion_pair, graph_from_text
-from graphspectra.polynomials import (SpectralPolynomial, _as_is,
-                                      charpoly_division_free, evaluate_y,
+from graphspectra.polynomials import (SpectralPolynomial, _as_is, evaluate_y,
                                       interpolate_spectral_poly,
                                       laplacian_charpoly, spectral_polynomial,
                                       spectral_poly_from_text,
@@ -26,8 +25,8 @@ from graphspectra.spectra import _level_weights
 from graphspectra.unipoly import UniPoly
 
 from naive_oracles import (as_monomial_dict, assemble_laplacian,
-                           level_laplacian, naive_charpoly,
-                           naive_spectral_polynomial)
+                           charpoly_division_free, level_laplacian,
+                           naive_charpoly, naive_spectral_polynomial)
 
 
 class TestUniPoly:
@@ -187,6 +186,27 @@ def _assert_rings_match_dense(name, dp, width):
         want = [zero + cp.coefficient(i) for i in range(n + 1)]
         got = [zero + c for c in laplacian_charpoly(n, weights, scale, _as_is)]
         assert got == want, name
+
+
+@st.composite
+def _multigraph_edges(draw):
+    """(n, weighted edges) on 1..n <= 6, up to 10 edges, some repeated."""
+    n = draw(st.integers(1, 6))
+    pairs = st.tuples(st.integers(1, n), st.integers(1, n)).filter(lambda e: e[0] != e[1])
+    edges = draw(st.lists(st.tuples(pairs, st.integers(1, 9)), max_size=7) if n > 1
+                 else st.just([]))
+    repeats = draw(st.lists(st.sampled_from(edges), max_size=3) if edges else st.just([]))
+    return n, edges + repeats
+
+
+@given(_multigraph_edges())
+@example((3, [((1, 2), 1), ((1, 2), 1), ((2, 3), 1)]))
+def test_repeated_edges_add_up(case):
+    # parallel edges between one pair add their weights in every entry
+    n, edges = case
+    cp = charpoly_division_free(assemble_laplacian(n, edges, 0))
+    assert laplacian_charpoly(n, edges, mul, _as_is) == [
+        cp.coefficient(i) for i in range(n + 1)]
 
 
 class TestPackedRoute:

@@ -18,18 +18,20 @@ from graphspectra.errors import (AmbiguousClusteringError, PrecisionError,
                                  ValidationError)
 from graphspectra.graphs import (Graph, build_diffusion_pair,
                                  edge_set_laplacian, laplacian_matrix)
-from graphspectra.polynomials import (charpoly_division_free,
-                                      spectral_polynomial)
-from graphspectra.spectra import (cluster_and_assign, exact_decimal,
-                                  is_prime_power, parse_exact_decimal,
-                                  prediction_error_ratio,
+from graphspectra.polynomials import spectral_polynomial
+from graphspectra.realroots import real_roots
+from graphspectra.spectra import (SEPARATION_BITS, _level_charpoly,
+                                  _scaled_charpoly, cluster_and_assign,
+                                  exact_decimal, is_prime_power,
+                                  parse_exact_decimal, prediction_error_ratio,
                                   recover_spectral_poly,
                                   separation_experiment, simulate_spectrum,
                                   spectrum_from_text, spectrum_to_text,
                                   sym_eigs)
 from graphspectra.unipoly import UniPoly
 
-from naive_oracles import level_laplacian
+from naive_oracles import (charpoly_division_free, dense_scaled_charpoly,
+                           level_laplacian)
 
 
 def perturbed_charpolys(g1, g2):
@@ -95,17 +97,18 @@ class TestSymEigs:
             sym_eigs([[1, 2], [3, 4]], 64)
 
     def test_mpf_input_matches_certified_route(self):
-        # mpf entries go to eigsy; the exact matrix takes the certified
-        # charpoly route, whose values lie within a relative 2^-(bits-4)
+        # eigsy on mpf entries against the certified roots of the level's
+        # charpoly, which lie within a relative 2^-(bits-4)
         rng = random.Random(5)
         for _ in range(8):
             g = random_connected_graph(rng.randint(2, 5), rng)
             dp = with_labels(g, rng.sample(range(1, 11), g.m))
-            M = level_laplacian(dp, 5, rng.choice((0, 1, 2)))
+            r = rng.choice((0, 1, 2))
+            M = level_laplacian(dp, 5, r)
             with mp.workprec(256):
                 numeric = sym_eigs([[mp.mpf(x.numerator) / x.denominator
                                      for x in row] for row in M], 192)
-            certified = sym_eigs(M, 192)
+            certified = real_roots(_level_charpoly(dp, 5, r)[0], 192)
             norm = max(sum(abs(x) for x in row) for row in M)
             with mp.workprec(256):
                 for a, b in zip(numeric, certified):
@@ -120,8 +123,11 @@ class TestSymEigs:
             sym_eigs([[mp.mpf(2), 1], [1, 2]], 64)
         with pytest.raises(PrecisionError):
             sym_eigs([[2, 1], [1, 2]], 64, want_vectors=True)
+        with pytest.raises(PrecisionError):
+            sym_eigs([[2, 1], [1, 2]], 64)
         # the certified route never calls eigsy
-        assert _floats(sym_eigs([[2, 1], [1, 2]], 64)) == [1, 3]
+        coeffs, _ = dense_scaled_charpoly([[2, 1], [1, 2]])
+        assert _floats(real_roots(coeffs, 64)) == [1, 3]
 
     def test_fiedler_positive_for_connected(self):
         rng = random.Random(19)
@@ -134,17 +140,18 @@ class TestSymEigs:
                 assert float(vals[1]) > 0
 
 
-def _eigsy(M, bits):
-    """Eigenvalues by mpmath's eigsy, the route kept for eigenvectors."""
-    return sym_eigs(M, bits, want_vectors=True)[0]
+def _graph_charpoly(g):
+    """Ascending coefficients of det(X*I - L) for g's unweighted Laplacian."""
+    return _scaled_charpoly(g.n, 1, [(e, 1) for e in g.edges])[0]
 
 
-def _matches_eigsy(M, bits):
-    """The charpoly route at `bits` against eigsy at twice the bits: nonzero
-    values within a relative 2^-(bits-8), exact zeros against eigsy values
-    below 2^-bits times the matrix norm.  Returns the charpoly-route values."""
-    got = sym_eigs(M, bits)
-    want = _eigsy(M, 2 * bits)
+def _matches_eigsy(M, coeffs, bits):
+    """The certified roots of M's charpoly (ascending coefficients) at
+    `bits` against eigsy at twice the bits: nonzero values within a
+    relative 2^-(bits-8), exact zeros against eigsy values below 2^-bits
+    times the matrix norm.  Returns the certified values."""
+    got = real_roots(coeffs, bits)
+    want = sym_eigs(M, 2 * bits)
     assert len(got) == len(want)
     norm = float(max(sum(abs(Fraction(x)) for x in row) for row in M))
     with mp.workprec(2 * bits + 64):
@@ -179,29 +186,34 @@ class TestCharpolyRoute:
             dp = with_labels(g, rng.sample(range(1, 7), g.m))
             q = rng.choice((3, 5))
             for r in (0, 1):
-                vals = _matches_eigsy(level_laplacian(dp, q, r), 128)
+                M = level_laplacian(dp, q, r)
+                vals = _matches_eigsy(M, _level_charpoly(dp, q, r)[0], 128)
                 assert sum(1 for v in vals if v == 0) == 1
 
     def test_rational_level(self):
         dp = build_diffusion_pair(3, [(1, 2, 1), (1, 3, 2), (2, 3, 3)])
         M = level_laplacian(dp, 3, 2)
         assert any(x.denominator > 1 for row in M for x in row)
-        vals = _matches_eigsy(M, 128)
+        vals = _matches_eigsy(M, _level_charpoly(dp, 3, 2)[0], 128)
         assert vals[0] == 0 and vals[1] > 0
 
     def test_repeated_eigenvalues(self):
-        k5 = _matches_eigsy(laplacian_matrix(complete_graph(5)), 128)
+        k5 = _matches_eigsy(laplacian_matrix(complete_graph(5)),
+                            _graph_charpoly(complete_graph(5)), 128)
         assert _floats(k5) == pytest.approx([0, 5, 5, 5, 5], abs=1e-30)
-        c4 = _matches_eigsy(laplacian_matrix(cycle_graph(4)), 128)
+        c4 = _matches_eigsy(laplacian_matrix(cycle_graph(4)),
+                            _graph_charpoly(cycle_graph(4)), 128)
         assert _floats(c4) == pytest.approx([0, 2, 2, 4], abs=1e-30)
         dp = with_labels(star_graph(4), [2, 2, 2], require_distinct_labels=False)
-        uniform = _matches_eigsy(level_laplacian(dp, 7, 0), 128)
+        uniform = _matches_eigsy(level_laplacian(dp, 7, 0),
+                                 _level_charpoly(dp, 7, 0)[0], 128)
         assert _floats(uniform) == pytest.approx([0, 49, 49, 196], abs=1e-25)
 
     def test_disconnected_graph(self):
         dp = with_labels(Graph.of(5, [(1, 2), (3, 4), (4, 5)]), [1, 2, 3])
         for r in (0, 1):
-            vals = _matches_eigsy(level_laplacian(dp, 3, r), 128)
+            vals = _matches_eigsy(level_laplacian(dp, 3, r),
+                                  _level_charpoly(dp, 3, r)[0], 128)
             assert [v for v in vals if v == 0] == [0, 0]
             assert all(v > 0 for v in vals[2:])
 
@@ -214,7 +226,7 @@ class TestCharpolyRoute:
             for i in range(n):
                 for j in range(i + 1):
                     M[i][j] = M[j][i] = rng.randint(-9, 9)
-            vals = _matches_eigsy(M, 128)
+            vals = _matches_eigsy(M, dense_scaled_charpoly(M)[0], 128)
             negatives += sum(1 for v in vals if v < 0)
         assert negatives > 0
 
@@ -629,6 +641,31 @@ class TestSeparation:
         UC = edge_set_laplacian(8, rep.common_edges)
         assert p1 != charpoly_division_free(
             [[UniPoly.const(x) for x in row] for row in UC])
+
+
+_SEPARATION_PAIRS = {
+    "path-vs-fork": (TestSeparation.GA, TestSeparation.GB),
+    # g2's edges a subset of g1's: C_2 is empty
+    "cycle-vs-path": (cycle_graph(4), Graph.of(4, [(1, 2), (2, 3)])),
+}
+
+
+@pytest.mark.parametrize("eps", [Fraction(1, 1000), Fraction(3, 7), Fraction(2)])
+@pytest.mark.parametrize("pair", sorted(_SEPARATION_PAIRS))
+def test_perturbed_spectra_are_dense_charpoly_roots(pair, eps):
+    # real_roots of the dense charpoly of U(C) + eps*U(C_i), scaled by the
+    # lcm of its denominators, bit for bit
+    g1, g2 = _SEPARATION_PAIRS[pair]
+    rep = separation_experiment(g1, g2, eps)
+    n = g1.n
+    UC = edge_set_laplacian(n, rep.common_edges)
+    for Ci, spectrum in zip(rep.extra_edges, rep.spectra):
+        U = edge_set_laplacian(n, Ci)
+        M = [[UC[i][j] + eps * U[i][j] for j in range(n)] for i in range(n)]
+        want = real_roots(dense_scaled_charpoly(M)[0], SEPARATION_BITS)
+        assert [x._mpf_ for x in spectrum] == [x._mpf_ for x in want]
+    if pair == "cycle-vs-path":
+        assert rep.extra_edges[1] == ()
 
 
 class TestSpectrumFormat:
