@@ -1,37 +1,38 @@
 """The polynomial remembers the whole graph.
 
 With subset-sum-distinct labels (powers of two), every monomial names one
-spanning forest, so the polynomial hands over the full forest family: the
-labels are the exponents of the single-edge coefficient, each exponent
-decomposes uniquely into a label subset, and each magnitude is the
-forest's component-size product.  Realizing a graph with exactly that
-family is then a finite search, unique up to isomorphism.
+spanning forest: the labels are the exponents of the single-edge
+coefficient a_(n-1), two-edge forests in a_(n-2) tell which labels share
+a vertex, and three-edge forests in a_(n-3) tell triangles from stars.
+That is enough to draw the graph, unique up to isomorphism, and a drawing
+is accepted only when its own forest polynomial equals P.
 """
 import random
 
-from graphspectra import (decode_forest_family, is_isomorphic,
-                          reconstruct_from_polynomial, spectral_polynomial)
+from graphspectra import (is_isomorphic, reconstruct_from_polynomial,
+                          reconstruct_labeled, spectral_polynomial)
 from graphspectra.catalog import (cospectral_pair_graphs,
                                   random_connected_graph, with_powers_of_two)
 
 g1, g2 = cospectral_pair_graphs()
 dp = with_powers_of_two(g1)
 P = spectral_polynomial(dp)
-fam = decode_forest_family(P)
-print("decoded labels:", fam.labels)
-print("decoded spanning trees:", len(fam.families[1]))
-print("decoded single edges:  ", len(fam.families[g1.n - 1]))
+n = P.n
+print("labels read from a_(n-1):", sorted(P.coefficient(n - 1).terms))
+print("spanning trees (terms of a_1):    ", len(P.coefficient(1).terms))
+print("single edges (terms of a_(n-1)):  ", len(P.coefficient(n - 1).terms))
 
-h = reconstruct_from_polynomial(P)
-print("\nreconstructed graph:", sorted(h.edges))
-print("isomorphic to the hidden one:", is_isomorphic(h, g1))
-print("isomorphic to its cospectral twin:", is_isomorphic(h, g2))
+back = reconstruct_labeled(P)
+print("\nreconstructed labeled graph:", list(back.labels))
+print("its polynomial is P:", spectral_polynomial(back) == P)
+print("isomorphic to the hidden one:", is_isomorphic(back.graph, g1))
+print("isomorphic to its cospectral twin:", is_isomorphic(back.graph, g2))
 
 print("\nrandom round trips:")
 rng = random.Random(7)
 for trial in range(5):
     g = random_connected_graph(rng.randint(3, 7), rng)
-    back = reconstruct_from_polynomial(
+    h = reconstruct_from_polynomial(
         spectral_polynomial(with_powers_of_two(g)))
     print(f"  n={g.n} m={g.m:2d}: reconstructed isomorphic ->",
-          is_isomorphic(g, back))
+          is_isomorphic(g, h))

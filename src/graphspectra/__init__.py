@@ -30,8 +30,7 @@ from .spectra import (ClusterAssignment, SeparationReport, SpectrumSample,
                       recover_spectral_poly, separation_experiment,
                       simulate_spectrum, spectrum_from_text,
                       spectrum_to_text, sym_eigs)
-from .reconstruct import (DecodedFamily, Realization, decode_forest_family,
-                          realize_graph, reconstruct_from_polynomial)
+from .reconstruct import reconstruct_from_polynomial, reconstruct_labeled
 from .unipoly import UniPoly
 
 __version__ = "0.1.0"

@@ -26,6 +26,7 @@ from .graphs import (build_diffusion_pair, graph_from_text, graph_to_text,
 from .polynomials import (_as_is, evaluate_y, laplacian_charpoly,
                           spectral_polynomial, spectral_poly_from_text,
                           spectral_poly_to_text, tangent_cone)
+from .reconstruct import reconstruct_labeled
 from .spectra import (ClusterAssignment, cluster_and_assign, exact_decimal,
                       parse_exact_decimal, prediction_error_ratio,
                       recover_spectral_poly, simulate_spectrum,
@@ -110,12 +111,8 @@ def _cmd_evaluate(args):
 
 
 def _cmd_reconstruct(args):
-    from .reconstruct import decode_forest_family, realize_graph
-
     P = spectral_poly_from_text(_read(args.polynomial))
-    edge_labels = realize_graph(decode_forest_family(P)).edge_labels
-    dp = build_diffusion_pair(P.n, [(u, v, a) for (u, v), a in edge_labels.items()])
-    _write(args.output, graph_to_text(dp))
+    _write(args.output, graph_to_text(reconstruct_labeled(P)))
     return 0
 
 

@@ -10,7 +10,7 @@ where gamma(F) is the product of the component vertex counts.  The gamma
 factor is forced by the determinant: the single-edge graph on two vertices
 has char poly X^2 - 2XY, not X^2 - XY.  Under distinct-subset-sum labels
 the monomial SUPPORT is still in bijection with the forest sets, which is
-what the reconstruction decoder relies on.
+what lets the reconstruction check a drawing against P.
 """
 from __future__ import annotations
 
@@ -41,15 +41,6 @@ class ForestFamily:
 
     def record(self, i):
         return self.families.get(i, ())
-
-    def as_label_families(self, label_map):
-        """Re-express edge subsets through an edge -> label map."""
-        out = {}
-        for i, recs in self.families.items():
-            out[i] = frozenset(
-                (frozenset(label_map[e] for e in edges), gamma)
-                for edges, gamma in recs)
-        return out
 
 
 def forest_masks(n, edges):
@@ -108,23 +99,21 @@ def enumerate_forests(g):
 
 
 def buslov_polynomial(dp):
-    """Spectral polynomial assembled from the spanning-forest families.
+    """Spectral polynomial assembled from the spanning forests: each forest
+    with i components adds (-1)^(n-i) * gamma * Y^(sum of its labels) to a_i.
 
     Must agree exactly with the determinant route (spectral_polynomial);
     the pair forms the package's central dual-route check.
     """
-    fam = enumerate_forests(dp.graph)
-    label_map = dp.label_map()
     n = dp.graph.n
-    coeffs = []
-    for i in range(n + 1):
-        sign = (-1) ** (n - i)
-        terms = {}
-        for edges, gamma in fam.record(i):
-            w = sum(label_map[e] for e in edges)
-            terms[w] = terms.get(w, 0) + sign * gamma
-        coeffs.append(UniPoly(terms))
-    return SpectralPolynomial(n, tuple(coeffs))
+    edges = [e for e, _ in dp.labels]
+    labels = [a for _, a in dp.labels]
+    coeffs = [{} for _ in range(n + 1)]
+    for i, mask, gamma in forest_masks(n, edges):
+        w = sum(a for j, a in enumerate(labels) if mask >> j & 1)
+        terms = coeffs[i]
+        terms[w] = terms.get(w, 0) + (-1) ** (n - i) * gamma
+    return SpectralPolynomial(n, tuple(map(UniPoly, coeffs)))
 
 
 def tree_count(mg):

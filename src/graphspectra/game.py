@@ -17,15 +17,12 @@ import threading
 from dataclasses import dataclass, field
 
 from .errors import AmbiguousClusteringError, PrecisionError, ValidationError
+from .forests import EDGE_CAP
 from .graphs import Graph, build_diffusion_pair, is_isomorphic
 from .reconstruct import reconstruct_from_polynomial
 from .spectra import (SpectrumSample, cluster_and_assign, exact_decimal,
                       is_prime_power, parse_exact_decimal,
                       recover_spectral_poly, simulate_spectrum)
-
-# The solver offers the labels 1, 2, 4, ..., 2^63, so it plays hidden
-# graphs of up to 64 edges.
-_SOLVER_LABELS = 64
 
 
 def encode_message(msg):
@@ -290,7 +287,9 @@ def solve_game(endpoint, config=None):
     welcome = request({"type": "hello"})
     if welcome.get("type") != "welcome":
         raise ValidationError(f"expected welcome, got {welcome}")
-    labels_full = [1 << i for i in range(_SOLVER_LABELS)]
+    # 1, 2, 4, ...: as many labels as reconstruction accepts, so a larger
+    # hidden graph is refused by the server before any spectrum is computed
+    labels_full = [1 << i for i in range(EDGE_CAP)]
     ack = request({"type": "choose_delta", "labels": labels_full})
     if ack.get("type") != "delta_ack":
         raise ValidationError(f"expected delta_ack, got {ack}")

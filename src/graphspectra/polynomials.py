@@ -58,14 +58,6 @@ class SpectralPolynomial:
             for k, c in a.terms.items():
                 yield c, i, k
 
-    def __eq__(self, other):
-        if not isinstance(other, SpectralPolynomial):
-            return NotImplemented
-        return self.n == other.n and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash((self.n, self.coeffs))
-
     def format(self):
         parts = []
         for i in range(self.n, -1, -1):
@@ -228,14 +220,6 @@ class HomogeneousPart:
 
     degree: int
     terms: tuple  # sorted tuple of (xdeg, ydeg, coeff)
-
-    def __eq__(self, other):
-        if not isinstance(other, HomogeneousPart):
-            return NotImplemented
-        return self.degree == other.degree and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.degree, self.terms))
 
     def format(self):
         parts = []

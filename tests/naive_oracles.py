@@ -250,33 +250,6 @@ def brute_subset_sums_distinct(labels):
     return len(set(sums)) == len(sums)
 
 
-def subset_with_sum(labels, target, limit=2):
-    """Label subsets summing to target, at most `limit` collected, by a
-    recursive search over a fresh sort of the labels on every call."""
-    labels = sorted(labels, reverse=True)
-    suffix = [0] * (len(labels) + 1)
-    for i in range(len(labels) - 1, -1, -1):
-        suffix[i] = suffix[i + 1] + labels[i]
-    found = []
-
-    def walk(i, t, chosen):
-        if len(found) >= limit:
-            return
-        if t == 0:
-            found.append(frozenset(chosen))
-            return
-        if i == len(labels) or t < 0 or t > suffix[i]:
-            return
-        if labels[i] <= t:
-            chosen.append(labels[i])
-            walk(i + 1, t - labels[i], chosen)
-            chosen.pop()
-        walk(i + 1, t, chosen)
-
-    walk(0, target, [])
-    return found
-
-
 def brute_forests(g: Graph):
     """All acyclic edge subsets by checking every subset for cycles."""
     edges = g.sorted_edges()

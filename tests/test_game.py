@@ -1,5 +1,6 @@
 import random
 import sys
+import time
 
 import pytest
 from hypothesis import settings
@@ -11,6 +12,7 @@ from graphspectra.catalog import (complete_graph, connected_graphs,
                                   cycle_graph, path_graph,
                                   random_connected_graph)
 from graphspectra.errors import PrecisionError, ValidationError
+from graphspectra.forests import EDGE_CAP
 from graphspectra.game import (GameConfig, GameSession, LoopbackEndpoint,
                                SocketEndpoint, SolveResult, SolverConfig,
                                decode_message, encode_message, serve_game,
@@ -213,6 +215,22 @@ class TestSolver:
 
         with pytest.raises(ValidationError, match="non-negative"):
             solve_game(Negating(GameSession(path_graph(3), GameConfig(seed=1))))
+
+    def test_labels_offered_up_to_the_edge_cap(self):
+        # K7 has 21 edges, one more than reconstruction accepts: the server
+        # refuses the label list before computing any spectrum
+        sess = GameSession(complete_graph(7))
+        start = time.process_time()
+        with pytest.raises(ValidationError, match="need at least 21 labels"):
+            solve_game(LoopbackEndpoint(sess))
+        assert time.process_time() - start < 1
+        sent = decode_message(sess.transcript[2][1])
+        assert sent["labels"] == [1 << i for i in range(EDGE_CAP)]
+        assert decode_message(sess.transcript[3][1])["code"] == "label_count"
+        # a graph within the cap is labeled with the first m of them
+        sess = _session(path_graph(4), seed=1)
+        assert solve_game(LoopbackEndpoint(sess)).won
+        assert sorted(sess.pair.label_values()) == [1, 2, 4]
 
     def test_random_n6(self):
         rng = random.Random(12)
