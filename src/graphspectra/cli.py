@@ -140,8 +140,22 @@ def _assignment_text(a):
 
 
 def _read_assignment(text):
-    rows = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if not rows or not rows[0].startswith("clusters "):
+    """The assignment at the largest q among the blank-line-separated
+    blocks of a clusters file, each of which must parse."""
+    blocks, rows = [], []
+    for ln in text.splitlines() + [""]:
+        if ln.strip():
+            rows.append(ln.strip())
+        elif rows:
+            blocks.append(_assignment_block(rows))
+            rows = []
+    if not blocks:
+        raise ValidationError("missing clusters header")
+    return max(blocks, key=lambda a: a.q)
+
+
+def _assignment_block(rows):
+    if not rows[0].startswith("clusters "):
         raise ValidationError("missing clusters header")
     fields = parse_fields(rows[0].split()[1:], rows[0])
     try:
@@ -310,7 +324,8 @@ def build_parser():
     p.set_defaults(func=_cmd_cluster)
 
     p = sub.add_parser("recover", help="polynomial from a cluster file")
-    p.add_argument("clusters")
+    p.add_argument("clusters", help="a file written by cluster; recovery "
+                   "uses its block at the largest q")
     p.add_argument("--degree-bound", type=int, required=True)
     common(p)
     p.set_defaults(func=_cmd_recover)

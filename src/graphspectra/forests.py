@@ -103,17 +103,30 @@ def buslov_polynomial(dp):
     with i components adds (-1)^(n-i) * gamma * Y^(sum of its labels) to a_i.
 
     Must agree exactly with the determinant route (spectral_polynomial);
-    the pair forms the package's central dual-route check.
+    the pair forms the package's central dual-route check.  A forest's
+    label sum is read from two subset-sum tables, one per half of the
+    edge list.
     """
     n = dp.graph.n
     edges = [e for e, _ in dp.labels]
     labels = [a for _, a in dp.labels]
+    h = len(labels) // 2
+    lo, hi = _subset_sums(labels[:h]), _subset_sums(labels[h:])
+    low = (1 << h) - 1
     coeffs = [{} for _ in range(n + 1)]
     for i, mask, gamma in forest_masks(n, edges):
-        w = sum(a for j, a in enumerate(labels) if mask >> j & 1)
+        w = lo[mask & low] + hi[mask >> h]
         terms = coeffs[i]
         terms[w] = terms.get(w, 0) + (-1) ** (n - i) * gamma
     return SpectralPolynomial(n, tuple(map(UniPoly, coeffs)))
+
+
+def _subset_sums(labels):
+    """sums[mask]: the sum of labels[j] over the bits j set in mask."""
+    sums = [0]
+    for a in labels:
+        sums += [s + a for s in sums]
+    return sums
 
 
 def tree_count(mg):

@@ -209,7 +209,7 @@ class SpectrumSample:
     q: int
     r_min: int
     r_max: int
-    precision_bits: int
+    precision_bits: int  # the least precision of any level's values
     values: tuple  # ascending mpf values, one level-spectrum per level
 
     def __post_init__(self):
@@ -259,10 +259,17 @@ def simulate_spectrum(dp, q, r_min, r_max, precision_bits=512):
     characteristic polynomial (see _scaled_charpoly); the zero count is
     the X-adic valuation, checked against the graph's component count.
     Recovery multiplies the values of a level back into the integer
-    coefficients of that polynomial, so the working precision is the bit
-    size of the largest coefficient over the window plus 64 guard bits;
-    precision_bits is a floor that is raised to that rule when below it,
-    and the effective precision is recorded on the sample.
+    coefficients of that polynomial alone, so level r is refined at the
+    bit size of its own largest coefficient plus 64 guard bits, raised to
+    the floor precision_bits when below it.  A level whose roots cannot be
+    told apart at that precision is refined once more at the window's
+    largest such precision before PrecisionError propagates.
+
+    The sample records the least precision used, to which every value is
+    certified.  Level weights are integers >= 1 and level 1's are all 1,
+    and every coefficient is a positive sum of weight products (the
+    all-minors matrix-tree theorem), so that is level 1's precision unless
+    level 1 fell back.
     """
     if not is_prime_power(q):
         raise ValidationError(f"q={q} is not a prime power")
@@ -271,17 +278,27 @@ def simulate_spectrum(dp, q, r_min, r_max, precision_bits=512):
     b0 = dp.graph.component_count()
     levels = range(r_min, r_max + 1)
     charpolys = [_level_charpoly(dp, q, r) for r in levels]
-    wp = max(precision_bits, max(bits for _, bits in charpolys) + 64)
+    window_bits = max(precision_bits, max(bits for _, bits in charpolys) + 64)
     values = []
-    for r, (coeffs, _) in zip(levels, charpolys):
+    least = window_bits
+    for r, (coeffs, bits) in zip(levels, charpolys):
         zeros = next(i for i, c in enumerate(coeffs) if c)
         if zeros != b0:
             raise PrecisionError(
                 f"level {r}: characteristic polynomial has {zeros} zero "
                 f"roots, but the graph has {b0} components")
-        values.extend(real_roots(coeffs, wp))
+        wp = max(precision_bits, bits + 64)
+        try:
+            roots = real_roots(coeffs, wp)
+        except PrecisionError:
+            if wp == window_bits:
+                raise
+            wp = window_bits
+            roots = real_roots(coeffs, wp)
+        values.extend(roots)
+        least = min(least, wp)
     values.sort()
-    return SpectrumSample(q, r_min, r_max, wp, tuple(values))
+    return SpectrumSample(q, r_min, r_max, least, tuple(values))
 
 
 def _level_charpoly(dp, q, r):
@@ -348,8 +365,9 @@ def cluster_and_assign(samples):
 
     The level-1 multiset is prime-independent, so it is extracted by
     cross-sample value matching within a relative 2^-ceil(p/3), p the least
-    sample precision.  The remaining values are matched across primes: a
-    value pair belonging to the same eigenvalue branch and level satisfies
+    sample precision, which is level 1's (see simulate_spectrum).  The
+    remaining values are matched across primes: a value pair belonging to
+    the same eigenvalue branch and level satisfies
     v1/v2 = (q1/q2)^e for an integer e = (1-r)*s, with a shared leading
     constant; grouping by constant and factoring each group's exponents
     into complete progressions s*(1-r) identifies the levels.

@@ -3,7 +3,7 @@ import threading
 import pytest
 
 from graphspectra.catalog import star_graph, with_labels
-from graphspectra.cli import main
+from graphspectra.cli import _read_assignment, main
 from graphspectra.game import GameConfig, serve_game
 from graphspectra.graphs import graph_from_text, graph_to_text, is_isomorphic
 from graphspectra.spectra import simulate_spectrum, spectrum_to_text
@@ -54,13 +54,22 @@ def test_simulate_cluster_recover_pipeline(tmp_path, k3_file):
                  "-o", str(s2)]) == 0
     clusters = tmp_path / "k3.clusters"
     assert main(["cluster", str(s1), str(s2), "-o", str(clusters)]) == 0
-    first_block = clusters.read_text().split("\n\n")[0]
-    cfile = tmp_path / "one.clusters"
-    cfile.write_text(first_block)
+    # the file as written: one block per prime, recovered at the larger
+    text = clusters.read_text()
+    assert [ln.split()[1] for ln in text.splitlines()
+            if ln.startswith("clusters ")] == ["q=101", "q=103"]
+    assert _read_assignment(text).q == 103
     out = tmp_path / "rec.spoly"
-    assert main(["recover", str(cfile), "--degree-bound", "7",
+    assert main(["recover", str(clusters), "--degree-bound", "7",
                  "-o", str(out)]) == 0
     assert out.read_text() == spoly.read_text()
+    # every block must parse, the one not used included
+    first_block = text.split("\n\n")[0]
+    for second in ("clusters q=103 prec=512\n1 abc\n",
+                   "1 0\n", "clusters q=103\n1 0\n"):
+        bad = tmp_path / "bad.clusters"
+        bad.write_text(first_block + "\n\n" + second)
+        assert main(["recover", str(bad), "--degree-bound", "7"]) == 2
 
 
 def _spectra_at_two_primes(fields, width):

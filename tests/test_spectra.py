@@ -5,11 +5,12 @@ from itertools import permutations
 from math import gcd
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 from mpmath.libmp import from_man_exp
 
+from graphspectra import spectra
 from graphspectra.catalog import (complete_graph, connected_graphs,
                                   cycle_graph, path_graph,
                                   random_connected_graph, star_graph,
@@ -163,19 +164,24 @@ def _matches_eigsy(M, coeffs, bits):
     return got
 
 
-def _coefficient_rule(dp, q, r_min, r_max, floor):
-    """max(floor, 64 + bits of the largest coefficient of det(X*I - s*M_r)
-    over the window), s clearing the denominators of level r."""
-    largest = 0
-    for r in range(r_min, r_max + 1):
-        M = level_laplacian(dp, q, r)
-        s = 1
-        for row in M:
-            for x in row:
-                s = s * x.denominator // gcd(s, x.denominator)
-        P = charpoly_division_free([[int(x * s) for x in row] for row in M])
-        largest = max(largest, max(abs(c).bit_length() for c in P.terms.values()))
-    return max(floor, largest + 64)
+def _coefficient_rule(dp, q, r, floor):
+    """Level r's precision: max(floor, 64 + bits of the largest coefficient
+    of det(X*I - s*M_r)), s clearing the denominators of level r."""
+    M = level_laplacian(dp, q, r)
+    s = 1
+    for row in M:
+        for x in row:
+            s = s * x.denominator // gcd(s, x.denominator)
+    P = charpoly_division_free([[int(x * s) for x in row] for row in M])
+    return max(floor, max(abs(c).bit_length() for c in P.terms.values()) + 64)
+
+
+def _values_at(dp, q, r_min, precisions):
+    """The ascending union of the levels r_min, r_min + 1, ... refined at
+    the given precisions, one per level."""
+    return tuple(sorted(
+        v for r, bits in enumerate(precisions, r_min)
+        for v in real_roots(_level_charpoly(dp, q, r)[0], bits)))
 
 
 class TestCharpolyRoute:
@@ -231,38 +237,45 @@ class TestCharpolyRoute:
         assert negatives > 0
 
     def test_precision_follows_coefficient_rule(self):
+        # each level is refined at its own rule; the header is the least
+        # of them, which is level 1's
         dp = build_diffusion_pair(4, [(1, 2, 1), (2, 3, 2), (3, 4, 4), (1, 4, 8)])
         for q, r_min, r_max, floor in ((101, 0, 1, 64), (101, -3, 1, 512),
                                        (13, -1, 2, 64), (5, 0, 1, 4096)):
-            want = _coefficient_rule(dp, q, r_min, r_max, floor)
+            rules = [_coefficient_rule(dp, q, r, floor)
+                     for r in range(r_min, r_max + 1)]
             s = simulate_spectrum(dp, q, r_min, r_max, floor)
-            assert s.precision_bits == want
-        # a floor at or below the rule reads back as exactly the rule
-        rule = _coefficient_rule(dp, 101, -3, 1, 0)
+            assert s.values == _values_at(dp, q, r_min, rules)
+            assert s.precision_bits == min(rules) == rules[1 - r_min]
+        # a floor at or below level 1's rule reads back as exactly that rule
+        rule = _coefficient_rule(dp, 101, 1, 0)
         for floor in (8, rule - 1, rule):
             assert simulate_spectrum(dp, 101, -3, 1, floor).precision_bits == rule
 
     def test_sign_change_certificates(self):
         # every simple nonzero value v is an exact root of some level's
-        # characteristic polynomial or changes its sign between
-        # v*(1 -/+ 2^-(bits-4)); repeated values (no sign change at even
-        # multiplicity) are left to the eigsy comparisons above
+        # characteristic polynomial P_r or changes its sign between
+        # v*(1 -/+ 2^-(p_r-4)), p_r that level's own precision; repeated
+        # values (no sign change at even multiplicity) are left to the
+        # eigsy comparisons above
         rng = random.Random(43)
         checked = 0
         for _ in range(4):
             g = random_connected_graph(rng.randint(2, 5), rng)
             dp = with_labels(g, rng.sample(range(1, 11), g.m))
             s = simulate_spectrum(dp, 3, -1, 2, 96)
+            levels = range(-1, 3)
             charpolys = [charpoly_division_free(level_laplacian(dp, 3, r))
-                         for r in range(-1, 3)]
-            eps = Fraction(1, 2 ** (s.precision_bits - 4))
+                         for r in levels]
+            eps = [Fraction(1, 2 ** (_coefficient_rule(dp, 3, r, 96) - 4))
+                   for r in levels]
             values = s.nonzero_values()
             for v in values:
                 if values.count(v) > 1:
                     continue
                 x = Fraction(exact_decimal(v))
-                assert any(P(x) == 0 or P(x * (1 - eps)) * P(x * (1 + eps)) < 0
-                           for P in charpolys), v
+                assert any(P(x) == 0 or P(x * (1 - e)) * P(x * (1 + e)) < 0
+                           for P, e in zip(charpolys, eps)), v
                 checked += 1
             assert s.zeros_per_level == 1
         assert checked >= 30
@@ -407,11 +420,72 @@ class TestSimulate:
             simulate_spectrum(dp, 6, 0, 1, 128)
 
     def test_precision_too_low_without_elevation(self):
-        # a floor below the coefficient rule is raised to exactly the rule
+        # a floor below the coefficient rule is raised to exactly each
+        # level's own rule, not to the window's largest; the header reads
+        # level 1's
         dp = with_labels(path_graph(3), [1, 8])
+        rules = [_coefficient_rule(dp, 101, r, 0) for r in range(-14, 2)]
         s = simulate_spectrum(dp, 101, -14, 1, 8)
-        assert s.precision_bits == _coefficient_rule(dp, 101, -14, 1, 0)
-        assert s.precision_bits > 64
+        assert s.values == _values_at(dp, 101, -14, rules)
+        assert s.values != _values_at(dp, 101, -14, [max(rules)] * len(rules))
+        assert s.precision_bits == rules[-1] == min(rules) > 64
+        assert max(rules) > 10 * s.precision_bits
+
+    def test_level_failure_falls_back_to_window_precision(self, monkeypatch):
+        dp = with_labels(path_graph(3), [1, 8])
+        rules = [_coefficient_rule(dp, 101, r, 8) for r in range(-3, 2)]
+        window = max(rules)
+        calls = []
+
+        def refuse(below):
+            def roots(coeffs, bits):
+                calls.append(bits)
+                if bits < below:
+                    raise PrecisionError(f"forced below {below} bits")
+                return real_roots(coeffs, bits)
+            return roots
+
+        # every level refused below the window precision: the values and
+        # the header are those of refining the whole window at it
+        monkeypatch.setattr(spectra, "real_roots", refuse(window))
+        s = simulate_spectrum(dp, 101, -3, 1, 8)
+        assert s.values == _values_at(dp, 101, -3, [window] * 5)
+        assert s.precision_bits == window
+        # once at each level's own rule, then once more at the window's
+        assert sorted(calls) == sorted(rules + [window] * 4)
+        assert len(set(rules)) == 5
+        # level 1 alone falls back: the header is the least precision used
+        monkeypatch.setattr(spectra, "real_roots", refuse(rules[-1] + 1))
+        s = simulate_spectrum(dp, 101, -3, 1, 8)
+        assert s.values == _values_at(dp, 101, -3, rules[:-1] + [window])
+        assert s.precision_bits == min(rules[:-1]) > rules[-1]
+        # a failure at the window precision itself propagates
+        monkeypatch.setattr(spectra, "real_roots", refuse(window + 1))
+        with pytest.raises(PrecisionError, match="forced"):
+            simulate_spectrum(dp, 101, -3, 1, 8)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_level_one_sets_the_header(data):
+    # level weights are integers >= 1 and level 1's are all 1, so level 1
+    # has the least coefficients and the header is level 1's precision
+    n = data.draw(st.integers(1, 5), label="n")
+    pairs = [(u, v) for v in range(1, n + 1) for u in range(1, v)]
+    edges = data.draw(st.lists(st.sampled_from(pairs), unique=True,
+                               max_size=6) if pairs else st.just([]), label="edges")
+    g = Graph.of(n, edges)
+    labels = data.draw(st.lists(st.integers(1, 8), min_size=g.m,
+                                max_size=g.m), label="labels")
+    dp = with_labels(g, labels, require_distinct_labels=False)
+    q = data.draw(st.sampled_from((2, 3, 4, 9, 101, 1009)), label="q")
+    r_min = data.draw(st.integers(-3, 1), label="r_min")
+    r_max = data.draw(st.integers(1, 3), label="r_max")
+    floor = data.draw(st.sampled_from((8, 64, 512)), label="floor")
+    bits = {r: _level_charpoly(dp, q, r)[1] for r in range(r_min, r_max + 1)}
+    assert bits[1] == min(bits.values())
+    s = simulate_spectrum(dp, q, r_min, r_max, floor)
+    assert s.precision_bits == max(floor, bits[1] + 64)
 
 
 class TestClusterAssign:
@@ -507,18 +581,21 @@ def _exact(x):
 
 @pytest.mark.parametrize("g, labels", _criterion_5_arrangements())
 def test_level_sums_equal_level_traces(g, labels):
-    # each value lies within a relative 2^-(bits-4) of its eigenvalue, and
-    # level r's Laplacian has trace 2 * sum of q^((1-r)*label)
+    # each value of level r lies within a relative 2^-(p_r-4) of its
+    # eigenvalue, p_r that level's own precision, and level r's Laplacian
+    # has trace 2 * sum of q^((1-r)*label)
     dp = with_labels(g, list(labels))
     D = dp.total_weight
     samples = [simulate_spectrum(dp, q, 1 - D, 1, 512) for q in (101, 1009)]
     for a in cluster_and_assign(samples):
         assert sorted(a.levels) == list(range(1 - D, 2))
+        assert a.precision_bits == _coefficient_rule(dp, a.q, 1, 512)
         for r, values in a.levels.items():
             y = Fraction(a.q) ** (1 - r)
             trace = 2 * sum(y ** label for label in labels)
             total = sum(map(_exact, values), Fraction(0))
-            assert abs(total - trace) <= trace / 2 ** (a.precision_bits - 4), (a.q, r)
+            bits = _coefficient_rule(dp, a.q, r, 512)
+            assert abs(total - trace) <= trace / 2 ** (bits - 4), (a.q, r)
 
 
 class TestRecovery:
