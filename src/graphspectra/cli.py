@@ -28,7 +28,7 @@ from .polynomials import (_as_is, evaluate_y, laplacian_charpoly,
                           spectral_poly_to_text, tangent_cone)
 from .reconstruct import reconstruct_labeled
 from .spectra import (ClusterAssignment, cluster_and_assign, exact_decimal,
-                      parse_exact_decimal, prediction_error_ratio,
+                      hex_dyadic, parse_hex_dyadic, prediction_error_ratio,
                       recover_spectral_poly, simulate_spectrum,
                       spectrum_from_text, spectrum_to_text)
 
@@ -135,7 +135,7 @@ def _assignment_text(a):
     lines = [f"clusters q={a.q} prec={a.precision_bits}"]
     for r in sorted(a.levels, reverse=True):
         for v in a.levels[r]:
-            lines.append(f"{r} {exact_decimal(v)}")
+            lines.append(f"{r} {hex_dyadic(v)}")
     return "\n".join(lines)
 
 
@@ -168,7 +168,7 @@ def _assignment_block(rows):
         if len(parts) != 2:
             raise ValidationError(f"bad cluster line {ln!r}")
         [r] = parse_ints(parts[:1], ln)
-        levels.setdefault(r, []).append(parse_exact_decimal(parts[1]))
+        levels.setdefault(r, []).append(parse_hex_dyadic(parts[1]))
     levels = {r: tuple(sorted(vs)) for r, vs in levels.items()}
     return ClusterAssignment(q, prec, levels, float("inf"), 1.0)
 

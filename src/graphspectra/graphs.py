@@ -255,10 +255,21 @@ def sum_distinct_labels(m):
 
 
 def is_subset_sum_distinct(labels):
-    """True iff all 2^m subset sums are pairwise distinct."""
+    """True iff all 2^m subset sums are pairwise distinct.
+
+    Superincreasing labels (sorted, each larger than the sum of all smaller
+    ones, as powers of two are) answer at once: the largest label of a
+    subset exceeds every sum without it.  Any other input builds the sums."""
     labels = list(labels)
     if len(labels) > 24:
         raise ValidationError("subset-sum check capped at 24 labels")
+    below = 0
+    for a in sorted(labels):
+        if a <= below:
+            break
+        below += a
+    else:
+        return True
     sums = {0}
     for a in labels:
         shifted = {s + a for s in sums}

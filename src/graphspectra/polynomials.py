@@ -465,5 +465,7 @@ def spectral_poly_from_text(text):
     # (nothing mutates .terms), so a large n costs a pointer per degree
     a = [UniPoly.zero()] * (n + 1)
     for j, terms in coeffs.items():
-        a[j] = UniPoly(terms)
+        if not all(terms.values()):
+            terms = {k: c for k, c in terms.items() if c}
+        a[j] = UniPoly._of(terms)
     return SpectralPolynomial(n, tuple(a))

@@ -23,8 +23,9 @@ from operator import mul
 from mpmath import mp
 from mpmath.libmp import from_man_exp, fzero
 
-# Exact decimal serialization of high-precision values routinely exceeds
-# the interpreter's default int<->str conversion guard.
+# The game protocol's exact decimal values routinely exceed the
+# interpreter's default int<->str conversion guard (files use hex dyadics,
+# to which the guard does not apply).
 if sys.get_int_max_str_digits() < 2_000_000:
     sys.set_int_max_str_digits(2_000_000)
 
@@ -36,7 +37,40 @@ from .realroots import _align, _difference, real_roots
 
 
 # ---------------------------------------------------------------------------
-# Exact conversions between mpf and decimal strings
+# Exact conversions between mpf and strings: hex dyadics for files, decimals
+# for the game protocol and reports
+
+
+def hex_dyadic(x):
+    """The finite mpf x = m * 2^e, m odd, as [-]0x<m in lowercase hex>p<e>,
+    or 0: one string per value, written and read in linear time.  An
+    exponent of more than seven digits, which parse_hex_dyadic refuses,
+    raises ValidationError."""
+    sign, man, exp, _ = x._mpf_
+    if not man:
+        if exp:
+            raise ValidationError("non-finite value")
+        return "0"
+    if abs(exp) >= 10 ** 7:
+        raise ValidationError(f"exponent {exp} has more than seven digits")
+    return f"{'-' if sign else ''}0x{int(man):x}p{exp}"
+
+
+_HEX_DYADIC = re.compile(
+    r"-?0x(?:[1-9a-f][0-9a-f]*)?[13579bdf]p(?:0|-?[1-9][0-9]{0,6})")
+
+
+def parse_hex_dyadic(s):
+    """The mpf written as hex_dyadic(s), exactly.  The exponent has at most
+    seven digits, which bounds the integers that exact arithmetic on one
+    value builds; any other string, including another spelling of the same
+    value, raises ValidationError."""
+    if s == "0":
+        return mp.make_mpf(fzero)
+    if _HEX_DYADIC.fullmatch(s) is None:
+        raise ValidationError(f"not a hex dyadic value: {s[:40]!r}")
+    man, exp = s.split("p")
+    return mp.make_mpf(from_man_exp(int(man, 16), int(exp)))
 
 
 def exact_decimal(x):
@@ -627,10 +661,39 @@ def recover_spectral_poly(assignment, q, degree_bound):
     window holding level 1 and a second level has such a node, except at
     q = 2 with a window inside [0, 2], which raises ValidationError.  The
     decode needs only that node, not degree_bound+1 levels.
+
+    Before any product, every level's values are checked against the range
+    its eigenvalues can take (see _check_level_range).
     """
+    for r, values in assignment.levels.items():
+        _check_level_range(values, q, r, degree_bound)
     samples = {Fraction(q) ** (1 - r): _monic_from_roots(values)
                for r, values in assignment.levels.items()}
     return interpolate_spectral_poly(samples, degree_bound)
+
+
+def _check_level_range(values, q, r, degree_bound):
+    """Raise AmbiguousClusteringError unless every nonzero value lies in
+    [4w / n^2, 2DW], with n = len(values), D = degree_bound, and w and W the
+    least and the largest weight q^((1-r)a), 1 <= a <= D.
+
+    That range holds every nonzero eigenvalue of a level-r Laplacian on n
+    vertices whose positive integer labels sum to at most D.  The largest
+    is at most the trace, twice a sum of at most D weights.  L is at least
+    w times the Laplacian of its simple graph (Loewner order), whose
+    nonzero eigenvalues are at least 4/n^2 (Mohar's 4/(n diam)).  The check
+    compares binary magnitudes, a bit wider than the range, so a value
+    m * 2^e that passes costs _monic_from_roots at most about
+    D |1-r| log2(q) + 2 bits(m) bits, whatever its exponent claims."""
+    span = degree_bound * abs(1 - r) * q.bit_length()
+    hi = (span if r < 1 else 0) + (2 * degree_bound).bit_length() + 2
+    lo = -(span if r > 1 else 0) - 2 * len(values).bit_length()
+    for m, e in map(_point_of, values):
+        if m and not lo <= e + abs(m).bit_length() <= hi:
+            raise AmbiguousClusteringError(
+                f"level {r}: value of binary magnitude 2^{e + abs(m).bit_length()} "
+                f"outside [2^{lo}, 2^{hi}], where no eigenvalue of that level "
+                f"lies at degree bound {degree_bound}")
 
 
 def _monic_from_roots(roots):
@@ -823,14 +886,13 @@ def _hausdorff(a, b):
 
 # ---------------------------------------------------------------------------
 # Text format: header "spectrum q=<q> rmin=<r> rmax=<r> prec=<bits>",
-# then one exact decimal value per line, ascending.
+# then one hex dyadic value per line, ascending.
 
 
 def spectrum_to_text(sample):
     lines = [f"spectrum q={sample.q} rmin={sample.r_min} rmax={sample.r_max} "
              f"prec={sample.precision_bits}"]
-    for v in sample.values:
-        lines.append(exact_decimal(v))
+    lines.extend(map(hex_dyadic, sample.values))
     return "\n".join(lines) + "\n"
 
 
@@ -844,5 +906,5 @@ def spectrum_from_text(text):
             [fields[k] for k in ("q", "rmin", "rmax", "prec")], rows[0])
     except KeyError as exc:
         raise ValidationError(f"spectrum header missing field {exc}")
-    values = tuple(parse_exact_decimal(ln) for ln in rows[1:])
+    values = tuple(map(parse_hex_dyadic, rows[1:]))
     return SpectrumSample(q, r_min, r_max, prec, values)

@@ -25,6 +25,14 @@ class UniPoly:
         self.terms = cleaned
 
     @classmethod
+    def _of(cls, terms):
+        """The polynomial holding the dict terms as is: its coefficients
+        must be nonzero and its exponents nonnegative ints."""
+        p = cls.__new__(cls)
+        p.terms = terms
+        return p
+
+    @classmethod
     def zero(cls):
         return cls()
 
@@ -74,16 +82,12 @@ class UniPoly:
                 out[k] = s
             else:
                 out.pop(k, None)
-        p = UniPoly.__new__(UniPoly)
-        p.terms = out
-        return p
+        return UniPoly._of(out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        p = UniPoly.__new__(UniPoly)
-        p.terms = {k: -c for k, c in self.terms.items()}
-        return p
+        return UniPoly._of({k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other):
         if not isinstance(other, UniPoly):
@@ -97,9 +101,7 @@ class UniPoly:
         if not isinstance(other, UniPoly):
             if not other:
                 return UniPoly.zero()
-            p = UniPoly.__new__(UniPoly)
-            p.terms = {k: c * other for k, c in self.terms.items()}
-            return p
+            return UniPoly._of({k: c * other for k, c in self.terms.items()})
         out = {}
         for k1, c1 in self.terms.items():
             for k2, c2 in other.terms.items():
@@ -109,9 +111,7 @@ class UniPoly:
                     out[k] = s
                 else:
                     out.pop(k, None)
-        p = UniPoly.__new__(UniPoly)
-        p.terms = out
-        return p
+        return UniPoly._of(out)
 
     __rmul__ = __mul__
 

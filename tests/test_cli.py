@@ -74,8 +74,35 @@ def test_simulate_cluster_recover_pipeline(tmp_path, k3_file):
 
 def _spectra_at_two_primes(fields, width):
     """Spectrum texts at q = 5 and 7 with `width` levels of K2 each."""
-    return tuple(f"spectrum q={q} {fields}\n" + "0\n" * width + f"{q}\n" * width
+    return tuple(f"spectrum q={q} {fields}\n" + "0\n" * width + f"0x{q}p0\n" * width
                  for q in (5, 7))
+
+
+# K2 over the window [0, 1] at q = 11 and 13: eigenvalues 0, 2 and 0, 2q
+K2_SPECTRA = ("spectrum q=11 rmin=0 rmax=1 prec=64\n0\n0\n0x1p1\n0xbp1\n",
+              "spectrum q=13 rmin=0 rmax=1 prec=64\n0\n0\n0x1p1\n0xdp1\n")
+
+
+def test_recover_refuses_values_outside_level_range(tmp_path):
+    # a file of under 300 bytes whose level-2 values lie far below any
+    # level-2 eigenvalue at degree bound 7: exit 3 before any product
+    clusters = tmp_path / "tiny.clusters"
+    clusters.write_text("clusters q=101 prec=64\n1 0\n1 0x1p1\n"
+                        + "2 0x1p-1000000\n" * 16)
+    assert len(clusters.read_bytes()) < 300
+    assert main(["recover", str(clusters), "--degree-bound", "7"]) == 3
+
+
+def test_cluster_hex_spectra(tmp_path, capsys):
+    # the spectra that the spectrum-decimal, -even-mantissa and -uppercase
+    # cases below spoil in one line each
+    files = []
+    for i, text in enumerate(K2_SPECTRA):
+        files.append(tmp_path / f"{i}.spec")
+        files[-1].write_text(text)
+    assert main(["cluster"] + [str(f) for f in files]) == 0
+    assert capsys.readouterr().out.split("\n\n")[0].splitlines() == [
+        "clusters q=11 prec=64", "1 0", "1 0x1p1", "0 0", "0 0xbp1"]
 
 
 @pytest.mark.parametrize("command, text, options", [
@@ -88,24 +115,28 @@ def _spectra_at_two_primes(fields, width):
     ("curve", "3 2\n1 2\n2 3\n", ["--labels", "1"]),
     ("cluster", "spectrum q=5 rmin=0 rmax=1 prec=64\n0\nabc\n", []),
     ("cluster", "spectrum q=5 rmin=0 rmax=1 prec=64\n0\n1e5\n", []),
-    ("cluster", "spectrum q=5 rmin=0 rmax=1 prec=64\n0\n" + "7" * 2_000_001
-     + "\n", []),
+    ("cluster", "spectrum q=5 rmin=0 rmax=1 prec=64\n0\n0x1p-10000000\n", []),
     ("recover", "clusters q=5 prec\n1 0\n", ["--degree-bound", "3"]),
     ("evaluate", "spoly n=2\n1 2 0\n-2 1 1\n", ["--y", "abc"]),
     ("separate", "3 2\n1 2\n2 3\n", ["--epsilon", "1/0"]),
     ("cluster", _spectra_at_two_primes("rmin=2 rmax=1 prec=64", 1), []),
     ("cluster", _spectra_at_two_primes("rmin=2 rmax=3 prec=64", 2), []),
     ("cluster", _spectra_at_two_primes("rmin=0 rmax=1 prec=0", 2), []),
-    ("cluster", ("spectrum q=0 rmin=-1 rmax=1 prec=64\n0\n0\n0\n1\n3\n9\n",
-                 "spectrum q=7 rmin=-1 rmax=1 prec=64\n0\n0\n0\n1\n7\n49\n"), []),
-    ("cluster", ("spectrum q=5 rmin=-1 rmax=1 prec=64\n-25\n0\n0\n0\n1\n5\n",
-                 "spectrum q=7 rmin=-1 rmax=1 prec=64\n0\n0\n0\n1\n7\n49\n"), []),
+    ("cluster", ("spectrum q=0 rmin=-1 rmax=1 prec=64\n0\n0\n0\n0x1p0\n0x3p0\n0x9p0\n",
+                 "spectrum q=7 rmin=-1 rmax=1 prec=64\n0\n0\n0\n0x1p0\n0x7p0\n0x31p0\n"), []),
+    ("cluster", ("spectrum q=5 rmin=-1 rmax=1 prec=64\n-0x19p0\n0\n0\n0\n0x1p0\n0x5p0\n",
+                 "spectrum q=7 rmin=-1 rmax=1 prec=64\n0\n0\n0\n0x1p0\n0x7p0\n0x31p0\n"), []),
+    ("cluster", (K2_SPECTRA[0].replace("0x1p1\n0xbp1", "2\n22"), K2_SPECTRA[1]), []),
+    ("cluster", (K2_SPECTRA[0].replace("0x1p1", "0x2p0"), K2_SPECTRA[1]), []),
+    ("cluster", (K2_SPECTRA[0].replace("0xbp1", "0xBp1"), K2_SPECTRA[1]), []),
+    ("recover", "clusters q=5 prec=64\n1 0\n1 0x1p1\n0 0\n0 10\n", ["--degree-bound", "1"]),
 ], ids=["self-loop", "graph-token", "spectrum-field", "spoly-token",
         "spoly-negative-degree", "labels-token", "labels-count",
         "spectrum-value", "spectrum-exponent", "spectrum-digits",
         "clusters-field", "y-value", "epsilon-value", "spectrum-window-reversed",
         "spectrum-window-without-level-1", "spectrum-precision", "spectrum-prime",
-        "spectrum-negative"])
+        "spectrum-negative", "spectrum-decimal", "spectrum-even-mantissa",
+        "spectrum-uppercase", "clusters-decimal"])
 def test_validation_exit_code(tmp_path, command, text, options):
     texts = text if isinstance(text, tuple) else (
         (text,) * (2 if command in ("cluster", "separate") else 1))

@@ -14,8 +14,11 @@ from graphspectra.graphs import graph_from_text, graph_to_text
 from graphspectra.polynomials import (spectral_polynomial,
                                       spectral_poly_from_text,
                                       spectral_poly_to_text)
-from graphspectra.spectra import (simulate_spectrum, spectrum_from_text,
+from graphspectra.spectra import (cluster_and_assign, recover_spectral_poly,
+                                  simulate_spectrum, spectrum_from_text,
                                   spectrum_to_text)
+
+from test_integer_clustering import criterion_5_arrangements
 
 
 def test_graph_files():
@@ -50,6 +53,35 @@ def test_spectrum_files():
         assert spectrum_to_text(spectrum_from_text(text)) == text
 
 
+def _mpfs(values):
+    return [v._mpf_ for v in values]
+
+
+def test_criterion_5_spectrum_and_cluster_files():
+    # every value reads back with its own (sign, mantissa, exponent), every
+    # file writes back byte for byte, and the parsed clusters recover P
+    for g, labels in criterion_5_arrangements():
+        dp = with_labels(g, list(labels))
+        D = dp.total_weight
+        P = spectral_polynomial(dp)
+        samples = [simulate_spectrum(dp, q, 1 - D, 1, 512) for q in (101, 1009)]
+        back = []
+        for s in samples:
+            text = spectrum_to_text(s)
+            b = spectrum_from_text(text)
+            assert b == s and _mpfs(b.values) == _mpfs(s.values)
+            assert spectrum_to_text(b) == text
+            back.append(b)
+        for a in cluster_and_assign(back):
+            text = _assignment_text(a)
+            read = _read_assignment(text)
+            assert {r: _mpfs(vs) for r, vs in read.levels.items()} == \
+                {r: _mpfs(vs) for r, vs in a.levels.items()}
+            assert _assignment_text(read) == text
+            assert recover_spectral_poly(read, a.q, D).polynomial == P, (
+                g.sorted_edges(), labels, a.q)
+
+
 def test_protocol_transcripts():
     sess = GameSession(cospectral_pair()[0].graph, GameConfig(seed=5), "t")
     solve_game(LoopbackEndpoint(sess))
@@ -69,9 +101,11 @@ def test_protocol_transcripts():
 _JUNK = st.sampled_from(["", "x", "=", "1.5", "-0", "+2", "1_0", "٣", "1e5",
                          "0x10", "-", "nan", "1/3", "3.", ".5"])
 _TOKEN = st.one_of(st.integers(-3, 12).map(str), _JUNK)
-_DECIMAL = st.builds(lambda m, k: str(m) if k == 0 else
-                     f"{'-' if m < 0 else ''}{abs(m) // 10 ** k}.{abs(m) % 10 ** k:0{k}d}",
-                     st.integers(-10 ** 6, 10 ** 6), st.integers(0, 5))
+# hex dyadic values: mostly canonical (odd mantissa), sometimes an even one
+_HEX = st.builds(lambda m, e: "0" if m == 0 else
+                 f"{'-' if m < 0 else ''}0x{abs(m):x}p{e}",
+                 st.integers(-10 ** 6, 10 ** 6).map(lambda m: m | 1 if m % 3 else m),
+                 st.integers(-60, 60))
 
 
 def _text(header, row):
@@ -104,8 +138,9 @@ def _row(*parts):
 
 
 @given(_text(_header("spectrum", ["q", "rmin", "rmax", "prec"]),
-             st.one_of(_DECIMAL, _TOKEN)))
+             st.one_of(_HEX, _TOKEN)))
 @example("spectrum q=5 rmin=2 rmax=1 prec=64\n")  # width 0
+@example("spectrum q=5 rmin=0 rmax=1 prec=64\n0\n0\n0x5p-2\n0x3p1\n")
 def test_spectrum_parser_fuzz(text):
     _round_trips(spectrum_from_text, spectrum_to_text, text,
                  lambda s: (s.n_per_level, s.zeros_per_level))
@@ -127,6 +162,7 @@ def test_graph_parser_fuzz(text):
 
 
 @given(_text(_header("clusters", ["q", "prec"]),
-             _row(_TOKEN, st.one_of(_DECIMAL, _TOKEN))))
+             _row(_TOKEN, st.one_of(_HEX, _TOKEN))))
+@example("clusters q=5 prec=64\n1 0\n1 0x3p1\n0 0x7p-3\n\nclusters q=7 prec=64\n1 0x1p0\n")
 def test_cluster_parser_fuzz(text):
     _round_trips(_read_assignment, _assignment_text, text)

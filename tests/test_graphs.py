@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -228,6 +229,27 @@ class TestLabels:
     @given(st.lists(st.integers(1, 60), min_size=1, max_size=8, unique=True))
     def test_validator_matches_brute_force(self, labels):
         assert is_subset_sum_distinct(labels) == brute_subset_sums_distinct(labels)
+
+    @given(st.lists(st.integers(-2, 2), min_size=1, max_size=8), st.randoms())
+    def test_superincreasing_route_matches_brute_force(self, slacks, rng):
+        # each label is the sum of the smaller ones plus 1 + slack: a slack
+        # below 0 breaks the superincreasing order (and may repeat a label)
+        labels, below = [], 0
+        for s in slacks:
+            labels.append(max(1, below + 1 + s))
+            below += labels[-1]
+        rng.shuffle(labels)
+        assert is_subset_sum_distinct(labels) == brute_subset_sums_distinct(labels)
+
+    def test_twenty_powers_of_two_answer_at_once(self):
+        labels = [1 << i for i in range(20)]
+        random.Random(5).shuffle(labels)
+        times = []
+        for _ in range(3):
+            start = time.perf_counter()
+            assert is_subset_sum_distinct(labels)
+            times.append(time.perf_counter() - start)
+        assert min(times) < 0.005  # the set route first builds all 2^20 sums
 
 
 class TestIsomorphism:

@@ -396,6 +396,29 @@ class TestPolyFormat:
         text = spectral_poly_to_text(spectral_polynomial(dp))
         assert spectral_poly_to_text(spectral_poly_from_text(text)) == text
 
+    def test_parse_round_trips_every_small_graph(self):
+        rng = random.Random(4)
+        for n in range(2, 6):
+            for g in connected_graphs(n):
+                P = spectral_polynomial(with_labels(g, rng.sample(range(1, 17), g.m)))
+                assert spectral_poly_from_text(spectral_poly_to_text(P)) == P
+
+    def test_parse_drops_zero_monomials(self):
+        # a zero monomial is dropped, and still counts as a duplicate
+        K2 = spectral_poly_from_text("spoly n=2\n1 2 0\n-2 1 1\n0 1 2\n0 0 1\n")
+        assert K2 == spectral_polynomial(build_diffusion_pair(2, [(1, 2, 1)]))
+        assert K2.coeffs[1].terms == {1: -2} and K2.coeffs[0].terms == {}
+        with pytest.raises(ValidationError, match="duplicate"):
+            spectral_poly_from_text("spoly n=2\n1 2 0\n0 1 1\n-2 1 1\n")
+
+    @pytest.mark.parametrize("text", [
+        "spoly n=0\n1 0 0\n", "spoly n=2\n-2 1 1\n", "spoly n=2\n2 2 0\n-2 1 1\n",
+        "spoly n=2\n1 2 0\n-2 1 1\n3 0 0\n", "spoly n=2\n1 2 1\n-2 1 1\n"])
+    def test_shape_checked(self, text):
+        # n >= 1, monic in X, a_0 = 0
+        with pytest.raises(ValidationError):
+            spectral_poly_from_text(text)
+
     def test_header_required(self):
         with pytest.raises(ValidationError):
             spectral_poly_from_text("1 2 0\n")

@@ -23,8 +23,9 @@ from graphspectra.polynomials import spectral_polynomial
 from graphspectra.realroots import real_roots
 from graphspectra.spectra import (SEPARATION_BITS, _level_charpoly,
                                   _scaled_charpoly, cluster_and_assign,
-                                  exact_decimal, is_prime_power,
-                                  parse_exact_decimal, prediction_error_ratio,
+                                  exact_decimal, hex_dyadic, is_prime_power,
+                                  parse_exact_decimal, parse_hex_dyadic,
+                                  prediction_error_ratio,
                                   recover_spectral_poly,
                                   separation_experiment, simulate_spectrum,
                                   spectrum_from_text, spectrum_to_text,
@@ -309,6 +310,11 @@ class TestExactDecimal:
         assert exact_decimal(mp.mpf(0)) == "0"
         assert parse_exact_decimal("0") == 0
 
+    def test_digit_limit(self):
+        # a protocol value past the raised int-digit limit is refused
+        with pytest.raises(ValidationError, match="digits"):
+            parse_exact_decimal("7" * 2_000_001)
+
     def test_fraction_conversions(self):
         x = parse_exact_decimal("0.875")
         assert x._mpf_ == (0, 7, -3, 3)
@@ -331,6 +337,50 @@ class TestExactDecimal:
         # the grammar is decimal numerals only: [+-]?digits[.digits]
         with pytest.raises(ValidationError):
             parse_exact_decimal(text)
+
+
+class TestHexDyadic:
+    @given(st.booleans(), st.integers(0, 2 ** 300), st.integers(-10 ** 7 + 1, 10 ** 7 - 1))
+    def test_round_trip(self, negative, k, exp):
+        man = 2 * k + 1
+        x = mp.make_mpf(from_man_exp(-man if negative else man, exp))
+        s = hex_dyadic(x)
+        y = parse_hex_dyadic(s)
+        assert y._mpf_ == x._mpf_
+        assert hex_dyadic(y) == s
+
+    def test_values(self):
+        assert hex_dyadic(mp.mpf(0)) == "0"
+        assert parse_hex_dyadic("0")._mpf_ == mp.mpf(0)._mpf_
+        assert hex_dyadic(mp.mpf(1)) == "0x1p0"
+        assert hex_dyadic(mp.mpf(-12)) == "-0x3p2"
+        x = parse_hex_dyadic("0x7p-3")
+        assert x._mpf_ == (0, 7, -3, 3)
+        assert parse_hex_dyadic("-0xbp4") == -176
+        with pytest.raises(ValidationError):
+            hex_dyadic(mp.inf)
+
+    @pytest.mark.parametrize("exp", [10 ** 7, -10 ** 7, -(2 ** 30)])
+    def test_writer_refuses_what_the_reader_refuses(self, exp):
+        # more than seven exponent digits: K2 at level 2 with q = 2^63 and
+        # label 2^18 has the eigenvalue 2 q^-a, about 2^-(1.65 * 10^7)
+        with pytest.raises(ValidationError, match="seven digits"):
+            hex_dyadic(mp.make_mpf(from_man_exp(3, exp)))
+
+    @pytest.mark.parametrize("text", [
+        "0x2p0", "0xap-1", "0x0p0",  # even mantissa
+        "0xBp0", "0X1p0", "0x1P0",  # uppercase
+        "0x01p0", "0x1p03",  # leading zero
+        "+0x1p0", "0x1p+3",  # plus sign
+        "-0", "0x1p-0",  # negative zero
+        "1p0", "bp3", "x1p0",  # missing 0x
+        "0.875", "12", "-3",  # an old decimal line
+        "0x1p10000000", "0x1p-" + "1" * 40,  # more than 7 exponent digits
+        "", " 0x1p0", "0x1p0 ", "0x1.8p0", "0x1p", "0x", "0x1", "nan", "inf"])
+    def test_malformed_rejected(self, text):
+        # one canonical spelling per value: [-]0x<odd lowercase hex>p<exponent>, or 0
+        with pytest.raises(ValidationError):
+            parse_hex_dyadic(text)
 
 
 class TestPrimePower:
@@ -657,6 +707,30 @@ class TestRecovery:
                 res = recover_spectral_poly(a, q, dp.total_weight)
                 assert res.polynomial == spectral_polynomial(dp)
                 assert res.snap_residual < Fraction(1, 10 ** 6)
+
+    def test_every_level_lies_in_its_range(self):
+        # the extreme labels of each level: K2 with one heavy label, and
+        # a path whose labels sum to the degree bound
+        for n, edges in ((2, [(1, 2, 9)]), (4, [(1, 2, 1), (2, 3, 2), (3, 4, 4)])):
+            dp = build_diffusion_pair(n, edges)
+            for q in (2, 11):
+                for r in range(-2, 4):
+                    roots = real_roots(_level_charpoly(dp, q, r)[0], 96)
+                    spectra._check_level_range(roots, q, r, dp.total_weight)
+
+    def test_value_outside_its_level_refused_before_any_product(self, monkeypatch):
+        # 16 values 2^-1000000 at level 2 (a clusters file of under 300
+        # bytes) would have _monic_from_roots build ~10^8 bits of products
+        def no_product(roots):
+            raise AssertionError("product built")
+        monkeypatch.setattr(spectra, "_monic_from_roots", no_product)
+        two, tiny = parse_hex_dyadic("0x1p1"), parse_hex_dyadic("0x1p-1000000")
+        for levels in ({1: (mp.mpf(0), two), 2: (mp.mpf(0), tiny)},
+                       {1: (mp.mpf(0),) * 15 + (two,), 2: (tiny,) * 16},
+                       {0: (mp.mpf(0), parse_hex_dyadic("0x1p1000"))}):
+            a = spectra.ClusterAssignment(101, 64, levels, float("inf"), 1.0)
+            with pytest.raises(AmbiguousClusteringError, match="outside"):
+                recover_spectral_poly(a, 101, 7)
 
     def test_q2_window_without_decode_node_rejected(self):
         # q = 2 with a window inside [0, 2] has only the nodes 2, 1 and 1/2
