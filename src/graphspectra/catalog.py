@@ -12,7 +12,7 @@ from functools import lru_cache
 from itertools import combinations
 
 from .errors import ValidationError
-from .graphs import Graph, build_diffusion_pair, canonical_form
+from .graphs import Graph, _canonical_search, build_diffusion_pair
 
 
 def path_graph(n):
@@ -82,26 +82,61 @@ def all_graphs(n):
 
     Built by edge augmentation: every (m+1)-edge class contains a class
     from level m plus one edge, so growing canonical representatives level
-    by level visits each class once.
+    by level visits each class once.  Non-edges in one orbit of a class's
+    automorphisms give isomorphic graphs, so only the first of each orbit
+    (under the automorphisms its canonical search met) is tried; every class
+    still first appears at the same (class, non-edge) pair.
     """
     if n < 1:
         raise ValidationError("n must be positive")
-    pairs = list(combinations(range(1, n + 1), 2))
-    level = {(): Graph(n)}
+    pairs = list(combinations(range(n), 2))
+    level = [_canonical_class([0] * n, _canonical_search([0] * n))]
     reps = [Graph(n)]
     for _ in range(len(pairs)):
         next_level = {}
-        for g in level.values():
-            for e in pairs:
-                if e in g.edges:
+        for adj, gens in level:
+            tried = set()
+            for u, v in pairs:
+                if adj[u] >> v & 1 or (u, v) in tried:
                     continue
-                h = Graph(n, g.edges | {e})
-                key = canonical_form(h)
-                if key not in next_level:
-                    next_level[key] = Graph.of(n, key)
-        reps.extend(next_level.values())
-        level = next_level
+                tried |= _pair_orbit(u, v, gens)
+                adj[u] ^= 1 << v
+                adj[v] ^= 1 << u
+                found = _canonical_search(adj)
+                if found[0] not in next_level:
+                    next_level[found[0]] = _canonical_class(adj, found)
+                adj[u] ^= 1 << v
+                adj[v] ^= 1 << u
+        level = list(next_level.values())
+        reps.extend(Graph.of(n, [(u + 1, v + 1) for u, v in pairs if adj[u] >> v & 1])
+                    for adj, _ in level)
     return tuple(reps)
+
+
+def _canonical_class(adj, found):
+    """Adjacency rows and automorphisms of adj relabelled by the search's
+    vertex order, so that vertex order[i] becomes i."""
+    _, order, gens = found
+    position = [0] * len(order)
+    for i, u in enumerate(order):
+        position[u] = i
+    rows = [sum(1 << position[w] for w in range(len(order)) if adj[u] >> w & 1)
+            for u in order]
+    return rows, [tuple(position[perm[u]] for u in order) for perm in gens]
+
+
+def _pair_orbit(u, v, gens):
+    orbit = {(u, v)}
+    stack = [(u, v)]
+    while stack:
+        a, b = stack.pop()
+        for perm in gens:
+            x, y = perm[a], perm[b]
+            e = (x, y) if x < y else (y, x)
+            if e not in orbit:
+                orbit.add(e)
+                stack.append(e)
+    return orbit
 
 
 @lru_cache(maxsize=None)

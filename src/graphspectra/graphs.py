@@ -283,20 +283,123 @@ def is_subset_sum_distinct(labels):
 # Isomorphism and canonical forms
 
 
-def _refine_colors(g):
-    """1-dimensional color refinement; returns a stable vertex coloring."""
-    colors = {u: g.degree(u) for u in range(1, g.n + 1)}
-    adj = {u: g.neighbors(u) for u in range(1, g.n + 1)}
+def _refine_colors(nbrs):
+    """1-dimensional color refinement over 0-based neighbour lists; returns a
+    stable coloring, each color the rank of its vertex's sorted signature."""
+    colors = [len(ws) for ws in nbrs]
     while True:
-        signature = {
-            u: (colors[u], tuple(sorted(colors[w] for w in adj[u])))
-            for u in range(1, g.n + 1)
-        }
-        palette = {sig: i for i, sig in enumerate(sorted(set(signature.values())))}
-        new = {u: palette[signature[u]] for u in signature}
+        signature = [(colors[u], tuple(sorted(colors[w] for w in ws)))
+                     for u, ws in enumerate(nbrs)]
+        palette = {sig: i for i, sig in enumerate(sorted(set(signature)))}
+        new = [palette[sig] for sig in signature]
         if new == colors:
             return colors
         colors = new
+
+
+def _canonical_search(adj):
+    """Maximum adjacency code of the graph with rows adj (bitmasks over
+    0-based vertices); returns (code, order, automorphisms).
+
+    Vertices are placed color class by color class (refined colors are
+    isomorphism-invariant); each placed vertex appends its adjacency bits to
+    the vertices already placed, the first placed most significant, and the
+    maximum is found by branch and bound on prefixes.  Two leaves with equal
+    codes differ by an automorphism, which is recorded, as is each vertex's
+    transposition with its first twin (identical adjacency up to each
+    other); these generate every permutation of each twin class.  Any
+    automorphism fixing the placed vertices maps one child's subtree onto
+    another with the same codes, so after a child is searched every
+    candidate in its orbit under the recorded automorphisms that fix the
+    placed vertices is skipped.  Each automorphism is a tuple mapping vertex
+    v to perm[v].
+    """
+    n = len(adj)
+    nbrs = [[w for w in range(n) if a >> w & 1] for a in adj]
+    colors = _refine_colors(nbrs)
+    blocks = [[] for _ in range(max(colors) + 1)]
+    for u, c in enumerate(colors):
+        blocks[c].append(u)
+    block_at = [block for block in blocks for _ in block]
+    total = n * (n - 1) // 2
+    gens = []  # (perm, mask of moved vertices)
+
+    def record(perm):
+        gens.append((perm, sum(1 << v for v in range(n) if perm[v] != v)))
+
+    for block in blocks:
+        for i, u in enumerate(block):
+            for w in block[:i]:
+                if (adj[u] ^ adj[w]) & ~(1 << u | 1 << w) == 0:
+                    perm = list(range(n))
+                    perm[u], perm[w] = w, u
+                    record(tuple(perm))
+                    break
+
+    rows = [0] * n  # bit n-1-i of rows[u] is set when u ~ placed[i]
+    placed = []
+    best = [-1, None]
+
+    def search(depth, placed_mask, code):
+        if depth == n:
+            if code > best[0]:
+                best[0], best[1] = code, list(placed)
+            else:
+                perm = [0] * n
+                for u, v in zip(placed, best[1]):
+                    perm[u] = v
+                record(tuple(perm))
+            return
+        shift = n - depth
+        bound_shift = total - (depth + 1) * depth // 2
+        candidates = sorted(((rows[u] >> shift, u) for u in block_at[depth]
+                             if not placed_mask >> u & 1), reverse=True)
+        explored = []
+        orbit = None
+        merged = 0
+        for bits, u in candidates:
+            child = code << depth | bits
+            if child < best[0] >> bound_shift:
+                break  # candidates come in decreasing code order
+            if explored:
+                if orbit is None:
+                    orbit = list(range(n))
+                for perm, moved in gens[merged:]:
+                    if moved & placed_mask == 0:
+                        _merge_orbits(orbit, perm, moved)
+                merged = len(gens)
+                root = _orbit_root(orbit, u)
+                if any(_orbit_root(orbit, w) == root for w in explored):
+                    continue
+            bit = 1 << (n - 1 - depth)
+            for w in nbrs[u]:
+                rows[w] |= bit
+            placed.append(u)
+            search(depth + 1, placed_mask | 1 << u, child)
+            placed.pop()
+            for w in nbrs[u]:
+                rows[w] ^= bit
+            explored.append(u)
+
+    search(0, 0, 0)
+    return best[0], best[1], [perm for perm, _ in gens]
+
+
+def _orbit_root(orbit, v):
+    while orbit[v] != v:
+        orbit[v] = orbit[orbit[v]]
+        v = orbit[v]
+    return v
+
+
+def _merge_orbits(orbit, perm, moved):
+    while moved:
+        low = moved & -moved
+        v = low.bit_length() - 1
+        moved ^= low
+        a, b = _orbit_root(orbit, v), _orbit_root(orbit, perm[v])
+        if a != b:
+            orbit[max(a, b)] = min(a, b)
 
 
 def is_isomorphic(g1, g2):
@@ -310,48 +413,15 @@ def is_isomorphic(g1, g2):
 def canonical_form(g):
     """Canonical edge list: equal for two graphs iff they are isomorphic.
 
-    Vertices are placed color class by color class (refined colors are
-    isomorphism-invariant), maximizing the concatenated adjacency-bit code
-    with branch-and-bound on prefixes.  Twin vertices (identical adjacency
-    up to each other) yield identical subtrees and are collapsed.
+    The vertex order of the maximum adjacency code (`_canonical_search`)
+    relabels the edges.
     """
-    n = g.n
-    colors = _refine_colors(g)
-    adj = {u: g.neighbors(u) for u in range(1, n + 1)}
-    by_color = {}
-    for u in range(1, n + 1):
-        by_color.setdefault(colors[u], []).append(u)
-    block_order = sorted(by_color)
-    best = {"code": None, "order": None}
-
-    def search(placed, code):
-        if best["code"] is not None:
-            ref = best["code"][: len(code)]
-            if code < ref:
-                return
-        if len(placed) == n:
-            if best["code"] is None or code > best["code"]:
-                best["code"] = code
-                best["order"] = list(placed)
-            return
-        placed_set = set(placed)
-        block = next(c for c in block_order
-                     if any(u not in placed_set for u in by_color[c]))
-        candidates = [u for u in by_color[block] if u not in placed_set]
-        pruned = []
-        for u in candidates:
-            if any(adj[u] - {w} == adj[w] - {u} for w in pruned):
-                continue
-            pruned.append(u)
-        scored = sorted(
-            ((tuple(1 if p in adj[u] else 0 for p in placed), u) for u in pruned),
-            reverse=True)
-        for bits, u in scored:
-            search(placed + [u], code + bits)
-
-    search([], ())
-    order = best["order"]
-    relabel = {u: i + 1 for i, u in enumerate(order)}
+    adj = [0] * g.n
+    for u, v in g.edges:
+        adj[u - 1] |= 1 << (v - 1)
+        adj[v - 1] |= 1 << (u - 1)
+    _, order, _ = _canonical_search(adj)
+    relabel = {u + 1: i + 1 for i, u in enumerate(order)}
     return tuple(sorted(_normalize_edge(relabel[u], relabel[v]) for u, v in g.edges))
 
 

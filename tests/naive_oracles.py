@@ -17,7 +17,7 @@ from mpmath.libmp import (from_man_exp, mpf_abs, mpf_add, mpf_cmp, mpf_div,
 
 from graphspectra.errors import (AmbiguousClusteringError, PrecisionError,
                                  ValidationError)
-from graphspectra.graphs import Graph
+from graphspectra.graphs import Graph, _normalize_edge
 from graphspectra.polynomials import (SNAP_TOL, InterpolationResult,
                                       SpectralPolynomial, evaluate_y)
 from graphspectra.realroots import (_NEWTON_MIN_BITS, _derivative,
@@ -241,6 +241,97 @@ def exhaustive_isomorphic(g1, g2):
         if mapped == g2.edges:
             return True
     return False
+
+
+def refine_colors(g):
+    """1-dimensional color refinement; returns a stable vertex coloring."""
+    colors = {u: g.degree(u) for u in range(1, g.n + 1)}
+    adj = {u: g.neighbors(u) for u in range(1, g.n + 1)}
+    while True:
+        signature = {
+            u: (colors[u], tuple(sorted(colors[w] for w in adj[u])))
+            for u in range(1, g.n + 1)
+        }
+        palette = {sig: i for i, sig in enumerate(sorted(set(signature.values())))}
+        new = {u: palette[signature[u]] for u in signature}
+        if new == colors:
+            return colors
+        colors = new
+
+
+def unpruned_canonical_form(g):
+    """Canonical edge list: equal for two graphs iff they are isomorphic.
+
+    Vertices are placed color class by color class (refined colors are
+    isomorphism-invariant), maximizing the concatenated adjacency-bit code
+    with branch-and-bound on prefixes.  Twin vertices (identical adjacency
+    up to each other) yield identical subtrees and are collapsed.  No other
+    automorphism prunes the search.
+    """
+    n = g.n
+    colors = refine_colors(g)
+    adj = {u: g.neighbors(u) for u in range(1, n + 1)}
+    by_color = {}
+    for u in range(1, n + 1):
+        by_color.setdefault(colors[u], []).append(u)
+    block_order = sorted(by_color)
+    best = {"code": None, "order": None}
+
+    def search(placed, code):
+        if best["code"] is not None:
+            ref = best["code"][: len(code)]
+            if code < ref:
+                return
+        if len(placed) == n:
+            if best["code"] is None or code > best["code"]:
+                best["code"] = code
+                best["order"] = list(placed)
+            return
+        placed_set = set(placed)
+        block = next(c for c in block_order
+                     if any(u not in placed_set for u in by_color[c]))
+        candidates = [u for u in by_color[block] if u not in placed_set]
+        pruned = []
+        for u in candidates:
+            if any(adj[u] - {w} == adj[w] - {u} for w in pruned):
+                continue
+            pruned.append(u)
+        scored = sorted(
+            ((tuple(1 if p in adj[u] else 0 for p in placed), u) for u in pruned),
+            reverse=True)
+        for bits, u in scored:
+            search(placed + [u], code + bits)
+
+    search([], ())
+    order = best["order"]
+    relabel = {u: i + 1 for i, u in enumerate(order)}
+    return tuple(sorted(_normalize_edge(relabel[u], relabel[v]) for u, v in g.edges))
+
+
+def unpruned_all_graphs(n):
+    """One representative per isomorphism class of graphs on n vertices.
+
+    Built by edge augmentation: every (m+1)-edge class contains a class
+    from level m plus one edge, so growing canonical representatives level
+    by level visits each class once.  Every non-edge of every class is
+    tried.
+    """
+    pairs = list(combinations(range(1, n + 1), 2))
+    level = {(): Graph(n)}
+    reps = [Graph(n)]
+    for _ in range(len(pairs)):
+        next_level = {}
+        for g in level.values():
+            for e in pairs:
+                if e in g.edges:
+                    continue
+                h = Graph(n, g.edges | {e})
+                key = unpruned_canonical_form(h)
+                if key not in next_level:
+                    next_level[key] = Graph.of(n, key)
+        reps.extend(next_level.values())
+        level = next_level
+    return tuple(reps)
 
 
 def brute_subset_sums_distinct(labels):

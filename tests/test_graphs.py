@@ -23,7 +23,8 @@ from graphspectra.unipoly import UniPoly
 
 from naive_oracles import (brute_subset_sums_distinct, exhaustive_isomorphic,
                            integer_level_laplacian, level_laplacian,
-                           symbolic_laplacian)
+                           symbolic_laplacian, unpruned_all_graphs,
+                           unpruned_canonical_form)
 
 
 class TestBuildDiffusionPair:
@@ -291,6 +292,85 @@ class TestIsomorphism:
     def test_enumeration_class_counts(self):
         assert [len(all_graphs(n)) for n in range(1, 7)] == [1, 2, 4, 11, 34, 156]
         assert [len(connected_graphs(n)) for n in range(1, 7)] == [1, 1, 2, 6, 21, 112]
+
+    def test_enumeration_class_counts_at_seven(self):
+        # OEIS A000088 and A001349: an orbit that hid a class would show here
+        assert len(all_graphs(7)) == 1044
+        assert len(connected_graphs(7)) == 853
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_enumeration_matches_unpruned_oracle(self, n):
+        """Same classes, same representatives, same order as trying every
+        non-edge of every class with the unpruned search."""
+        assert ([g.edges for g in all_graphs(n)]
+                == [g.edges for g in unpruned_all_graphs(n)])
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 9).flatmap(lambda n: st.tuples(
+        st.just(n),
+        st.lists(st.booleans(), min_size=n * (n - 1) // 2,
+                 max_size=n * (n - 1) // 2),
+        st.permutations(range(1, n + 1)))))
+    def test_canonical_matches_unpruned_oracle(self, case):
+        n, present, perm = case
+        pairs = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
+        g = Graph.of(n, [e for e, keep in zip(pairs, present) if keep])
+        form = canonical_form(g)
+        assert form == unpruned_canonical_form(g)
+        assert canonical_form(relabel_graph(g, dict(zip(range(1, n + 1), perm)))) == form
+
+
+def _cube(d):
+    q = path_graph(2)
+    for _ in range(d - 1):
+        q = cartesian_product(q, path_graph(2))
+    return q
+
+
+def _shuffled(g, seed):
+    rng = random.Random(seed)
+    return relabel_graph(g, dict(zip(range(1, g.n + 1), rng.sample(range(1, g.n + 1), g.n))))
+
+
+class TestSymmetricGraphs:
+    """Colour refinement splits little or nothing on these graphs and few
+    vertices are twins, so automorphism pruning does most of the work."""
+
+    def test_four_cube(self):
+        q4 = _cube(4)
+        c16 = Graph.of(16, [(i, (i + k - 1) % 16 + 1)
+                            for i in range(1, 17) for k in (1, 2)])
+        h = _shuffled(q4, 4)
+        assert is_isomorphic(h, q4)
+        assert is_isomorphic(h, cartesian_product(cycle_graph(4), cycle_graph(4)))
+        # also 4-regular on 16 vertices, but with triangles
+        assert c16.degree_sequence() == q4.degree_sequence()
+        assert not is_isomorphic(h, c16)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(["C3", "C4", "P3", "S4", "K4"]),
+           st.sampled_from(["C3", "C4", "P3", "S4", "K4"]),
+           st.integers(0, 119), st.randoms(use_true_random=False))
+    def test_perturbed_products_invariant_under_relabeling(self, a, b, pair, rng):
+        """A product of two small graphs with one pair toggled keeps large
+        automorphism groups whose elements mostly move the placed vertices."""
+        small = {"C3": cycle_graph(3), "C4": cycle_graph(4), "P3": path_graph(3),
+                 "S4": star_graph(4), "K4": complete_graph(4)}
+        g = cartesian_product(small[a], small[b])
+        pairs = [(u, v) for u in range(1, g.n + 1) for v in range(u + 1, g.n + 1)]
+        g = Graph.of(g.n, g.edges ^ {pairs[pair % len(pairs)]})
+        form = canonical_form(g)
+        for _ in range(3):
+            perm = dict(zip(range(1, g.n + 1), rng.sample(range(1, g.n + 1), g.n)))
+            assert canonical_form(relabel_graph(g, perm)) == form
+
+    def test_five_cube_form_is_fast(self):
+        q5 = _cube(5)
+        h = _shuffled(q5, 5)
+        start = time.process_time()
+        form = canonical_form(h)
+        assert time.process_time() - start < 5  # 20 s without automorphism pruning
+        assert form == canonical_form(q5)
 
 
 class TestGraphFormat:

@@ -601,6 +601,13 @@ CLUSTER_SWAPS = {
 }
 
 
+def test_cluster_swap_graphs_are_enumerated():
+    # the keys are sorted edge lists as enumeration labels them; the
+    # benchmark's recovery corpus is keyed the same way
+    enumerated = {tuple(g.sorted_edges()) for g in connected_graphs(4)}
+    assert set(CLUSTER_SWAPS) <= enumerated
+
+
 def _criterion_5_arrangements():
     """Every connected graph on 2 to 4 vertices with at most 4 edges, with
     the first m of the labels {1, 2, 4, 8} in every order (69 cases); the
