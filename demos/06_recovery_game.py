@@ -2,7 +2,10 @@
 
 A server hides a connected graph.  The solver commits to edge labels once
 (an oversized powers-of-two list; the server reveals only the edge count),
-asks for the level-spectrum window at primes of its choosing, recovers the
+asks for the level-spectrum window at q = 3, reads the vertex count n from
+that reply, and asks next for the smallest prime above twice the largest
+forest weight of n (19 for the six vertices here): no coefficient of the
+polynomial is larger, so that prime's digits decode it.  It recovers the
 polynomial, reconstructs, and submits.  Played here over the in-process
 transport and then over a real TCP socket.
 """

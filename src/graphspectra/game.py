@@ -20,8 +20,8 @@ from .errors import AmbiguousClusteringError, PrecisionError, ValidationError
 from .forests import EDGE_CAP
 from .graphs import Graph, build_diffusion_pair, is_isomorphic
 from .reconstruct import reconstruct_from_polynomial
-from .spectra import (SpectrumSample, cluster_and_assign, exact_decimal,
-                      is_prime_power, parse_exact_decimal,
+from .spectra import (SpectrumSample, _is_prime, cluster_and_assign,
+                      exact_decimal, is_prime_power, parse_exact_decimal,
                       recover_spectral_poly, simulate_spectrum)
 
 
@@ -248,7 +248,35 @@ def serve_game(hidden_graph, config=None, host="127.0.0.1", port=0):
 
 @dataclass
 class SolverConfig:
-    primes: tuple = (101, 1009, 10007)
+    """The primes the solver asks for.  None (the default) derives them
+    from the game, see solve_game; a tuple means exactly these primes, in
+    this order."""
+
+    primes: tuple | None = None
+
+
+# asked in this order, after the derived pair fails or when q = 3 does
+_FALLBACK_PRIMES = (101, 1009, 10007)
+
+
+def _forest_weight_bound(n):
+    """gamma(n), the largest product of part sizes over the partitions of n:
+    1, 2, 3, 4, 6, 9, 12, 18, 27, ... (as many 3s as fit, a 4 or a 2 for
+    the rest)."""
+    if n <= 4:
+        return max(n, 1)
+    k, rest = divmod(n, 3)
+    return {0: 3 ** k, 1: 4 * 3 ** (k - 1), 2: 2 * 3 ** k}[rest]
+
+
+def _decode_prime(n):
+    """The smallest prime q > max(3, 2 gamma(n)): with powers-of-two
+    labels every coefficient of P has |c| <= gamma(n), so the balanced
+    base-q digits of P(X, q) are its coefficients."""
+    q = max(3, 2 * _forest_weight_bound(n)) + 1
+    while not _is_prime(q):
+        q += 1
+    return q
 
 
 @dataclass
@@ -261,15 +289,28 @@ class SolveResult:
 
 
 def solve_game(endpoint, config=None):
-    """Reference strategy: powers-of-two labels, escalating primes.
+    """Reference strategy: powers-of-two labels, the cheapest primes that
+    decode.
 
-    Collects spectra until two primes cluster consistently, recovers the
-    polynomial by digit decoding at the larger prime of the pair (a window
-    a few levels deep suffices; the blind bound of total-weight+1 levels is
-    never requested), reconstructs, and submits.  A prime whose spectrum
-    the server cannot compute (a "precision" error reply) is skipped like
-    one that fails to cluster or decode.  Gives up without submitting when
-    the prime budget is exhausted.
+    With the default config the solver asks first for q = 3, reads the
+    vertex count n from that reply and then asks for the smallest prime
+    q2 > max(3, 2 gamma(n)), gamma(n) the largest product of part sizes
+    over the partitions of n.  The labels are powers of two, so each label
+    sum belongs to one edge subset, and by the all-minors matrix-tree
+    theorem each coefficient of P is, up to sign, the product of the tree
+    sizes of one spanning forest: |c| <= gamma(n) < q2/2, which balanced
+    base-q2 digits decode.  When that pair fails to cluster or decode, or
+    the reply at 3 is an error, the solver walks 101, 1009, 10007, skipping
+    primes already asked.  An explicit SolverConfig.primes is asked
+    exactly, in order.
+
+    Each new spectrum is clustered with the previous one, and the pair is
+    decoded at its larger prime (a window a few levels deep suffices; the
+    blind bound of total-weight+1 levels is never requested); the Y = 1
+    level verifies the decode.  The solver then reconstructs and submits.
+    A prime whose spectrum the server cannot compute (a "precision" error
+    reply) is skipped like one that fails to cluster or decode.  Gives up
+    without submitting when the primes are exhausted.
     """
     config = config or SolverConfig()
     transcript = []
@@ -297,22 +338,30 @@ def solve_game(endpoint, config=None):
     labels = labels_full[:m]
     degree_bound = sum(labels)
 
+    derive = config.primes is None
+    queue = [3] if derive else list(config.primes)
     samples = []
     primes_used = []
     polynomial = None
-    for q in config.primes:
+    while queue:
+        q = queue.pop(0)
         try:
             reply = request({"type": "choose_prime", "q": q})
         except PrecisionError:
-            continue
-        if reply.get("type") != "spectrum":
-            raise ValidationError(f"expected spectrum, got {reply}")
-        primes_used.append(q)
-        samples.append(SpectrumSample(
-            reply["q"], reply["r_min"], reply["r_max"],
-            reply["precision_bits"],
-            tuple(parse_exact_decimal(s) for s in reply["values"])))
-        if len(samples) < 2:
+            reply = None
+        if reply is not None:
+            if reply.get("type") != "spectrum":
+                raise ValidationError(f"expected spectrum, got {reply}")
+            primes_used.append(q)
+            samples.append(SpectrumSample(
+                reply["q"], reply["r_min"], reply["r_max"],
+                reply["precision_bits"],
+                tuple(parse_exact_decimal(s) for s in reply["values"])))
+        if derive:  # after q = 3: the decode prime for n, then the fixed list
+            derive = False
+            pair = [] if reply is None else [_decode_prime(samples[0].n_per_level)]
+            queue = pair + [p for p in _FALLBACK_PRIMES if p not in pair]
+        if reply is None or len(samples) < 2:
             continue
         try:
             # at the larger prime: q = 2 gives no digit-decode node in [0, 1]

@@ -404,7 +404,8 @@ def cluster_and_assign(samples):
     the same eigenvalue branch and level satisfies
     v1/v2 = (q1/q2)^e for an integer e = (1-r)*s, with a shared leading
     constant; grouping by constant and factoring each group's exponents
-    into complete progressions s*(1-r) identifies the levels.
+    into complete progressions s*(1-r), separately for the levels below
+    and above 1, identifies the levels.
     Inconsistencies raise AmbiguousClusteringError - the caller's move is
     to retry with a larger prime.  The gap diagnostics are the least ratio
     of adjacent nonzero values from different levels and the largest ratio
@@ -467,7 +468,16 @@ def cluster_and_assign(samples):
                        key=lambda j: samples[j].q)
             tags = _tag_exponents(rest[i], points, sample.q, rest[mate],
                                   forms[mate][0], samples[mate].q)
-            assigned = _assign_levels(tags, other_levels)
+            # levels below 1 (positive exponents) follow Y -> infinity and
+            # levels above 1 (negative exponents) Y -> 0, each with its own
+            # scales and constants, so each side is factored on its own;
+            # a value on a side with no level leaves some level short
+            assigned = {}
+            for side in ([r for r in other_levels if r < 1],
+                         [r for r in other_levels if r > 1]):
+                if side:
+                    assigned.update(_assign_levels(
+                        [t for t in tags if (t[1] > 0) == (side[0] < 1)], side))
             for r in other_levels:
                 vals = assigned.get(r, [])
                 if len(vals) != k:

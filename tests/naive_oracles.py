@@ -714,7 +714,12 @@ def mpf_cluster_and_assign(samples):
                        key=lambda j: samples[j].q)
             tags = _mpf_tag_exponents(rest[i], samples[i].q, rest[mate],
                                       samples[mate].q)
-            assigned = _mpf_assign_levels(tags, other_levels)
+            assigned = {}
+            for side in ([r for r in other_levels if r < 1],
+                         [r for r in other_levels if r > 1]):
+                if side:
+                    assigned.update(_mpf_assign_levels(
+                        [t for t in tags if (t[1] > 0) == (side[0] < 1)], side))
             for r in other_levels:
                 vals = assigned.get(r, [])
                 if len(vals) != k:

@@ -10,9 +10,10 @@ from hypothesis.stateful import RuleBasedStateMachine, initialize, rule
 from graphspectra import game
 from graphspectra.catalog import (complete_graph, connected_graphs,
                                   cycle_graph, path_graph,
-                                  random_connected_graph)
-from graphspectra.errors import PrecisionError, ValidationError
-from graphspectra.forests import EDGE_CAP
+                                  random_connected_graph, with_labels)
+from graphspectra.errors import (AmbiguousClusteringError, PrecisionError,
+                                 ValidationError)
+from graphspectra.forests import EDGE_CAP, buslov_polynomial
 from graphspectra.game import (GameConfig, GameSession, LoopbackEndpoint,
                                SocketEndpoint, SolveResult, SolverConfig,
                                decode_message, encode_message, serve_game,
@@ -22,6 +23,11 @@ from graphspectra.graphs import Graph, is_isomorphic
 
 def _session(graph=None, **kwargs):
     return GameSession(graph or complete_graph(3), GameConfig(**kwargs))
+
+
+def _wins(graph, game_config, solver_config=None):
+    session = GameSession(graph, game_config)
+    return solve_game(LoopbackEndpoint(session), solver_config).won
 
 
 class TestProtocolRules:
@@ -200,8 +206,9 @@ class TestSolver:
         res = solve_game(LoopbackEndpoint(
             GameSession(path_graph(3), GameConfig(seed=1))))
         assert res.won and is_isomorphic(res.graph, path_graph(3))
-        assert calls == [101, 1009, 10007]
-        assert res.primes_used == (1009, 10007)
+        # the reply at q = 3 is an error, so the solver walks the fixed list
+        assert calls == [3, 101, 1009]
+        assert res.primes_used == (101, 1009)
 
     def test_negative_spectrum_value_rejected(self):
         # Laplacian spectra are non-negative: a reply holding a negative
@@ -231,6 +238,60 @@ class TestSolver:
         sess = _session(path_graph(4), seed=1)
         assert solve_game(LoopbackEndpoint(sess)).won
         assert sorted(sess.pair.label_values()) == [1, 2, 4]
+
+    def test_forest_weight_bound_is_the_largest_coefficient(self):
+        # with powers-of-two labels each monomial of P is one spanning
+        # forest, whose coefficient is the product of its tree sizes: the
+        # bound holds on every graph and is reached on n vertices
+        assert [game._forest_weight_bound(n) for n in range(1, 12)] == [
+            1, 2, 3, 4, 6, 9, 12, 18, 27, 36, 54]
+        for n in range(1, 7):
+            largest = [max(abs(c) for c, _, _ in buslov_polynomial(
+                           with_labels(g, [1 << i for i in range(g.m)])).monomials())
+                       for g in connected_graphs(n)]
+            assert max(largest) == game._forest_weight_bound(n), n
+
+    def test_criterion_8_graphs_use_the_derived_pair(self):
+        for n in range(1, 6):
+            for g in connected_graphs(n):
+                res = solve_game(LoopbackEndpoint(
+                    GameSession(g, GameConfig(seed=n))))
+                assert res.won, sorted(g.edges)
+                assert res.primes_used == (3, game._decode_prime(n))
+        assert [game._decode_prime(n) for n in (4, 5, 6, 8)] == [11, 13, 19, 37]
+
+    def test_failed_derived_pair_escalates(self, monkeypatch):
+        cluster = game.cluster_and_assign
+        calls = []
+
+        def failing_once(samples):
+            calls.append(tuple(s.q for s in samples))
+            if len(calls) == 1:
+                raise AmbiguousClusteringError("injected")
+            return cluster(samples)
+
+        monkeypatch.setattr(game, "cluster_and_assign", failing_once)
+        res = solve_game(LoopbackEndpoint(
+            GameSession(cycle_graph(5), GameConfig(seed=2))))
+        assert res.won and is_isomorphic(res.graph, cycle_graph(5))
+        assert calls == [(3, 13), (13, 101)]
+        assert res.primes_used == (3, 13, 101)
+
+    @pytest.mark.parametrize("window", [(-3, 1), (-1, 1), (1, 2)])
+    def test_derived_primes_lose_nothing_the_fixed_list_wins(self, window):
+        fixed = SolverConfig(primes=(101, 1009, 10007))
+        for n in range(1, 6):
+            for g in connected_graphs(n):
+                for seed in (n, n + 10):
+                    config = GameConfig(*window, seed)
+                    assert _wins(g, config) or not _wins(g, config, fixed), (
+                        sorted(g.edges), seed)
+
+    def test_window_straddling_level_one(self):
+        # levels below and above 1 are factored apart, so [0, 2] wins
+        for n in range(2, 6):
+            for g in connected_graphs(n):
+                assert _wins(g, GameConfig(0, 2, seed=n)), sorted(g.edges)
 
     def test_random_n6(self):
         rng = random.Random(12)

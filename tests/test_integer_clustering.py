@@ -19,8 +19,8 @@ from graphspectra.catalog import connected_graphs, star_graph, with_labels
 from graphspectra.errors import AmbiguousClusteringError
 from graphspectra.realroots import _align
 from graphspectra.spectra import (SpectrumSample, _ascending, _branch_constant,
-                                  _close, _gap_diagnostics, cluster_and_assign,
-                                  simulate_spectrum)
+                                  _close, _gap_diagnostics, _point_of,
+                                  cluster_and_assign, simulate_spectrum)
 from naive_oracles import mpf_cluster_and_assign
 
 
@@ -60,20 +60,55 @@ def test_criterion_5_arrangements_match_oracle():
         assert assert_same_as_oracle(samples) is None, (g.sorted_edges(), labels)
 
 
+def _straddling_samples(edges, labels):
+    n = max(max(e) for e in edges)
+    g = next(g for g in connected_graphs(n) if tuple(g.sorted_edges()) == edges)
+    dp = with_labels(g, list(labels))
+    return [simulate_spectrum(dp, q, -2, 3, 256) for q in (101, 1009)]
+
+
 @pytest.mark.parametrize("edges, labels, error", [
     (((1, 3), (2, 3)), (1, 2), None),
     (((1, 3), (2, 4), (3, 4)), (1, 2, 4), None),
     (((1, 4), (2, 4), (3, 4)), (2, 1, 4), None),
-    (((1, 2), (1, 3), (2, 3)), (1, 2, 4), AmbiguousClusteringError),
+    (((1, 2), (1, 3), (2, 3)), (1, 2, 4), None),
 ])
 def test_window_beyond_level_one_matches_oracle(edges, labels, error):
     # levels r > 1 hold values below 1, so the common exponent is negative
     # and far from the exponents of the levels r < 1
-    n = max(max(e) for e in edges)
-    g = next(g for g in connected_graphs(n) if tuple(g.sorted_edges()) == edges)
-    dp = with_labels(g, list(labels))
-    samples = [simulate_spectrum(dp, q, -2, 3, 256) for q in (101, 1009)]
+    samples = _straddling_samples(edges, labels)
     assert assert_same_as_oracle(samples) is error
+
+
+@pytest.mark.parametrize("edges, labels", [
+    (((1, 3), (2, 3)), (1, 2)),
+    pytest.param(((1, 3), (2, 4), (3, 4)), (1, 2, 4),
+                 marks=pytest.mark.xfail(strict=True, reason=(
+                     "ROADMAP open item 4: the level assignment is not "
+                     "certified, and 4 levels miss their traces here"))),
+    (((1, 4), (2, 4), (3, 4)), (2, 1, 4)),
+    (((1, 2), (1, 3), (2, 3)), (1, 2, 4)),
+])
+def test_window_beyond_level_one_levels_match_traces(edges, labels):
+    # levels below 1 and above 1 follow different asymptotics, so each side
+    # is factored on its own; every level's sum is then its trace within a
+    # relative 2^-(p/2 - 2), p the least precision
+    for a in cluster_and_assign(_straddling_samples(edges, labels)):
+        for r, values in a.levels.items():
+            trace = 2 * sum(Fraction(a.q) ** ((1 - r) * x) for x in labels)
+            total = sum(_exact(*_point_of(v)) for v in values if v)
+            bound = trace / 2 ** (a.precision_bits // 2 - 2)
+            assert abs(total - trace) <= bound, (a.q, r)
+
+
+def test_exponents_on_a_side_without_levels_raise_like_oracle():
+    # values above level 1 that grow with q, as only levels below 1 can
+    def sample(q):
+        values = (0, 0, 0, 2, 2 * q, 2 * q * q)
+        return SpectrumSample(q, 1, 3, 64, tuple(map(mp.mpf, values)))
+
+    samples = [sample(5), sample(7)]
+    assert assert_same_as_oracle(samples) is AmbiguousClusteringError
 
 
 def test_three_samples_match_oracle():
