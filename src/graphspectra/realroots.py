@@ -363,7 +363,10 @@ def _refine(f, df, a, b, below, bits):
     replaced by a bisection point.  Once a step at the starting precision
     (65 to 128 bits) has moved less than half of its bits, the precision
     doubles with each step up to `bits`, and steps at `bits` repeat until
-    the sign-change certificate holds.
+    the sign-change certificate holds.  A root within half a grid step of
+    an end of its bracket makes every rounded iterate land on that end;
+    once the bracket is narrower than the grid, the precision climbs at
+    once, and at `bits` that iterate is tested for the certificate.
     """
     fb, _ = _evaluate(f, b)
     if fb == 0:
@@ -392,6 +395,14 @@ def _refine(f, df, a, b, below, bits):
             continue
         y = _newton_point(x, abs(num), abs(den), prec)
         if y != x and (_difference(y, a)[0] <= 0 or _difference(y, b)[0] >= 0):
+            width, e = _difference(b, a)
+            if width << prec < a[0] << (a[1] - e):  # b - a < a * 2^-prec
+                # narrower than the prec-bit grid: bisecting cannot help
+                if prec < bits:
+                    climbing = True
+                    prec = schedule.pop()
+                elif _sign_change(f, y, bits):
+                    return y
             x = _split(a, b)
             continue
         step, e = _difference(y, x)

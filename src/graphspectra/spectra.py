@@ -286,7 +286,7 @@ class SpectrumSample:
         return z // self.width
 
 
-def simulate_spectrum(dp, q, r_min, r_max, precision_bits=512):
+def simulate_spectrum(dp, q, r_min, r_max, precision_bits=0):
     """Union of the level spectra for r in [r_min, r_max], each level once.
 
     Each level's eigenvalues are the certified roots of its exact
@@ -294,8 +294,9 @@ def simulate_spectrum(dp, q, r_min, r_max, precision_bits=512):
     the X-adic valuation, checked against the graph's component count.
     Recovery multiplies the values of a level back into the integer
     coefficients of that polynomial alone, so level r is refined at the
-    bit size of its own largest coefficient plus 64 guard bits, raised to
-    the floor precision_bits when below it.  A level whose roots cannot be
+    bit size of its own largest coefficient plus 64 guard bits.  A floor
+    precision_bits raises every level below it; the default 0 sets none,
+    so the guard bits are the only margin.  A level whose roots cannot be
     told apart at that precision is refined once more at the window's
     largest such precision before PrecisionError propagates.
 

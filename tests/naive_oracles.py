@@ -605,7 +605,10 @@ def _mpf_refine(f, df, a, b, below, bits):
     replaced by a bisection point.  Once a step at the starting precision
     (65 to 128 bits) has moved less than half of its bits, the precision
     doubles with each step up to `bits`, and steps at `bits` repeat until
-    the sign-change certificate holds.
+    the sign-change certificate holds.  A root within half a grid step of
+    an end of its bracket makes every rounded iterate land on that end;
+    once the bracket is narrower than the grid, the precision climbs at
+    once, and at `bits` that iterate is tested for the certificate.
     """
     fb, _ = _mpf_evaluate(f, b)
     if fb == 0:
@@ -636,6 +639,13 @@ def _mpf_refine(f, df, a, b, below, bits):
                     from_man_exp(den, 0, prec + 8, round_nearest),
                     prec, round_nearest)
         if y != x and (mpf_cmp(y, a) <= 0 or mpf_cmp(y, b) >= 0):
+            if mpf_cmp(mpf_sub(b, a), mpf_shift(a, -prec)) < 0:
+                # narrower than the prec-bit grid: bisecting cannot help
+                if prec < bits:
+                    climbing = True
+                    prec = schedule.pop()
+                elif _mpf_sign_change(f, y, bits):
+                    return y
             x = _mpf_split(a, b)
             continue
         converged = mpf_cmp(mpf_abs(mpf_sub(y, x)), mpf_shift(x, -(prec // 2))) <= 0

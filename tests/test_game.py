@@ -190,6 +190,18 @@ class TestSolver:
         assert [(r.won, r.verdict) for r in results] == [
             (True, "win"), (False, None), (False, None)]
 
+    def test_prime_two_reply_certifies_both_levels(self):
+        # level 0 at q = 2 has roots next to powers of two, which Newton
+        # steps round onto; both levels must still certify
+        edges = [(1, 2), (1, 3), (1, 6), (2, 5), (2, 7), (3, 6), (3, 7),
+                 (4, 6), (5, 6)]
+        s = GameSession(Graph.of(7, edges), GameConfig(seed=0))
+        s.handle({"type": "hello"})
+        s.handle({"type": "choose_delta",
+                  "labels": [1 << i for i in range(EDGE_CAP)]})
+        reply = s.handle({"type": "choose_prime", "q": 2})
+        assert reply["type"] == "spectrum" and len(reply["values"]) == 2 * 7
+
     def test_precision_reply_skips_to_next_prime(self, monkeypatch):
         # the server answers the first choose_prime with a "precision"
         # error; the solver must move on to its next prime and still win

@@ -97,6 +97,34 @@ def test_graded_level_charpolys():
                 _assert_same_roots(coeffs, max(wp, 8))
 
 
+# q = 2 and 4 put level-0 roots within half a grid step of a dyadic end of
+# their bracket, where every rounded Newton step lands on that end: the
+# precision must climb, or at its final value the step be certified, once
+# bisection has made the bracket narrower than the grid
+@pytest.mark.parametrize("edges, q, precisions", [
+    ([(1, 2, 64), (1, 3, 4), (1, 6, 32), (2, 5, 8), (2, 7, 16), (3, 6, 2),
+      (3, 7, 256), (4, 6, 1), (5, 6, 128)], 2, (512, 564, 628, 1128)),
+    ([(1, 3, 32), (1, 5, 1), (2, 4, 8), (2, 6, 64), (2, 7, 2), (4, 5, 128),
+      (4, 7, 16), (5, 7, 4)], 4, (512, 565, 1130)),
+])
+def test_roots_next_to_a_bracket_end_certify(edges, q, precisions):
+    coeffs, bits = _level_charpoly(build_diffusion_pair(7, edges), q, 0)
+    assert bits + 64 in precisions
+    for wp in precisions:
+        roots = _assert_same_roots(coeffs, wp)
+        assert roots is not PrecisionError and len(roots) == 7
+
+
+def test_root_next_to_a_power_of_two_certifies_at_starting_precision():
+    # the root 1 + 2^-80: at 128 bits or fewer refinement starts at its
+    # final precision, so the step rounded onto the bracket end 1 is the
+    # one certified
+    coeffs = _expand([(1 << 80, (1 << 80) + 1), (3, 1)])
+    for bits in (24, 53, 64):
+        roots = _assert_same_roots(coeffs, bits)
+        assert roots is not PrecisionError and roots[1] == (0, 1, 0, 1)
+
+
 def test_indefinite_integer_matrix_charpolys():
     rng = random.Random(13)
     for _ in range(40):

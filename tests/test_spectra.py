@@ -1,5 +1,6 @@
 import random
 import time
+from collections import Counter
 from fractions import Fraction
 from itertools import permutations
 from math import gcd
@@ -12,11 +13,13 @@ from mpmath.libmp import from_man_exp
 
 from graphspectra import spectra
 from graphspectra.catalog import (complete_graph, connected_graphs,
-                                  cycle_graph, path_graph,
-                                  random_connected_graph, star_graph,
-                                  with_labels)
+                                  cospectral_pair_graphs, cycle_graph,
+                                  path_graph, random_connected_graph,
+                                  star_graph, with_labels)
 from graphspectra.errors import (AmbiguousClusteringError, PrecisionError,
                                  ValidationError)
+from graphspectra.game import (GameSession, LoopbackEndpoint, decode_message,
+                               solve_game)
 from graphspectra.graphs import (Graph, build_diffusion_pair,
                                  edge_set_laplacian, laplacian_matrix)
 from graphspectra.polynomials import spectral_polynomial
@@ -248,6 +251,13 @@ class TestCharpolyRoute:
             s = simulate_spectrum(dp, q, r_min, r_max, floor)
             assert s.values == _values_at(dp, q, r_min, rules)
             assert s.precision_bits == min(rules) == rules[1 - r_min]
+        # without a floor every level is refined at its own rule
+        for q, r_min, r_max in ((101, -3, 1), (13, -1, 2), (2, 0, 1)):
+            rules = [_coefficient_rule(dp, q, r, 0)
+                     for r in range(r_min, r_max + 1)]
+            s = simulate_spectrum(dp, q, r_min, r_max)
+            assert s.values == _values_at(dp, q, r_min, rules)
+            assert s.precision_bits == rules[1 - r_min] < 128
         # a floor at or below level 1's rule reads back as exactly that rule
         rule = _coefficient_rule(dp, 101, 1, 0)
         for floor in (8, rule - 1, rule):
@@ -513,6 +523,27 @@ class TestSimulate:
         monkeypatch.setattr(spectra, "real_roots", refuse(window + 1))
         with pytest.raises(PrecisionError, match="forced"):
             simulate_spectrum(dp, 101, -3, 1, 8)
+
+
+@pytest.mark.parametrize("graph, primes", [
+    (complete_graph(4), (3, 11)), (cospectral_pair_graphs()[0], (3, 37))])
+def test_game_replies_carry_level_one_rule(graph, primes):
+    # the server refines each level at its own rule, with no floor, so each
+    # reply declares level 1's precision; level 1's polynomial is the same
+    # at every prime, so its values are bit-identical in both replies and
+    # the level-1 match holds at the small tolerance this precision gives
+    session = GameSession(graph)
+    res = solve_game(LoopbackEndpoint(session))
+    assert res.won and res.primes_used == primes
+    replies = [decode_message(m) for way, m in session.transcript if way == "send"]
+    replies = [r for r in replies if r["type"] == "spectrum"]
+    rule = _coefficient_rule(session.pair, 3, 1, 0)
+    assert [r["precision_bits"] for r in replies] == [rule, rule]
+    assert rule < 512
+    level_one = Counter(exact_decimal(v) for v in real_roots(
+        _level_charpoly(session.pair, 3, 1)[0], rule))
+    for r in replies:
+        assert level_one <= Counter(r["values"])
 
 
 @settings(max_examples=40, deadline=None)
