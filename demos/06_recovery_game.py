@@ -30,7 +30,7 @@ print("\ntranscript (spectra elided):")
 for direction, line in result.transcript:
     msg = json.loads(line)
     if msg.get("type") == "spectrum":
-        msg["values"] = f"<{len(msg['values'])} decimal values>"
+        msg["values"] = f"<{len(msg['values'])} exact fractions>"
     print(f"  {direction:4s} {json.dumps(msg)[:100]}")
 
 server, (host, port) = serve_game(hidden, GameConfig(seed=11))

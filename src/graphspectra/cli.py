@@ -19,7 +19,7 @@ from mpmath import mp
 from . import catalog
 from .errors import PrecisionError, ValidationError, parse_fields, parse_ints
 from .forests import buslov_polynomial, kelmans_coefficients
-from .game import (GameConfig, SocketEndpoint, SolverConfig, serve_game,
+from .game import (GameConfig, GameServer, SocketEndpoint, SolverConfig,
                    solve_game)
 from .graphs import (build_diffusion_pair, graph_from_text, graph_to_text,
                      sum_distinct_labels)
@@ -247,15 +247,13 @@ def _cmd_game_serve(args):
     dp = graph_from_text(_read(args.graph))
     r_min, r_max = _parse_window(args.window)
     config = GameConfig(r_min=r_min, r_max=r_max, seed=args.seed)
-    server, (host, port) = serve_game(dp.graph, config,
-                                      host=args.host, port=args.port)
-    print(f"serving hidden graph on {host}:{port}", file=sys.stderr)
-    try:
-        server.serve_forever()
-    except KeyboardInterrupt:
-        pass
-    finally:
-        server.shutdown()
+    with GameServer((args.host, args.port), dp.graph, config) as server:
+        host, port = server.server_address
+        print(f"serving hidden graph on {host}:{port}", file=sys.stderr)
+        try:
+            server.serve_forever()
+        except KeyboardInterrupt:
+            pass
     return 0
 
 

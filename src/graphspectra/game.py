@@ -5,7 +5,9 @@ once (sent as an oversized list; the server applies a private ordering to
 its edges and reveals only the edge count), requests the spectrum window
 for primes of its choosing, and must finally submit a graph isomorphic to
 the hidden one.  Messages are UTF-8 line-delimited JSON objects with a
-mandatory "type" field; spectrum values travel as exact decimal strings.
+mandatory "type" field; every number in them is a JSON integer (a bool, a
+float or a string is refused, never truncated), and spectrum values travel
+as exact fractions 0, N or [-]m/2^k (m odd, k >= 1) in decimal digits.
 """
 from __future__ import annotations
 
@@ -21,7 +23,7 @@ from .forests import EDGE_CAP
 from .graphs import Graph, build_diffusion_pair, is_isomorphic
 from .reconstruct import reconstruct_from_polynomial
 from .spectra import (SpectrumSample, _is_prime, cluster_and_assign,
-                      exact_decimal, is_prime_power, parse_exact_decimal,
+                      dyadic_fraction, is_prime_power, parse_dyadic_fraction,
                       recover_spectral_poly, simulate_spectrum)
 
 
@@ -121,7 +123,7 @@ class GameSession:
                                "diffusion parameters may be chosen only once")
         labels = msg.get("labels")
         if (not isinstance(labels, list)
-                or any(not isinstance(a, int) or a <= 0 for a in labels)):
+                or any(type(a) is not int or a <= 0 for a in labels)):
             return self._error("bad_labels",
                                "labels must be a list of positive integers")
         if len(set(labels)) != len(labels):
@@ -143,7 +145,7 @@ class GameSession:
             return self._error("bad_phase", "choose_delta must come first")
         q = msg.get("q")
         try:
-            prime_power = isinstance(q, int) and is_prime_power(q)
+            prime_power = type(q) is int and is_prime_power(q)
         except ValidationError as exc:  # q beyond the checked range
             return self._error("bad_prime", str(exc))
         if not prime_power:
@@ -156,16 +158,19 @@ class GameSession:
             "r_min": sample.r_min,
             "r_max": sample.r_max,
             "precision_bits": sample.precision_bits,
-            "values": [exact_decimal(v) for v in sample.values],
+            "values": [dyadic_fraction(v) for v in sample.values],
         }
 
     def _submit(self, msg):
         if self.pair is None:
             return self._error("bad_phase", "choose_delta must come first")
+        n, edges = msg.get("n"), msg.get("edges")
         try:
-            candidate = Graph.of(int(msg["n"]),
-                                 [tuple(e) for e in msg["edges"]])
-        except (KeyError, TypeError, ValueError) as exc:
+            if type(n) is not int or not all(type(u) is type(v) is int
+                                             for u, v in edges):
+                raise ValidationError("n and the edge endpoints must be integers")
+            candidate = Graph.of(n, edges)
+        except (TypeError, ValueError) as exc:
             return self._error("bad_submission", f"unreadable graph: {exc}")
         self.phase = "closed"
         won = is_isomorphic(candidate, self.hidden_graph)
@@ -356,7 +361,7 @@ def solve_game(endpoint, config=None):
             samples.append(SpectrumSample(
                 reply["q"], reply["r_min"], reply["r_max"],
                 reply["precision_bits"],
-                tuple(parse_exact_decimal(s) for s in reply["values"])))
+                tuple(parse_dyadic_fraction(s) for s in reply["values"])))
         if derive:  # after q = 3: the decode prime for n, then the fixed list
             derive = False
             pair = [] if reply is None else [_decode_prime(samples[0].n_per_level)]

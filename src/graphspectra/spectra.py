@@ -23,10 +23,10 @@ from operator import mul
 from mpmath import mp
 from mpmath.libmp import from_man_exp, fzero
 
-# The game protocol's exact decimal values routinely exceed the
-# interpreter's default int<->str conversion guard (files use hex dyadics,
-# to which the guard does not apply).
-if sys.get_int_max_str_digits() < 2_000_000:
+# Numerators and powers 2^k in game replies pass the default int<->str limit
+# of 4,300 digits from about n = 12 (hex dyadic files are not limited).
+# Python before 3.10.7 has no limit, and a limit of 0 means switched off.
+if 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() < 2_000_000:
     sys.set_int_max_str_digits(2_000_000)
 
 from .errors import (AmbiguousClusteringError, PrecisionError, ValidationError,
@@ -37,8 +37,8 @@ from .realroots import _align, _difference, real_roots
 
 
 # ---------------------------------------------------------------------------
-# Exact conversions between mpf and strings: hex dyadics for files, decimals
-# for the game protocol and reports
+# Exact conversions between mpf and strings: hex dyadics for files, dyadic
+# fractions for the game protocol, decimals for reports
 
 
 def hex_dyadic(x):
@@ -73,55 +73,48 @@ def parse_hex_dyadic(s):
     return mp.make_mpf(from_man_exp(int(man, 16), int(exp)))
 
 
-def exact_decimal(x):
-    """Finite decimal string exactly equal to the binary float x."""
+def dyadic_fraction(x):
+    """The finite mpf x = m * 2^e, m odd, as the game protocol writes it:
+    0, an integer in decimal, or [-]m/2^-e in decimal when e < 0.  Every
+    exact-rational reader, fractions.Fraction among them, parses it."""
     sign, man, exp, _ = x._mpf_
-    man = int(man)
-    if man == 0:
+    if not man:
+        if exp:
+            raise ValidationError("non-finite value")
         return "0"
-    prefix = "-" if sign else ""
-    if exp >= 0:
-        return prefix + str(man << exp)
-    digits = str(man * 5 ** (-exp))
-    if len(digits) <= -exp:
-        digits = "0" * (-exp - len(digits) + 1) + digits
-    point = len(digits) + exp
-    return prefix + digits[:point] + "." + digits[point:]
+    m = -int(man) if sign else int(man)
+    return str(m << exp) if exp >= 0 else f"{m}/{1 << -exp}"
 
 
-_DECIMAL = re.compile(r"([+-]?[0-9]+)(?:\.([0-9]+))?")
+_DYADIC_FRACTION = re.compile(r"0|-?[1-9][0-9]*(?:/[1-9][0-9]*)?")
 
 
-def parse_exact_decimal(s):
-    """The mpf written as the decimal numeral s, [+-]?digits[.digits].
-
-    With N the digits and k the number of fraction digits, the value is
-    N / 10^k = (N / 5^k) / 2^k: when 5^k divides N (every string written by
-    exact_decimal) it is the mantissa N / 5^k at exponent -k, exactly.  A
-    non-dyadic value is rounded to the bit size of its reduced fraction
-    plus 16 bits.  Any other form (exponents, fractions a/b, underscores,
-    blanks) raises ValidationError."""
-    match = _DECIMAL.fullmatch(s)
-    if match is None:
-        raise ValidationError(f"not a decimal number: {s!r}")
-    whole, frac = match.groups()
-    frac = frac or ""
+def parse_dyadic_fraction(s):
+    """The mpf written as dyadic_fraction(s), exactly.  Any other string,
+    including another spelling of the same value (-0, +1, 01, 2/4, 1/1,
+    0.5, 1e3), and a numeral past the interpreter's int<->str digit limit
+    raise ValidationError."""
+    if _DYADIC_FRACTION.fullmatch(s) is None:
+        raise ValidationError(f"not a canonical fraction m/2^k: {s[:40]!r}")
+    num, _, den = s.partition("/")
     try:
-        N = int(whole + frac)
+        m, d = int(num), int(den or 1)
     except ValueError:  # the only failure left after the match
-        raise ValidationError(
-            f"decimal value has more than the {sys.get_int_max_str_digits()} "
-            f"digits that can be read") from None
-    man, rem = divmod(N, 5 ** len(frac))
-    if rem:
-        return _parse_rounded(Fraction(N, 10 ** len(frac)))
-    return mp.make_mpf(from_man_exp(man, -len(frac)))
+        raise ValidationError("value has more digits than can be read") from None
+    k = d.bit_length() - 1
+    if den and (d != 1 << k or k == 0 or m % 2 == 0):
+        raise ValidationError(f"not a canonical fraction m/2^k: {s[:40]!r}")
+    return mp.make_mpf(from_man_exp(m, -k))
 
 
-def _parse_rounded(f):
-    bits = abs(f.numerator).bit_length() + f.denominator.bit_length() + 16
-    with mp.workprec(bits):
-        return mp.mpf(f.numerator) / mp.mpf(f.denominator)
+def exact_decimal(x):
+    """Finite decimal string exactly equal to the binary float x: the
+    digits of m * 5^k with k of them after the point, for x = m / 2^k."""
+    sign, man, exp, _ = x._mpf_
+    if exp >= 0 or not man:
+        return dyadic_fraction(x)
+    digits = str(int(man) * 5 ** -exp).rjust(1 - exp, "0")
+    return ("-" if sign else "") + digits[:exp] + "." + digits[exp:]
 
 
 # ---------------------------------------------------------------------------

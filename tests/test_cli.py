@@ -2,9 +2,10 @@ import threading
 
 import pytest
 
-from graphspectra.catalog import star_graph, with_labels
+from graphspectra.catalog import complete_graph, star_graph, with_labels
 from graphspectra.cli import _read_assignment, main
-from graphspectra.game import GameConfig, serve_game
+from graphspectra.game import (GameConfig, GameServer, SocketEndpoint,
+                               serve_game, solve_game)
 from graphspectra.graphs import graph_from_text, graph_to_text, is_isomorphic
 from graphspectra.spectra import simulate_spectrum, spectrum_to_text
 
@@ -173,6 +174,39 @@ def test_separate_text_report(tmp_path, capsys):
 def test_oracle_check(capsys):
     assert main(["oracle-check", "--max-n", "4"]) == 0
     assert "verified" in capsys.readouterr().out
+
+
+def test_game_serve_runs_one_loop(tmp_path, monkeypatch, capsys):
+    # game-serve serves in its own thread and nowhere else; a game played
+    # against it from another thread wins, and then stops the loop
+    graph = tmp_path / "k4.graph"
+    graph.write_text(graph_to_text(complete_graph(4)))
+    loops, players, results = [], [], []
+    serve = GameServer.serve_forever
+
+    def serve_and_play(server, *args, **kwargs):
+        loops.append(threading.current_thread())
+
+        def play():
+            endpoint = SocketEndpoint(*server.server_address, timeout=60)
+            try:
+                results.append(solve_game(endpoint))
+            finally:
+                endpoint.close()
+                server.shutdown()
+
+        players.append(threading.Thread(target=play))
+        players[-1].start()
+        serve(server, *args, **kwargs)
+
+    monkeypatch.setattr(GameServer, "serve_forever", serve_and_play)
+    assert main(["game-serve", str(graph)]) == 0
+    for player in players:
+        player.join(timeout=60)
+        assert not player.is_alive()
+    assert loops == [threading.current_thread()]
+    assert [r.primes_used for r in results] == [(3, 11)] and results[0].won
+    assert capsys.readouterr().err.startswith("serving hidden graph on 127.0.0.1:")
 
 
 def test_game_over_socket(tmp_path, capsys):

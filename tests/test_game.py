@@ -1,6 +1,7 @@
 import random
 import sys
 import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import settings
@@ -19,6 +20,7 @@ from graphspectra.game import (GameConfig, GameSession, LoopbackEndpoint,
                                decode_message, encode_message, serve_game,
                                solve_game)
 from graphspectra.graphs import Graph, is_isomorphic
+from graphspectra.spectra import exact_decimal, parse_dyadic_fraction
 
 
 def _session(graph=None, **kwargs):
@@ -116,6 +118,43 @@ class TestProtocolRules:
         reply = s.handle_line("[" * 100_000)
         assert decode_message(reply)["code"] == "bad_message"
         assert s.handle({"type": "hello"})["type"] == "welcome"
+
+    @pytest.mark.parametrize("labels", ["[true,2,4]", "[1.0,2,4]",
+                                        '["1",2,4]', "[1,2,4.5]"])
+    def test_labels_must_be_json_integers(self, labels):
+        # a bool, a float or a string is refused, not stored as a label
+        s = _session(path_graph(3))
+        s.handle({"type": "hello"})
+        r = decode_message(s.handle_line(
+            '{"type":"choose_delta","labels":%s}' % labels))
+        assert r["code"] == "bad_labels" and s.pair is None
+        assert s.handle({"type": "choose_delta", "labels": [1, 2]})["type"] == "delta_ack"
+
+    @pytest.mark.parametrize("q", ["true", "3.0", '"3"', "101.0", '"101"'])
+    def test_prime_must_be_a_json_integer(self, q):
+        s = _session()
+        s.handle({"type": "hello"})
+        s.handle({"type": "choose_delta", "labels": [1, 2, 4]})
+        r = decode_message(s.handle_line('{"type":"choose_prime","q":%s}' % q))
+        assert r["code"] == "bad_prime"
+
+    @pytest.mark.parametrize("n, edges", [
+        ("3.9", "[[1,2],[1,3],[2,3]]"), ('"3"', "[[1,2],[1,3],[2,3]]"),
+        ("true", "[[1,2]]"), ("3.0", "[[1,2],[1,3],[2,3]]"),
+        ("3", "[[1,2.0],[1,3],[2,3]]"), ("3", '[["1",2],[1,3],[2,3]]'),
+        ("3", "[[true,2],[1,3],[2,3]]"), ("3", "[[1,2,3]]"), ("3", "[1,2]"),
+        ("3", '"1 2"'), ("3", None)])
+    def test_submission_must_hold_json_integers(self, n, edges):
+        # a refused submission leaves the session open for a readable one
+        s = _session()
+        s.handle({"type": "hello"})
+        s.handle({"type": "choose_delta", "labels": [1, 2, 4]})
+        fields = f'"n":{n}' + ("" if edges is None else f',"edges":{edges}')
+        r = decode_message(s.handle_line('{"type":"submit",%s}' % fields))
+        assert r["code"] == "bad_submission" and s.phase == "playing"
+        verdict = s.handle({"type": "submit", "n": 3,
+                            "edges": [[1, 2], [1, 3], [2, 3]]})
+        assert verdict == {"type": "verdict", "result": "win"}
 
     def test_hidden_graph_must_be_connected(self):
         with pytest.raises(ValidationError):
@@ -234,6 +273,28 @@ class TestSolver:
 
         with pytest.raises(ValidationError, match="non-negative"):
             solve_game(Negating(GameSession(path_graph(3), GameConfig(seed=1))))
+
+    @pytest.mark.parametrize("respell", ["decimal", "unreduced", "plus"])
+    def test_non_canonical_spectrum_value_rejected(self, respell):
+        # each value has one spelling on the wire: the same value as a
+        # decimal numeral, an unreduced fraction or with a plus sign is a
+        # malformed reply, on which game-solve exits 2
+        class Respelling(LoopbackEndpoint):
+            def request(self, msg):
+                reply = super().request(msg)
+                if reply.get("type") == "spectrum":
+                    values = list(reply["values"])
+                    i = next(i for i, v in enumerate(values) if "/" in v)
+                    f = Fraction(values[i])
+                    values[i] = {
+                        "decimal": exact_decimal(parse_dyadic_fraction(values[i])),
+                        "unreduced": f"{2 * f.numerator}/{2 * f.denominator}",
+                        "plus": "+" + values[i]}[respell]
+                    reply = dict(reply, values=values)
+                return reply
+
+        with pytest.raises(ValidationError, match="canonical"):
+            solve_game(Respelling(GameSession(path_graph(3), GameConfig(seed=1))))
 
     def test_labels_offered_up_to_the_edge_cap(self):
         # K7 has 21 edges, one more than reconstruction accepts: the server

@@ -1,4 +1,7 @@
+import os
 import random
+import subprocess
+import sys
 import time
 from collections import Counter
 from fractions import Fraction
@@ -26,8 +29,9 @@ from graphspectra.polynomials import spectral_polynomial
 from graphspectra.realroots import real_roots
 from graphspectra.spectra import (SEPARATION_BITS, _level_charpoly,
                                   _scaled_charpoly, cluster_and_assign,
-                                  exact_decimal, hex_dyadic, is_prime_power,
-                                  parse_exact_decimal, parse_hex_dyadic,
+                                  dyadic_fraction, exact_decimal, hex_dyadic,
+                                  is_prime_power, parse_dyadic_fraction,
+                                  parse_hex_dyadic,
                                   prediction_error_ratio,
                                   recover_spectral_poly,
                                   separation_experiment, simulate_spectrum,
@@ -303,6 +307,10 @@ class TestCharpolyRoute:
 
 
 class TestExactDecimal:
+    """The decimal-digit spellings of a dyadic mpf: exact_decimal's numerals
+    for reports, and the game protocol's dyadic fractions 0, N or [-]m/2^k
+    (m odd, k >= 1)."""
+
     def test_round_trip(self):
         rng = random.Random(1)
         with mp.workprec(260):
@@ -311,42 +319,71 @@ class TestExactDecimal:
                     1, rng.randrange(-200, 200))
                 if rng.random() < 0.5:
                     x = -x
-                s = exact_decimal(x)
-                y = parse_exact_decimal(s)
-                assert y == x
-                assert exact_decimal(y) == s
+                s = dyadic_fraction(x)
+                y = parse_dyadic_fraction(s)
+                assert y._mpf_ == x._mpf_
+                assert dyadic_fraction(y) == s
+                assert Fraction(s) == Fraction(exact_decimal(x))
 
     def test_zero(self):
         assert exact_decimal(mp.mpf(0)) == "0"
-        assert parse_exact_decimal("0") == 0
+        assert dyadic_fraction(mp.mpf(0)) == "0"
+        assert parse_dyadic_fraction("0")._mpf_ == mp.mpf(0)._mpf_
 
     def test_digit_limit(self):
-        # a protocol value past the raised int-digit limit is refused
+        # the raised int<->str limit carries values whose numerator and 2^k
+        # exceed the default 4,300 digits; a value past it is refused
+        x = mp.make_mpf(from_man_exp((1 << 20_000) - 1, -20_000))
+        assert parse_dyadic_fraction(dyadic_fraction(x))._mpf_ == x._mpf_
         with pytest.raises(ValidationError, match="digits"):
-            parse_exact_decimal("7" * 2_000_001)
+            parse_dyadic_fraction("7" * 2_000_001)
+        with pytest.raises(ValidationError, match="digits"):
+            parse_dyadic_fraction("1/" + "2" * 2_000_001)
 
     def test_fraction_conversions(self):
-        x = parse_exact_decimal("0.875")
+        x = parse_dyadic_fraction("7/8")
         assert x._mpf_ == (0, 7, -3, 3)
-        assert Fraction(exact_decimal(x)) == Fraction(7, 8)
-        assert parse_exact_decimal("-12") == -12
-        # a non-dyadic numeral is rounded to its fraction's size + 16 bits
-        tenth = Fraction(exact_decimal(parse_exact_decimal("0.1")))
-        assert tenth != Fraction(1, 10)
-        assert abs(tenth - Fraction(1, 10)) < Fraction(1, 10 * 2 ** 20)
+        assert exact_decimal(x) == "0.875"
+        assert dyadic_fraction(-x) == "-7/8"
+        assert parse_dyadic_fraction("-12") == -12
+        assert dyadic_fraction(mp.mpf(-12)) == "-12"
+        assert dyadic_fraction(mp.mpf(1024)) == "1024"
+        with pytest.raises(ValidationError):
+            dyadic_fraction(mp.inf)
 
-    @given(st.integers(-(2 ** 300), 2 ** 300), st.integers(-400, 400))
-    def test_round_trip_any_mantissa_and_exponent(self, man, exp):
+    @given(st.booleans(), st.integers(0, 2 ** 300), st.integers(-400, 400))
+    def test_round_trip_any_mantissa_and_exponent(self, negative, k, exp):
+        man = -(2 * k + 1) if negative else 2 * k + 1
         x = mp.make_mpf(from_man_exp(man, exp))
-        assert parse_exact_decimal(exact_decimal(x))._mpf_ == x._mpf_
+        s = dyadic_fraction(x)
+        assert parse_dyadic_fraction(s)._mpf_ == x._mpf_
+        assert Fraction(s) == Fraction(man) * Fraction(2) ** exp
+        assert Fraction(exact_decimal(x)) == Fraction(s)
 
     @pytest.mark.parametrize("text", [
         "", "1.2.3", "abc", "1e5", "1/3", ".", ".5", "5.", "1_000", " 1",
-        "+", "-", "0x10", "nan", "inf"])
+        "+", "-", "0x10", "nan", "inf",
+        "-0", "+1", "01", "-01", "1/02", "0.5", "1e3", "1_0", "1 ", "1 /2",
+        "2/4", "1/1", "-3/1", "0/2", "3/6", "1/0", "1/", "/2", "1//2",
+        "1/-2", "1/2/4", "0x1p-1"])
     def test_malformed_rejected(self, text):
-        # the grammar is decimal numerals only: [+-]?digits[.digits]
+        # one canonical spelling per value: 0, [-]N, or [-]m/2^k, m odd,
+        # k >= 1, in decimal digits without signs or zeros in front
         with pytest.raises(ValidationError):
-            parse_exact_decimal(text)
+            parse_dyadic_fraction(text)
+
+
+@pytest.mark.parametrize("setup, limit", [
+    ("pass", 2_000_000),
+    ("sys.set_int_max_str_digits(0)", 0),  # switched off: stays off
+    ("del sys.get_int_max_str_digits", None)])  # as before Python 3.10.7
+def test_import_raises_the_digit_limit_only_where_one_is_set(setup, limit):
+    code = (f"import sys; {setup}; import graphspectra.spectra; "
+            "print(getattr(sys, 'get_int_max_str_digits', lambda: None)())")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == str(limit)
 
 
 class TestHexDyadic:
@@ -540,7 +577,7 @@ def test_game_replies_carry_level_one_rule(graph, primes):
     rule = _coefficient_rule(session.pair, 3, 1, 0)
     assert [r["precision_bits"] for r in replies] == [rule, rule]
     assert rule < 512
-    level_one = Counter(exact_decimal(v) for v in real_roots(
+    level_one = Counter(dyadic_fraction(v) for v in real_roots(
         _level_charpoly(session.pair, 3, 1)[0], rule))
     for r in replies:
         assert level_one <= Counter(r["values"])
