@@ -44,3 +44,4 @@ try:
           "WON" if result.won else "lost")
 finally:
     server.shutdown()
+    server.server_close()

@@ -23,8 +23,7 @@ from .polynomials import (HomogeneousPart, InterpolationResult,
                           spectral_polynomial, spectral_poly_from_text,
                           spectral_poly_to_text, tangent_cone)
 from .forests import (ForestFamily, buslov_polynomial, enumerate_forests,
-                      forest_family_to_text, kelmans_coefficients,
-                      tree_count)
+                      kelmans_coefficients, tree_count)
 from .spectra import (ClusterAssignment, SeparationReport, SpectrumSample,
                       cluster_and_assign, prediction_error_ratio,
                       recover_spectral_poly, separation_experiment,

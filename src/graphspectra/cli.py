@@ -27,7 +27,7 @@ from .polynomials import (_as_is, evaluate_y, laplacian_charpoly,
                           spectral_polynomial, spectral_poly_from_text,
                           spectral_poly_to_text, tangent_cone)
 from .reconstruct import reconstruct_labeled
-from .spectra import (ClusterAssignment, cluster_and_assign, exact_decimal,
+from .spectra import (ClusterAssignment, cluster_and_assign, dyadic_fraction,
                       hex_dyadic, parse_hex_dyadic, prediction_error_ratio,
                       recover_spectral_poly, simulate_spectrum,
                       spectrum_from_text, spectrum_to_text)
@@ -190,14 +190,16 @@ def _cmd_separate(args):
         "epsilon": str(eps),
         "common_edges": [list(e) for e in full.common_edges],
         "extra_edges": [[list(e) for e in s] for s in full.extra_edges],
-        "hausdorff_distance": exact_decimal(full.hausdorff_distance),
-        "separating_vector": ([exact_decimal(x) for x in full.separating_vector]
+        "hausdorff_distance": dyadic_fraction(full.hausdorff_distance),
+        "separating_vector": ([dyadic_fraction(x) for x in full.separating_vector]
                               if full.separating_vector else None),
-        "separating_seminorms": ([exact_decimal(s) for s in full.separating_seminorms]
+        "separating_seminorms": ([dyadic_fraction(s) for s in full.separating_seminorms]
                                  if full.separating_seminorms else None),
-        "max_prediction_error": [exact_decimal(e)
+        "max_prediction_error": [dyadic_fraction(e)
                                  for e in full.max_prediction_error],
-        "halved_epsilon_error_ratio": float(ratio),
+        # infinite when the halved step's predictions are exact
+        "halved_epsilon_error_ratio": (None if ratio == float("inf")
+                                       else dyadic_fraction(ratio)),
     }
     if args.format == "json":
         _write(args.output, json.dumps(report, indent=2) + "\n")

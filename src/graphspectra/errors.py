@@ -3,9 +3,14 @@
 ValidationError covers malformed inputs and contract violations; the CLI
 maps it to exit code 2.  PrecisionError covers numeric failures (exhausted
 working precision, non-convergence, snapping residuals above tolerance);
-the CLI maps it and its subclasses to exit code 3.  The two token parsers
-at the end turn malformed text into ValidationError for every file reader.
+the CLI maps it and its subclasses to exit code 3.  The helpers at the
+end turn malformed text into ValidationError for every file reader.
 """
+
+# The largest vertex count a graph or spoly file header may declare; a
+# one-edge spoly file of this size reconstructs in under a second.  The
+# readers refuse a larger n before any work that grows with n.
+MAX_VERTICES = 2_000_000
 
 
 class ValidationError(ValueError):
@@ -41,3 +46,10 @@ def parse_fields(tokens, where):
             raise ValidationError(f"field {tok!r} in {where!r} lacks '='")
         fields[key] = value
     return fields
+
+
+def check_vertex_count(n, where):
+    """A header's vertex count n above MAX_VERTICES is a ValidationError."""
+    if n > MAX_VERTICES:
+        raise ValidationError(f"{n} vertices in {where!r} exceed the cap of "
+                              f"{MAX_VERTICES}")

@@ -161,18 +161,3 @@ def kelmans_coefficients(g):
         out.append(total)
     return out
 
-
-def forest_family_to_text(fam, label_map=None):
-    """Fixture dump: one line 'i gamma e1 e2 ...' per forest, sorted."""
-    lines = []
-    for i in sorted(fam.families):
-        rows = []
-        for edges, gamma in fam.families[i]:
-            if label_map is None:
-                toks = sorted(f"{u}-{v}" for u, v in edges)
-            else:
-                toks = [str(a) for a in sorted(label_map[e] for e in edges)]
-            rows.append((toks, gamma))
-        for toks, gamma in sorted(rows):
-            lines.append(" ".join([str(i), str(gamma)] + toks))
-    return "\n".join(lines) + "\n"

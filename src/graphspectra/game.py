@@ -244,7 +244,9 @@ class _GameHandler(socketserver.StreamRequestHandler):
 
 
 def serve_game(hidden_graph, config=None, host="127.0.0.1", port=0):
-    """Start a server thread; returns (server, (host, port)). Caller shuts down."""
+    """Start a server thread; returns (server, (host, port)).  The caller
+    stops it with server.shutdown() and then releases its listening socket
+    with server.server_close()."""
     server = GameServer((host, port), hidden_graph, config)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import ValidationError, parse_ints
+from .errors import ValidationError, check_vertex_count, parse_ints
 
 
 def _normalize_edge(u, v):
@@ -463,6 +463,7 @@ def graph_from_text(text):
     if len(head) != 2:
         raise ValidationError(f"bad header {rows[0]!r}")
     n, m = parse_ints(head, rows[0])
+    check_vertex_count(n, rows[0])
     if len(rows) - 1 != m:
         raise ValidationError(f"expected {m} edge lines, found {len(rows) - 1}")
     weighted = []

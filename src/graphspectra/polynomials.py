@@ -15,7 +15,8 @@ from fractions import Fraction
 from math import lcm, prod
 from operator import lshift, mul
 
-from .errors import PrecisionError, ValidationError, parse_ints
+from .errors import (PrecisionError, ValidationError, check_vertex_count,
+                     parse_ints)
 from .unipoly import UniPoly
 
 
@@ -120,7 +121,18 @@ def laplacian_charpoly(n, weighted_edges, scale, reduce):
     and every diagonal entry a sum of weights, so products with entries are
     scale calls on the edges alone; only the Toeplitz step multiplies two
     ring elements.
+
+    An isolated vertex adds a zero row and column, so det(X*I - L) is X^k
+    times the determinant over the n - k vertices with edges: the
+    recursion runs on those alone, and k zero coefficients go in front.
     """
+    active = sorted({u for (e, _) in weighted_edges for u in e})
+    if len(active) < n:
+        index = {u: i for i, u in enumerate(active, 1)}
+        core = laplacian_charpoly(
+            len(active), [((index[u], index[v]), w) for (u, v), w in weighted_edges],
+            scale, reduce) if active else [1]
+        return [0] * (n - len(active)) + core
     # the edges at each vertex as (other end, weight) pairs
     star = [[] for _ in range(n)]
     for (u, v), w in weighted_edges:
@@ -444,6 +456,7 @@ def spectral_poly_from_text(text):
     if not rows or not rows[0].startswith("spoly n="):
         raise ValidationError("missing 'spoly n=<n>' header")
     [n] = parse_ints([rows[0].split("=", 1)[1]], rows[0])
+    check_vertex_count(n, rows[0])
     coeffs = {}
     for ln in rows[1:]:
         parts = ln.split()

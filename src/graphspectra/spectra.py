@@ -17,6 +17,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
+from itertools import groupby
 from math import log
 from operator import mul
 
@@ -38,7 +39,7 @@ from .realroots import _align, _difference, real_roots
 
 # ---------------------------------------------------------------------------
 # Exact conversions between mpf and strings: hex dyadics for files, dyadic
-# fractions for the game protocol, decimals for reports
+# fractions for the game protocol and JSON reports
 
 
 def hex_dyadic(x):
@@ -105,16 +106,6 @@ def parse_dyadic_fraction(s):
     if den and (d != 1 << k or k == 0 or m % 2 == 0):
         raise ValidationError(f"not a canonical fraction m/2^k: {s[:40]!r}")
     return mp.make_mpf(from_man_exp(m, -k))
-
-
-def exact_decimal(x):
-    """Finite decimal string exactly equal to the binary float x: the
-    digits of m * 5^k with k of them after the point, for x = m / 2^k."""
-    sign, man, exp, _ = x._mpf_
-    if exp >= 0 or not man:
-        return dyadic_fraction(x)
-    digits = str(int(man) * 5 ** -exp).rjust(1 - exp, "0")
-    return ("-" if sign else "") + digits[:exp] + "." + digits[exp:]
 
 
 # ---------------------------------------------------------------------------
@@ -392,19 +383,23 @@ def cluster_and_assign(samples):
     """Split >= 2 same-window samples at distinct primes into level multisets.
 
     The level-1 multiset is prime-independent, so it is extracted by
-    cross-sample value matching within a relative 2^-ceil(p/3), p the least
-    sample precision, which is level 1's (see simulate_spectrum).  The
-    remaining values are matched across primes: a value pair belonging to
-    the same eigenvalue branch and level satisfies
-    v1/v2 = (q1/q2)^e for an integer e = (1-r)*s, with a shared leading
-    constant; grouping by constant and factoring each group's exponents
-    into complete progressions s*(1-r), separately for the levels below
-    and above 1, identifies the levels.
-    Inconsistencies raise AmbiguousClusteringError - the caller's move is
-    to retry with a larger prime.  The gap diagnostics are the least ratio
-    of adjacent nonzero values from different levels and the largest ratio
-    of adjacent values from one level, each correctly rounded to a float
-    (inf beyond the float range).
+    cross-sample value matching within a relative 2^-(p-5), p the least
+    sample precision, which is level 1's (see simulate_spectrum).  That is
+    the certificate's own bound: real_roots puts the root x of a value v in
+    v*(1 -/+ 2^-(p-4)), so two values v, w of one root differ by
+    |v - x| + |x - w| < (v + w) * 2^-(p-4) <= max(v, w) * 2^-(p-5): the
+    tightest test that every such pair is proved to pass.
+
+    The remaining values are matched across primes: a value pair belonging
+    to the same eigenvalue branch and level satisfies v1/v2 = (q1/q2)^e for
+    an integer e = (1-r)*s, with a shared leading constant; grouping by
+    constant and factoring each group's exponents into complete
+    progressions s*(1-r), separately for the levels below and above 1,
+    identifies the levels.  Inconsistencies raise AmbiguousClusteringError
+    - the caller's move is to retry with a larger prime.  The gap
+    diagnostics are the least ratio of adjacent nonzero values from
+    different levels and the largest ratio of adjacent values from one
+    level, each correctly rounded to a float (inf beyond the float range).
 
     Each nonzero value is read once as the point (m, e) of realroots, and
     every comparison, exponent, constant and ratio is exact integer
@@ -430,7 +425,7 @@ def cluster_and_assign(samples):
     b0 = b0s.pop()
     k = n - b0  # nonzero values per level
 
-    t = -(-min(s.precision_bits for s in samples) // 3)
+    t = min(s.precision_bits for s in samples) - 5
     forms = [_ascending(s) for s in samples]
 
     # Level 1 is the prime-independent multiset.  Values are identified by
@@ -760,15 +755,18 @@ SEPARATION_BITS = 192  # working precision of the perturbation experiment
 def separation_experiment(g1, g2, epsilon):
     """Perturb the common-edge Laplacian toward each graph and compare.
 
-    C = E1 & E2, C_i = E_i - C.  For each eigenvalue group of U(C) the
-    perturbation is diagonalized inside the eigenspace, giving first-order
-    predictions lambda + eps*mu that match the true eigenvalues of
-    U(C) + eps*U(C_i) up to O(eps^2).  A separating eigenvector (one whose
-    two seminorms differ) certifies that the perturbed spectra split.
-    U(C) + eps*U(C_i) is a Laplacian with edge weights 1 and eps, so its
-    spectrum is certified (see _scaled_charpoly) and exactly isospectral
-    perturbations read a Hausdorff distance of 0; only the eigenvectors of
-    U(C) and the compressions to its eigenspaces are numeric.
+    C = E1 & E2, C_i = E_i - C.  U(C)'s eigenvalues are the certified roots
+    of its charpoly (see _scaled_charpoly), whose runs of equal roots group
+    eigsy's ascending eigenvectors by eigenspace; an eigsy value farther
+    from its root than the 2^-(bits/2) scale sym_eigs checks raises
+    PrecisionError.  In each eigenspace the compression W_i of U(C_i) gives
+    the predictions lambda + eps*mu, mu an eigenvalue of W_i, which match
+    those of U(C) + eps*U(C_i) up to O(eps^2) (Kato, Perturbation Theory
+    for Linear Operators, ch. II), and a separating eigenvector (its two
+    seminorms differ) exists iff some W_1 - W_2 is not zero.  The perturbed
+    spectra are certified roots too, so exactly isospectral perturbations
+    read a Hausdorff distance of 0; only eigenvectors and compressions are
+    numeric.
     """
     if g1.n != g2.n:
         raise ValidationError("graphs must share the vertex range")
@@ -785,25 +783,32 @@ def separation_experiment(g1, g2, epsilon):
     UC = edge_set_laplacian(n, C)
     U1 = edge_set_laplacian(n, C1)
     U2 = edge_set_laplacian(n, C2)
-    wp = SEPARATION_BITS + 64
-    with mp.workprec(wp):
-        base_vals, base_vecs = sym_eigs(UC, SEPARATION_BITS, want_vectors=True)
+    base = real_roots(_scaled_charpoly(n, 1, [(e, 1) for e in C])[0],
+                      SEPARATION_BITS)
+    with mp.workprec(SEPARATION_BITS + 64):
+        numeric, vecs = sym_eigs(UC, SEPARATION_BITS, want_vectors=True)
+        scale = mp.ldexp(mp.sqrt(sum(x * x for row in UC for x in row)),
+                         -(SEPARATION_BITS // 2))
+        if any(abs(a - b) > scale for a, b in zip(numeric, base)):
+            raise PrecisionError("eigsy's eigenvalues of U(C) strayed from "
+                                 "their certified roots")
         eps = mp.mpf(eps_f.numerator) / mp.mpf(eps_f.denominator)
-        group_tol = mp.ldexp(max(abs(v) for v in base_vals) + 1, -(SEPARATION_BITS // 2))
-        groups = _group_degenerate(base_vals, group_tol)
-        predictions = []
-        for U in (U1, U2):
-            preds = []
-            for idxs in groups:
-                lam = base_vals[idxs[0]]
-                basis = [base_vecs[i] for i in idxs]
-                W = [[_quadratic_form(U, basis[a], basis[b]) for b in range(len(idxs))]
-                     for a in range(len(idxs))]
-                W = [[(W[a][b] + W[b][a]) / 2 for b in range(len(idxs))]
-                     for a in range(len(idxs))]
-                for mu in sym_eigs(W, SEPARATION_BITS):
-                    preds.append(lam + eps * mu)
-            predictions.append(sorted(preds))
+        predictions = ([], [])
+        sep_vec = sep_norms = None
+        best = mp.ldexp(1, -(SEPARATION_BITS // 4))
+        for lam, run in groupby(zip(base, vecs), key=lambda pair: pair[0]):
+            basis = [u for _, u in run]
+            W1, W2 = _compression(U1, basis), _compression(U2, basis)
+            for preds, W in zip(predictions, (W1, W2)):
+                preds.extend(lam + eps * mu
+                             for mu in sym_eigs(W, SEPARATION_BITS))
+            Wd = [[a - b for a, b in zip(r1, r2)] for r1, r2 in zip(W1, W2)]
+            for mu, w in zip(*sym_eigs(Wd, SEPARATION_BITS, want_vectors=True)):
+                if abs(mu) > best:
+                    best = abs(mu)
+                    sep_vec = tuple(mp.fsum(c * u[i] for c, u in zip(w, basis))
+                                    for i in range(n))
+        predictions = [sorted(p) for p in predictions]
         # eps = p/d: d times the perturbed Laplacian weighs C by d, C_i by p
         d = eps_f.denominator
         spectra = [real_roots(_scaled_charpoly(
@@ -813,28 +818,8 @@ def separation_experiment(g1, g2, epsilon):
             max(abs(a - p) for a, p in zip(spectra[i], predictions[i]))
             for i in range(2))
         hausdorff = _hausdorff(spectra[0], spectra[1])
-        # A separating eigenvector exists iff U(C_1) - U(C_2) has a nonzero
-        # compression to some eigenspace of U(C); searching those
-        # compressions is complete, unlike scanning one eigenbasis.
-        sep_vec = sep_norms = None
-        sep_tol = mp.ldexp(1, -(SEPARATION_BITS // 4))
-        Ud = [[U1[i][j] - U2[i][j] for j in range(n)] for i in range(n)]
-        best = sep_tol
-        for idxs in groups:
-            basis = [base_vecs[i] for i in idxs]
-            k = len(idxs)
-            Wd = [[_quadratic_form(Ud, basis[a], basis[b]) for b in range(k)]
-                  for a in range(k)]
-            Wd = [[(Wd[a][b] + Wd[b][a]) / 2 for b in range(k)] for a in range(k)]
-            mus, ws = sym_eigs(Wd, SEPARATION_BITS, want_vectors=True)
-            for mu, w in zip(mus, ws):
-                if abs(mu) > best:
-                    best = abs(mu)
-                    sep_vec = tuple(
-                        mp.fsum(w[a] * basis[a][i] for a in range(k))
-                        for i in range(n))
         if sep_vec is not None:
-            sep_norms = (seminorm_sq(sep_vec, C1), seminorm_sq(sep_vec, C2))
+            sep_norms = tuple(mp.mpf(seminorm_sq(sep_vec, Ci)) for Ci in (C1, C2))
     return SeparationReport(
         epsilon=eps_f,
         common_edges=tuple(C),
@@ -864,19 +849,12 @@ def prediction_error_ratio(g1, g2, epsilon):
     return full, half, err_full / err_half
 
 
-def _group_degenerate(vals, tol):
-    groups = [[0]]
-    for i in range(1, len(vals)):
-        if abs(vals[i] - vals[groups[-1][0]]) <= tol:
-            groups[-1].append(i)
-        else:
-            groups.append([i])
-    return groups
-
-
-def _quadratic_form(U, u, v):
-    n = len(U)
-    return mp.fsum(u[i] * U[i][j] * v[j] for i in range(n) for j in range(n) if U[i][j])
+def _compression(U, basis):
+    """The symmetrised matrix of u^T U v over the vectors u, v of basis."""
+    W = [[mp.fsum(u[i] * x * v[j] for i, row in enumerate(U)
+                  for j, x in enumerate(row) if x) for v in basis] for u in basis]
+    return [[(W[a][b] + W[b][a]) / 2 for b in range(len(W))]
+            for a in range(len(W))]
 
 
 def _hausdorff(a, b):

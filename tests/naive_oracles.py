@@ -690,7 +690,7 @@ def mpf_cluster_and_assign(samples):
     b0 = b0s.pop()
     k = n - b0
 
-    tol1 = mp.ldexp(1, -min(s.precision_bits for s in samples) // 3)
+    tol1 = mp.ldexp(1, 5 - min(s.precision_bits for s in samples))
     nonzero = [sorted(s.nonzero_values()) for s in samples]
     shared_flags = []
     for i, s in enumerate(samples):

@@ -7,6 +7,7 @@ see the summary lines of passing criteria too).
 import random
 import time
 from fractions import Fraction
+from math import comb
 
 from mpmath import mp
 
@@ -20,7 +21,6 @@ from graphspectra.graphs import (cartesian_product, is_isomorphic,
                                  laplacian_matrix, relabel_graph)
 from graphspectra.polynomials import (evaluate_y, spectral_polynomial,
                                       tangent_cone)
-from graphspectra.realroots import real_roots
 from graphspectra.reconstruct import reconstruct_from_polynomial
 from graphspectra.spectra import (cluster_and_assign, prediction_error_ratio,
                                   recover_spectral_poly, simulate_spectrum)
@@ -169,26 +169,53 @@ def test_criterion_6_perturbation_separation():
                 f"eigenvector and error ratio >= 3.5; measured {measured}")
 
 
+def _power_sums(coeffs, count):
+    """p_0 .. p_(count-1) of the roots of the monic polynomial with
+    ascending coefficients coeffs, by Newton's identities."""
+    n = len(coeffs) - 1
+    e = [(-1) ** k * coeffs[n - k] for k in range(n + 1)] + [0] * count
+    p = [n]
+    for k in range(1, count):
+        p.append((-1) ** (k - 1) * k * e[k] + sum(
+            (-1) ** (k - 1 + i) * e[k - i] * p[i] for i in range(1, k)))
+    return p
+
+
+def _composed_sum(f, g):
+    """The monic polynomial whose roots are the sums a + b over the roots a
+    of f and b of g (ascending coefficients): its power sums are
+    p_k = sum_j C(k, j) p_j(f) p_(k-j)(g), turned back into coefficients
+    by Newton's identities."""
+    N = (len(f) - 1) * (len(g) - 1)
+    pf, pg = _power_sums(f, N + 1), _power_sums(g, N + 1)
+    p = [sum(comb(k, j) * pf[j] * pg[k - j] for j in range(k + 1))
+         for k in range(N + 1)]
+    e = [1]
+    for k in range(1, N + 1):
+        total = sum((-1) ** (i - 1) * e[k - i] * p[i] for i in range(1, k + 1))
+        assert total % k == 0
+        e.append(total // k)
+    return [(-1) ** (N - i) * e[N - i] for i in range(N + 1)]
+
+
 def test_criterion_7_product_additivity():
+    # Spec(L(g box h)) is the multiset of pairwise sums, checked exactly:
+    # det(X*I - L(g box h)) equals the composed sum of the factors'
+    # characteristic polynomials, as integer polynomials
     t0 = time.time()
     graphs = [g for n in range(1, 5) for g in all_graphs(n)]
-    tol = mp.ldexp(1, -128)
+    charpolys = {g: _graph_charpoly(g) for g in graphs}
     pairs = 0
-    spectra = {}
-    with mp.workprec(256):
-        for g in graphs:
-            spectra[g] = real_roots(_graph_charpoly(g), 200)
-        for i, g in enumerate(graphs):
-            for h in graphs[i:]:
-                prod = cartesian_product(g, h)
-                got = real_roots(_graph_charpoly(prod), 200)
-                want = sorted(a + b for a in spectra[g] for b in spectra[h])
-                assert len(got) == len(want)
-                assert all(abs(x - y) <= tol for x, y in zip(got, want)), \
-                    (sorted(g.edges), sorted(h.edges))
-                pairs += 1
-    _report(7, True, f"Spec(L(g box h)) = pairwise sums within 2^-128 on "
-            f"{pairs} pairs with up to 4 vertices each", t0, 60)
+    for i, g in enumerate(graphs):
+        for h in graphs[i:]:
+            got = _graph_charpoly(cartesian_product(g, h))
+            assert got == _composed_sum(charpolys[g], charpolys[h]), \
+                (sorted(g.edges), sorted(h.edges))
+            pairs += 1
+    assert pairs == 171
+    _report(7, True, f"det(XI - L(g box h)) = composed sum of the factors' "
+            f"charpolys, exactly, on {pairs} pairs with up to 4 vertices "
+            f"each", t0, 60)
 
 
 def test_criterion_8_game_integration():

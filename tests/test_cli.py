@@ -1,13 +1,20 @@
+import json
 import threading
+import time
+from fractions import Fraction
 
 import pytest
 
-from graphspectra.catalog import complete_graph, star_graph, with_labels
+from graphspectra.catalog import (complete_graph, cycle_graph, path_graph,
+                                  star_graph, with_labels)
 from graphspectra.cli import _read_assignment, main
 from graphspectra.game import (GameConfig, GameServer, SocketEndpoint,
                                serve_game, solve_game)
-from graphspectra.graphs import graph_from_text, graph_to_text, is_isomorphic
-from graphspectra.spectra import simulate_spectrum, spectrum_to_text
+from graphspectra.graphs import (Graph, build_diffusion_pair, graph_from_text,
+                                 graph_to_text, is_isomorphic)
+from graphspectra.polynomials import spectral_poly_from_text, spectral_polynomial
+from graphspectra.spectra import (prediction_error_ratio, simulate_spectrum,
+                                  spectrum_to_text)
 
 
 @pytest.fixture
@@ -161,6 +168,65 @@ def test_precision_exit_code(tmp_path):
     assert main(["cluster"] + files) == 3
 
 
+@pytest.mark.parametrize("command, text, options", [
+    ("reconstruct", "spoly n=99999999999\n1 99999999999 0\n", []),
+    ("curve", "99999999999 1\n1 2\n", []),
+    ("simulate", "99999999999 1\n1 2\n", ["--q", "101"])])
+def test_header_above_vertex_cap_exits_2_at_once(tmp_path, command, text, options):
+    # before any work that grows with the header's n
+    bad = tmp_path / "huge.input"
+    bad.write_text(text)
+    start = time.process_time()
+    assert main([command, str(bad)] + options) == 2
+    assert time.process_time() - start < 0.1
+
+
+def test_isolated_vertices_cost_nothing(tmp_path):
+    # four edges on 2000 vertices: P is X^1995 times the 5-vertex core's
+    edges = [(1, 2, 1), (2, 3, 2), (3, 4, 4), (3, 5, 8)]
+    graph = tmp_path / "sparse.graph"
+    graph.write_text("2000 4\n" + "".join(f"{u} {v} {a}\n" for u, v, a in edges))
+    start = time.process_time()
+    spoly = tmp_path / "sparse.spoly"
+    assert main(["curve", str(graph), "-o", str(spoly)]) == 0
+    assert time.process_time() - start < 1
+    core = spectral_polynomial(build_diffusion_pair(5, edges))
+    P = spectral_poly_from_text(spoly.read_text())
+    assert P.coeffs == (P.coeffs[0],) * 1995 + core.coeffs
+    assert P.coeffs[0].is_zero()
+    start = time.process_time()
+    assert main(["simulate", str(graph), "--q", "101", "--window=0:1",
+                 "-o", str(tmp_path / "sparse.spec")]) == 0
+    assert time.process_time() - start < 1
+
+
+@pytest.mark.parametrize("g1, g2", [
+    (path_graph(5), Graph.of(5, [(1, 2), (2, 3), (3, 4), (3, 5)])),
+    # C_2 is empty, so the second seminorm is 0
+    (cycle_graph(4), Graph.of(4, [(1, 2), (2, 3)]))])
+def test_separate_json_values_are_exact(tmp_path, g1, g2):
+    # every number is a dyadic fraction equal to the report's value exactly
+    a, b = tmp_path / "a.graph", tmp_path / "b.graph"
+    a.write_text(graph_to_text(g1))
+    b.write_text(graph_to_text(g2))
+    out = tmp_path / "report.json"
+    assert main(["separate", str(a), str(b), "--format", "json",
+                 "-o", str(out)]) == 0
+    report = json.loads(out.read_text())
+    full, _, ratio = prediction_error_ratio(g1, g2, Fraction(1, 1000))
+    want = {"hausdorff_distance": [full.hausdorff_distance],
+            "separating_vector": full.separating_vector,
+            "separating_seminorms": full.separating_seminorms,
+            "max_prediction_error": full.max_prediction_error,
+            "halved_epsilon_error_ratio": [ratio]}
+    for key, values in want.items():
+        got = report[key] if isinstance(report[key], list) else [report[key]]
+        assert [Fraction(s) for s in got] == [
+            (-1) ** sign * Fraction(man) * Fraction(2) ** exp
+            for sign, man, exp, _ in (x._mpf_ for x in values)], key
+    assert Fraction(report["epsilon"]) == Fraction(1, 1000)
+
+
 def test_separate_text_report(tmp_path, capsys):
     a = tmp_path / "a.graph"
     b = tmp_path / "b.graph"
@@ -220,3 +286,4 @@ def test_game_over_socket(tmp_path, capsys):
         assert is_isomorphic(g, hidden)
     finally:
         server.shutdown()
+        server.server_close()

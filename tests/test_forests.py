@@ -8,8 +8,8 @@ from graphspectra.catalog import (complete_graph, connected_graphs,
                                   random_connected_graph, with_labels)
 from graphspectra.errors import ValidationError
 from graphspectra.forests import (EDGE_CAP, buslov_polynomial,
-                                  enumerate_forests, forest_family_to_text,
-                                  kelmans_coefficients, tree_count)
+                                  enumerate_forests, kelmans_coefficients,
+                                  tree_count)
 from graphspectra.graphs import Graph, Multigraph, laplacian_matrix, quotient_graph
 from graphspectra.polynomials import spectral_polynomial
 
@@ -162,19 +162,3 @@ class TestKelmans:
                 assert cp.coefficient(n) == 1
                 assert cp.coefficient(0) == 0
 
-
-class TestFamilyDump:
-    def test_stable_text(self):
-        fam = enumerate_forests(complete_graph(3))
-        text = forest_family_to_text(fam)
-        lines = text.strip().splitlines()
-        assert lines[0] == "1 3 1-2 1-3"
-        assert text == forest_family_to_text(fam)
-
-    def test_label_form(self):
-        from graphspectra.graphs import build_diffusion_pair
-
-        dp = build_diffusion_pair(3, [(1, 2, 1), (2, 3, 2)])
-        fam = enumerate_forests(dp.graph)
-        text = forest_family_to_text(fam, dp.label_map())
-        assert "1 3 1 2" in text

@@ -20,7 +20,6 @@ from graphspectra.game import (GameConfig, GameSession, LoopbackEndpoint,
                                decode_message, encode_message, serve_game,
                                solve_game)
 from graphspectra.graphs import Graph, is_isomorphic
-from graphspectra.spectra import exact_decimal, parse_dyadic_fraction
 
 
 def _session(graph=None, **kwargs):
@@ -286,8 +285,10 @@ class TestSolver:
                     values = list(reply["values"])
                     i = next(i for i, v in enumerate(values) if "/" in v)
                     f = Fraction(values[i])
+                    k = f.denominator.bit_length() - 1  # f = m / 2^k
+                    digits = str(f.numerator * 5 ** k).rjust(k + 1, "0")
                     values[i] = {
-                        "decimal": exact_decimal(parse_dyadic_fraction(values[i])),
+                        "decimal": f"{digits[:-k]}.{digits[-k:]}",
                         "unreduced": f"{2 * f.numerator}/{2 * f.denominator}",
                         "plus": "+" + values[i]}[respell]
                     reply = dict(reply, values=values)
@@ -387,6 +388,7 @@ class TestTransportsAndDeterminism:
             assert res.won and is_isomorphic(res.graph, cycle_graph(5))
         finally:
             server.shutdown()
+            server.server_close()
 
     def test_non_utf8_line_answered_over_socket(self):
         server, (host, port) = serve_game(path_graph(3), GameConfig(seed=1))
@@ -401,6 +403,7 @@ class TestTransportsAndDeterminism:
                 ep.close()
         finally:
             server.shutdown()
+            server.server_close()
 
     def test_precision_failure_answered_over_socket(self, monkeypatch):
         # a PrecisionError while simulating must come back as a protocol
@@ -430,6 +433,7 @@ class TestTransportsAndDeterminism:
                 ep.close()
         finally:
             server.shutdown()
+            server.server_close()
         assert calls == [101, 101]
 
     def test_replayable_transcripts(self):

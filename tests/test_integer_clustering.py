@@ -125,15 +125,17 @@ def test_star_at_small_primes_raises_like_oracle():
 
 
 @pytest.mark.parametrize("units, error", [
-    (1, None), (2, None), (3, AmbiguousClusteringError)])
+    (1, None), (2, None), (3, AmbiguousClusteringError),
+    (4, AmbiguousClusteringError)])
 def test_level_one_tolerance(units, error):
-    # at 512 bits level-1 values match within a relative 2^-ceil(512/3):
-    # 1 and 1 + units * 2^-172 match for 1 and 2 units, not for 3
+    # at 512 bits level-1 values match within a relative 2^-(512-5), the
+    # bound that two certified values of one root are proved to meet:
+    # 1 and 1 + units * 2^-508 match for 1 and 2 units, not for 3 or 4
     def sample(q, one):
         zero = mp.mpf(0)
         return SpectrumSample(q, 0, 1, 512, (zero, zero, one, mp.mpf(2 * q)))
 
-    near_one = mp.make_mpf(from_man_exp((1 << 172) + units, -172))
+    near_one = mp.make_mpf(from_man_exp((1 << 508) + units, -508))
     samples = [sample(5, mp.mpf(1)), sample(7, near_one)]
     assert assert_same_as_oracle(samples) is error
 

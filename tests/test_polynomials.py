@@ -201,8 +201,11 @@ def _multigraph_edges(draw):
 
 @given(_multigraph_edges())
 @example((3, [((1, 2), 1), ((1, 2), 1), ((2, 3), 1)]))
+@example((5, [((1, 4), 2), ((4, 3), 1)]))  # vertices 2 and 5 isolated
+@example((2, []))
 def test_repeated_edges_add_up(case):
-    # parallel edges between one pair add their weights in every entry
+    # parallel edges between one pair add their weights in every entry, and
+    # isolated vertices, which the recursion skips, only multiply by X
     n, edges = case
     cp = charpoly_division_free(assemble_laplacian(n, edges, 0))
     assert laplacian_charpoly(n, edges, mul, _as_is) == [

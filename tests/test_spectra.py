@@ -29,7 +29,7 @@ from graphspectra.polynomials import spectral_polynomial
 from graphspectra.realroots import real_roots
 from graphspectra.spectra import (SEPARATION_BITS, _level_charpoly,
                                   _scaled_charpoly, cluster_and_assign,
-                                  dyadic_fraction, exact_decimal, hex_dyadic,
+                                  dyadic_fraction, hex_dyadic,
                                   is_prime_power, parse_dyadic_fraction,
                                   parse_hex_dyadic,
                                   prediction_error_ratio,
@@ -288,7 +288,7 @@ class TestCharpolyRoute:
             for v in values:
                 if values.count(v) > 1:
                     continue
-                x = Fraction(exact_decimal(v))
+                x = Fraction(dyadic_fraction(v))
                 assert any(P(x) == 0 or P(x * (1 - e)) * P(x * (1 + e)) < 0
                            for P, e in zip(charpolys, eps)), v
                 checked += 1
@@ -307,9 +307,9 @@ class TestCharpolyRoute:
 
 
 class TestExactDecimal:
-    """The decimal-digit spellings of a dyadic mpf: exact_decimal's numerals
-    for reports, and the game protocol's dyadic fractions 0, N or [-]m/2^k
-    (m odd, k >= 1)."""
+    """The exact decimal-digit spelling of a dyadic mpf, for the game
+    protocol and JSON reports: the dyadic fractions 0, N or [-]m/2^k (m odd,
+    k >= 1)."""
 
     def test_round_trip(self):
         rng = random.Random(1)
@@ -323,10 +323,8 @@ class TestExactDecimal:
                 y = parse_dyadic_fraction(s)
                 assert y._mpf_ == x._mpf_
                 assert dyadic_fraction(y) == s
-                assert Fraction(s) == Fraction(exact_decimal(x))
 
     def test_zero(self):
-        assert exact_decimal(mp.mpf(0)) == "0"
         assert dyadic_fraction(mp.mpf(0)) == "0"
         assert parse_dyadic_fraction("0")._mpf_ == mp.mpf(0)._mpf_
 
@@ -343,7 +341,7 @@ class TestExactDecimal:
     def test_fraction_conversions(self):
         x = parse_dyadic_fraction("7/8")
         assert x._mpf_ == (0, 7, -3, 3)
-        assert exact_decimal(x) == "0.875"
+        assert dyadic_fraction(x) == "7/8"
         assert dyadic_fraction(-x) == "-7/8"
         assert parse_dyadic_fraction("-12") == -12
         assert dyadic_fraction(mp.mpf(-12)) == "-12"
@@ -358,7 +356,6 @@ class TestExactDecimal:
         s = dyadic_fraction(x)
         assert parse_dyadic_fraction(s)._mpf_ == x._mpf_
         assert Fraction(s) == Fraction(man) * Fraction(2) ** exp
-        assert Fraction(exact_decimal(x)) == Fraction(s)
 
     @pytest.mark.parametrize("text", [
         "", "1.2.3", "abc", "1e5", "1/3", ".", ".5", "5.", "1_000", " 1",
@@ -844,6 +841,28 @@ class TestSeparation:
         rep = separation_experiment(self.GA, self.GB, Fraction(1, 1000))
         assert len(rep.predictions[0]) == 5
         assert len(rep.spectra[0]) == 5
+
+    @pytest.mark.parametrize("shift, error", [(-100, None), (-80, PrecisionError)])
+    def test_eigsy_values_must_meet_certified_roots(self, monkeypatch, shift, error):
+        # eigsy's eigenvalues of U(C) must lie within 2^-96 times its
+        # Frobenius norm (here 4) of the certified roots
+        calls = []
+        sym_eigs = spectra.sym_eigs
+
+        def shifted(M, bits, want_vectors=False):
+            out = sym_eigs(M, bits, want_vectors)
+            calls.append(M)
+            if len(calls) == 1:
+                return [v + mp.ldexp(1, shift) for v in out[0]], out[1]
+            return out
+
+        monkeypatch.setattr(spectra, "sym_eigs", shifted)
+        if error is None:
+            assert separation_experiment(self.GA, self.GB, Fraction(1, 1000))
+        else:
+            with pytest.raises(error, match="certified roots"):
+                separation_experiment(self.GA, self.GB, Fraction(1, 1000))
+        assert calls[0] == edge_set_laplacian(5, [(1, 2), (2, 3), (3, 4)])
 
     def test_catalog_pair_perturbation_degenerate(self):
         # documented finding: for the catalog cospectral pair under its
