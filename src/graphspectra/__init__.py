@@ -29,6 +29,7 @@ from .spectra import (ClusterAssignment, SeparationReport, SpectrumSample,
                       recover_spectral_poly, separation_experiment,
                       simulate_spectrum, spectrum_from_text,
                       spectrum_to_text, sym_eigs)
+from .realroots import Dyadic
 from .reconstruct import reconstruct_from_polynomial, reconstruct_labeled
 from .unipoly import UniPoly
 

@@ -14,8 +14,6 @@ import sys
 from fractions import Fraction
 from operator import mul
 
-from mpmath import mp
-
 from . import catalog
 from .errors import PrecisionError, ValidationError, parse_fields, parse_ints
 from .forests import buslov_polynomial, kelmans_coefficients
@@ -26,6 +24,7 @@ from .graphs import (build_diffusion_pair, graph_from_text, graph_to_text,
 from .polynomials import (_as_is, evaluate_y, laplacian_charpoly,
                           spectral_polynomial, spectral_poly_from_text,
                           spectral_poly_to_text, tangent_cone)
+from .realroots import sorted_values
 from .reconstruct import reconstruct_labeled
 from .spectra import (ClusterAssignment, cluster_and_assign, dyadic_fraction,
                       hex_dyadic, parse_hex_dyadic, prediction_error_ratio,
@@ -169,7 +168,7 @@ def _assignment_block(rows):
             raise ValidationError(f"bad cluster line {ln!r}")
         [r] = parse_ints(parts[:1], ln)
         levels.setdefault(r, []).append(parse_hex_dyadic(parts[1]))
-    levels = {r: tuple(sorted(vs)) for r, vs in levels.items()}
+    levels = {r: tuple(sorted_values(vs)) for r, vs in levels.items()}
     return ClusterAssignment(q, prec, levels, float("inf"), 1.0)
 
 
@@ -204,6 +203,7 @@ def _cmd_separate(args):
     if args.format == "json":
         _write(args.output, json.dumps(report, indent=2) + "\n")
     else:
+        from mpmath import mp
         lines = [
             f"epsilon            {eps}",
             f"common edges       {len(full.common_edges)}",

@@ -56,36 +56,40 @@ class Graph:
     def degree(self, u):
         return sum(1 for e in self.edges if u in e)
 
-    def degree_sequence(self):
-        return tuple(sorted(self.degree(u) for u in range(1, self.n + 1)))
-
-    def components(self):
-        """Vertex sets of connected components, as sorted tuples."""
-        seen = set()
-        comps = []
-        adj = {u: set() for u in range(1, self.n + 1)}
+    def degrees(self):
+        """The degrees of the vertices 1..n, in one pass over the edges."""
+        out = [0] * (self.n + 1)
         for a, b in self.edges:
-            adj[a].add(b)
-            adj[b].add(a)
-        for s in range(1, self.n + 1):
-            if s in seen:
-                continue
-            stack, comp = [s], set()
-            while stack:
-                u = stack.pop()
-                if u in comp:
-                    continue
-                comp.add(u)
-                stack.extend(adj[u] - comp)
-            seen |= comp
-            comps.append(tuple(sorted(comp)))
-        return comps
+            out[a] += 1
+            out[b] += 1
+        return out[1:]
+
+    def degree_sequence(self):
+        return tuple(sorted(self.degrees()))
 
     def is_connected(self):
-        return len(self.components()) == 1
+        return self.component_count() == 1
 
     def component_count(self):
-        return len(self.components())
+        """By union-find over the edges: a vertex without an edge costs
+        nothing beyond the count."""
+        parent = {}
+
+        def root(u):
+            r = u
+            while r in parent:
+                r = parent[r]
+            while u != r:  # path compression
+                parent[u], u = r, parent[u]
+            return r
+
+        count = self.n
+        for a, b in self.edges:
+            ra, rb = root(a), root(b)
+            if ra != rb:
+                parent[ra] = rb
+                count -= 1
+        return count
 
 
 @dataclass(frozen=True)

@@ -97,15 +97,18 @@ def spectral_polynomial(dp):
     the entries rather than the label weight.
     """
     n = dp.graph.n
-    width = prod(1 + dp.graph.degree(u) for u in range(1, n + 1)).bit_length() + 1
+    width = prod(1 + d for d in dp.graph.degrees()).bit_length() + 1
     # a forest has at most n - 1 edges, which bounds every Y-degree
     count = 1 + sum(sorted(dp.label_values(), reverse=True)[:n - 1])
     if width * count <= _PACKED_MAX_BITS:
         return SpectralPolynomial(n, _packed_charpoly(n, dp.labels, width, count))
     edges = [(e, UniPoly.monomial(1, a)) for e, a in dp.labels]
-    # the leading 1 comes back as a plain int; lift every a_i into Z[Y]
+    # the leading 1 and the zeros of isolated vertices come back as plain
+    # ints; lift every a_i into Z[Y], the zeros as one shared polynomial
+    zero = UniPoly.zero()
     return SpectralPolynomial(n, tuple(
-        UniPoly.zero() + c for c in laplacian_charpoly(n, edges, mul, _as_is)))
+        zero + c if c else zero
+        for c in laplacian_charpoly(n, edges, mul, _as_is)))
 
 
 def laplacian_charpoly(n, weighted_edges, scale, reduce):
@@ -190,8 +193,12 @@ def _packed_charpoly(n, labels, width, count):
 
     shifts = [(e, width * a) for e, a in labels]
     coeffs = []
+    zero = UniPoly.zero()  # shared by the X^k factor of isolated vertices
     for x in laplacian_charpoly(n, shifts, lshift, cut):
         x = residue(x)
+        if not x:
+            coeffs.append(zero)
+            continue
         digits = _digits(abs(x), width)
         coeffs.append(UniPoly({k: -d for k, d in digits.items()} if x < 0 else digits))
     return tuple(coeffs)
@@ -371,7 +378,7 @@ def _decode_at_base(nodes, n, node, degree_bound):
             n, tuple(UniPoly(dict(enumerate(row))) for row in rows))
     except ValidationError:
         return None
-    dev, dev_den = _verification_residual(rows, nodes)
+    dev, dev_den = _verification_residual(rows, nodes, node)
     if _exceeds_tol(dev, dev_den):
         return None
     if _greater(dev, dev_den, worst, den):
@@ -391,12 +398,19 @@ def _radix_digits(N, base, count):
     return parts[:count]
 
 
-def _verification_residual(rows, nodes):
+def _verification_residual(rows, nodes, decode_node):
     """Max relative deviation |o - e| / max(1, |e|) of the samples o from
-    the candidate's values e = a_i(y), over every node and coefficient, as
-    (numerator, denominator); rows[i] holds a_i's ascending coefficients."""
+    the candidate's values e = a_i(y), over every node but the decode node
+    and every coefficient, as (numerator, denominator); rows[i] holds a_i's
+    ascending coefficients.
+
+    At the decode node b the candidate's value is exactly the rounded
+    integer B (B / b^D at 1/b), so the deviation there is at most the
+    rounding distance that _decode_at_base reports already."""
     worst, worst_den = 0, 1
     for y, (nums, den) in nodes.items():
+        if y == decode_node:
+            continue
         u, v = y.numerator, y.denominator
         for row, o in zip(rows, nums):
             E, W = _evaluate(row, u, v)

@@ -16,13 +16,9 @@ import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cmp_to_key
 from itertools import groupby
 from math import log
 from operator import mul
-
-from mpmath import mp
-from mpmath.libmp import from_man_exp, fzero
 
 # Numerators and powers 2^k in game replies pass the default int<->str limit
 # of 4,300 digits from about n = 12 (hex dyadic files are not limited).
@@ -34,16 +30,17 @@ from .errors import (AmbiguousClusteringError, PrecisionError, ValidationError,
                      parse_fields, parse_ints)
 from .graphs import edge_set_laplacian, seminorm_sq
 from .polynomials import _as_is, interpolate_spectral_poly, laplacian_charpoly
-from .realroots import _align, _difference, real_roots
+from .realroots import ZERO, Dyadic, _align, real_roots, sorted_values
 
 
 # ---------------------------------------------------------------------------
-# Exact conversions between mpf and strings: hex dyadics for files, dyadic
-# fractions for the game protocol and JSON reports
+# Exact conversions between values and strings: hex dyadics for files,
+# dyadic fractions for the game protocol and JSON reports.  A value is a
+# Dyadic or anything else that carries an mpf tuple, an mpf among them.
 
 
 def hex_dyadic(x):
-    """The finite mpf x = m * 2^e, m odd, as [-]0x<m in lowercase hex>p<e>,
+    """The finite value x = m * 2^e, m odd, as [-]0x<m in lowercase hex>p<e>,
     or 0: one string per value, written and read in linear time.  An
     exponent of more than seven digits, which parse_hex_dyadic refuses,
     raises ValidationError."""
@@ -62,20 +59,20 @@ _HEX_DYADIC = re.compile(
 
 
 def parse_hex_dyadic(s):
-    """The mpf written as hex_dyadic(s), exactly.  The exponent has at most
+    """The Dyadic written as hex_dyadic(s), exactly.  The exponent has at most
     seven digits, which bounds the integers that exact arithmetic on one
     value builds; any other string, including another spelling of the same
     value, raises ValidationError."""
     if s == "0":
-        return mp.make_mpf(fzero)
+        return ZERO
     if _HEX_DYADIC.fullmatch(s) is None:
         raise ValidationError(f"not a hex dyadic value: {s[:40]!r}")
     man, exp = s.split("p")
-    return mp.make_mpf(from_man_exp(int(man, 16), int(exp)))
+    return Dyadic(int(man, 16), int(exp))
 
 
 def dyadic_fraction(x):
-    """The finite mpf x = m * 2^e, m odd, as the game protocol writes it:
+    """The finite value x = m * 2^e, m odd, as the game protocol writes it:
     0, an integer in decimal, or [-]m/2^-e in decimal when e < 0.  Every
     exact-rational reader, fractions.Fraction among them, parses it."""
     sign, man, exp, _ = x._mpf_
@@ -91,7 +88,7 @@ _DYADIC_FRACTION = re.compile(r"0|-?[1-9][0-9]*(?:/[1-9][0-9]*)?")
 
 
 def parse_dyadic_fraction(s):
-    """The mpf written as dyadic_fraction(s), exactly.  Any other string,
+    """The Dyadic written as dyadic_fraction(s), exactly.  Any other string,
     including another spelling of the same value (-0, +1, 01, 2/4, 1/1,
     0.5, 1e3), and a numeral past the interpreter's int<->str digit limit
     raise ValidationError."""
@@ -105,7 +102,7 @@ def parse_dyadic_fraction(s):
     k = d.bit_length() - 1
     if den and (d != 1 << k or k == 0 or m % 2 == 0):
         raise ValidationError(f"not a canonical fraction m/2^k: {s[:40]!r}")
-    return mp.make_mpf(from_man_exp(m, -k))
+    return Dyadic(m, -k)
 
 
 # ---------------------------------------------------------------------------
@@ -113,7 +110,8 @@ def parse_dyadic_fraction(s):
 
 
 def sym_eigs(M, precision_bits, want_vectors=False):
-    """Eigenvalues (ascending) of a symmetric int, Fraction or mpf matrix.
+    """Eigenvalues (ascending) of a symmetric int, Fraction or mpf matrix,
+    as mpf.  With separation_experiment, the only code that loads mpmath.
 
     mpmath's eigsy (Householder tridiagonalisation, then implicit QL) runs
     at precision_bits plus 64 guard bits, without a certificate; the
@@ -132,8 +130,9 @@ def sym_eigs(M, precision_bits, want_vectors=False):
                 raise ValidationError("matrix is not symmetric")
     if n == 0:
         return ([], []) if want_vectors else []
+    from mpmath import mp
     with mp.workprec(precision_bits + 64):
-        A = mp.matrix([[_entry_to_mpf(x) for x in row] for row in M])
+        A = mp.matrix([[_entry_to_mpf(mp, x) for x in row] for row in M])
         try:
             if want_vectors:
                 E, Q = mp.eigsy(A)
@@ -152,7 +151,7 @@ def sym_eigs(M, precision_bits, want_vectors=False):
         return vals
 
 
-def _entry_to_mpf(x):
+def _entry_to_mpf(mp, x):
     if isinstance(x, int):
         return mp.mpf(x)
     if isinstance(x, Fraction):
@@ -228,7 +227,7 @@ class SpectrumSample:
     r_min: int
     r_max: int
     precision_bits: int  # the least precision of any level's values
-    values: tuple  # ascending mpf values, one level-spectrum per level
+    values: tuple  # ascending values (Dyadic or mpf), one level-spectrum per level
 
     def __post_init__(self):
         header = (self.q, self.r_min, self.r_max, self.precision_bits)
@@ -242,7 +241,7 @@ class SpectrumSample:
         if self.precision_bits < 8:
             raise ValidationError(f"{self.precision_bits} bits cannot certify "
                                   f"a value; at least 8 are needed")
-        if any(v._mpf_[0] for v in self.values):  # an mpf's sign bit
+        if any(v._mpf_[0] for v in self.values):  # the sign bit
             raise ValidationError("spectrum values must be non-negative, as "
                                   "Laplacian eigenvalues are")
 
@@ -257,10 +256,10 @@ class SpectrumSample:
         return len(self.values) // self.width
 
     def zero_values(self):
-        return [v for v in self.values if v._mpf_ == fzero]
+        return [v for v in self.values if v._mpf_ == ZERO._mpf_]
 
     def nonzero_values(self):
-        return [v for v in self.values if v._mpf_ != fzero]
+        return [v for v in self.values if v._mpf_ != ZERO._mpf_]
 
     @property
     def zeros_per_level(self):
@@ -288,7 +287,8 @@ def simulate_spectrum(dp, q, r_min, r_max, precision_bits=0):
     certified.  Level weights are integers >= 1 and level 1's are all 1,
     and every coefficient is a positive sum of weight products (the
     all-minors matrix-tree theorem), so that is level 1's precision unless
-    level 1 fell back.
+    level 1 fell back.  The zeros of every level come first, as one shared
+    value; only the nonzero values are sorted.
     """
     if not is_prime_power(q):
         raise ValidationError(f"q={q} is not a prime power")
@@ -298,7 +298,7 @@ def simulate_spectrum(dp, q, r_min, r_max, precision_bits=0):
     levels = range(r_min, r_max + 1)
     charpolys = [_level_charpoly(dp, q, r) for r in levels]
     window_bits = max(precision_bits, max(bits for _, bits in charpolys) + 64)
-    values = []
+    nonzero = []
     least = window_bits
     for r, (coeffs, bits) in zip(levels, charpolys):
         zeros = next(i for i, c in enumerate(coeffs) if c)
@@ -314,10 +314,10 @@ def simulate_spectrum(dp, q, r_min, r_max, precision_bits=0):
                 raise
             wp = window_bits
             roots = real_roots(coeffs, wp)
-        values.extend(roots)
+        nonzero.extend(roots[zeros:])  # a Laplacian has no negative roots
         least = min(least, wp)
-    values.sort()
-    return SpectrumSample(q, r_min, r_max, least, tuple(values))
+    values = (ZERO,) * (b0 * len(levels)) + tuple(sorted_values(nonzero))
+    return SpectrumSample(q, r_min, r_max, least, values)
 
 
 def _level_charpoly(dp, q, r):
@@ -343,16 +343,20 @@ def _level_weights(dp, q, r):
 
 
 def _scaled_charpoly(n, s, weights):
-    """s^n * det(X*I - L) as ascending ints, for the Laplacian L on
+    """s^(n-k) * det(X*I - L) as ascending ints, for the Laplacian L on
     vertices 1..n whose edges ((u, v), w) carry the weights w / s with w
-    an integer, and the bit size of the largest coefficient of
-    det(X*I - s*L), which laplacian_charpoly computes.
+    an integer, k the number of vertices without an edge, and the bit size
+    of the largest coefficient of det(X*I - s*L), which
+    laplacian_charpoly computes.
 
     The first polynomial has L's eigenvalues as roots, certified by
-    real_roots; it is det(Y*I - s*L) at Y = s*X."""
+    real_roots; it is det(Y*I - s*L) at Y = s*X, over s^k.  Each isolated
+    vertex is a factor X of det(X*I - L), so only the part over the
+    vertices with edges is scaled, and k zero coefficients go in front."""
     coeffs = laplacian_charpoly(n, weights, mul, _as_is)
-    bits = max(abs(c).bit_length() for c in coeffs)
-    return [c * s ** i for i, c in enumerate(coeffs)], bits
+    k = n - len({u for e, _ in weights for u in e})
+    bits = max(abs(c).bit_length() for c in coeffs[k:])
+    return [0] * k + [c * s ** i for i, c in enumerate(coeffs[k:])], bits
 
 
 # ---------------------------------------------------------------------------
@@ -404,7 +408,7 @@ def cluster_and_assign(samples):
     Each nonzero value is read once as the point (m, e) of realroots, and
     every comparison, exponent, constant and ratio is exact integer
     arithmetic on two points at their common exponent; the levels hold the
-    samples' own mpf values.
+    samples' own values.
     """
     if len(samples) < 2:
         raise ValidationError("need at least two samples at distinct primes")
@@ -475,7 +479,7 @@ def cluster_and_assign(samples):
                         f"expected {k}")
                 levels[r] = sorted(vals)
         inter, intra = _gap_diagnostics(levels, points)
-        zeros = (mp.mpf(0),) * b0
+        zeros = (ZERO,) * b0
         levels = {r: zeros + tuple(values[p] for p in ps)
                   for r, ps in levels.items()}
         out.append(ClusterAssignment(sample.q, sample.precision_bits, levels,
@@ -484,7 +488,7 @@ def cluster_and_assign(samples):
 
 
 def _point_of(v):
-    """The finite mpf v as the pair (m, e), v = m * 2^e."""
+    """The finite value v as the pair (m, e), v = m * 2^e."""
     sign, man, exp, _ = v._mpf_
     if not man and exp:
         raise ValidationError("non-finite value")
@@ -493,11 +497,9 @@ def _point_of(v):
 
 def _ascending(sample):
     """A sample's nonzero values in ascending order, as (points, the
-    sample's own mpf objects); two points compare at their common exponent."""
-    pairs = [(x, v) for x, v in zip(map(_point_of, sample.values),
-                                    sample.values) if x[0]]
-    pairs.sort(key=cmp_to_key(lambda a, b: _difference(a[0], b[0])[0]))
-    return [x for x, _ in pairs], [v for _, v in pairs]
+    sample's own value objects)."""
+    values = sorted_values([v for v in sample.values if _point_of(v)[0]])
+    return list(map(_point_of, values)), values
 
 
 def _match_multisets(a, b, t):
@@ -573,7 +575,12 @@ def _branch_constant(x, q, e):
 
 
 def _nstr(x):
-    return mp.nstr(mp.make_mpf(from_man_exp(*x)), 8)
+    """The point x = (m, e) to 8 significant digits, or as m*2^e beyond
+    the float range."""
+    m, e = x
+    if not -1000 < e + abs(m).bit_length() < 1000:
+        return f"{m}*2^{e}"
+    return f"{(m << e if e >= 0 else m / (1 << -e)):.8g}"
 
 
 def _assign_levels(tags, other_levels):
@@ -696,14 +703,14 @@ def _check_level_range(values, q, r, degree_bound):
 
 
 def _monic_from_roots(roots):
-    """(X - r_1)...(X - r_k) for mpf roots, exactly, as (ascending integer
+    """(X - r_1)...(X - r_k) for the values r_i, exactly, as (ascending integer
     numerators, power-of-two denominator).
 
     A root m * 2^e is the zero of the integer factor 2^a X - m 2^(e+a),
     a = max(-e, 0), so the product of the factors, multiplied pairwise (a
     product tree, see _poly_mul), is the polynomial times the roots' own
     powers of two.  Its leading coefficient is the least denominator:
-    modulo 2 each factor with a > 0 is the constant m (an mpf mantissa is
+    modulo 2 each factor with a > 0 is the constant m (a mantissa is
     odd) and every other factor is monic, so some coefficient is odd."""
     polys = [[-(m << max(e, 0)), 1 << max(-e, 0)]
              for m, e in map(_point_of, roots)]
@@ -766,7 +773,7 @@ def separation_experiment(g1, g2, epsilon):
     seminorms differ) exists iff some W_1 - W_2 is not zero.  The perturbed
     spectra are certified roots too, so exactly isospectral perturbations
     read a Hausdorff distance of 0; only eigenvectors and compressions are
-    numeric.
+    numeric.  The certified roots enter mpmath as the equal mpf, exactly.
     """
     if g1.n != g2.n:
         raise ValidationError("graphs must share the vertex range")
@@ -785,7 +792,9 @@ def separation_experiment(g1, g2, epsilon):
     U2 = edge_set_laplacian(n, C2)
     base = real_roots(_scaled_charpoly(n, 1, [(e, 1) for e in C])[0],
                       SEPARATION_BITS)
+    from mpmath import mp
     with mp.workprec(SEPARATION_BITS + 64):
+        base = [mp.make_mpf(v._mpf_) for v in base]
         numeric, vecs = sym_eigs(UC, SEPARATION_BITS, want_vectors=True)
         scale = mp.ldexp(mp.sqrt(sum(x * x for row in UC for x in row)),
                          -(SEPARATION_BITS // 2))
@@ -811,9 +820,9 @@ def separation_experiment(g1, g2, epsilon):
         predictions = [sorted(p) for p in predictions]
         # eps = p/d: d times the perturbed Laplacian weighs C by d, C_i by p
         d = eps_f.denominator
-        spectra = [real_roots(_scaled_charpoly(
+        spectra = [[mp.make_mpf(v._mpf_) for v in real_roots(_scaled_charpoly(
             n, d, [(e, d) for e in C] + [(e, eps_f.numerator) for e in Ci])[0],
-            SEPARATION_BITS) for Ci in (C1, C2)]
+            SEPARATION_BITS)] for Ci in (C1, C2)]
         errors = tuple(
             max(abs(a - p) for a, p in zip(spectra[i], predictions[i]))
             for i in range(2))
@@ -851,6 +860,7 @@ def prediction_error_ratio(g1, g2, epsilon):
 
 def _compression(U, basis):
     """The symmetrised matrix of u^T U v over the vectors u, v of basis."""
+    from mpmath import mp
     W = [[mp.fsum(u[i] * x * v[j] for i, row in enumerate(U)
                   for j, x in enumerate(row) if x) for v in basis] for u in basis]
     return [[(W[a][b] + W[b][a]) / 2 for b in range(len(W))]
@@ -858,6 +868,7 @@ def _compression(U, basis):
 
 
 def _hausdorff(a, b):
+    from mpmath import mp
     d = mp.mpf(0)
     for x in a:
         d = max(d, min(abs(x - y) for y in b))

@@ -200,6 +200,34 @@ def test_isolated_vertices_cost_nothing(tmp_path):
     assert time.process_time() - start < 1
 
 
+def test_isolated_vertices_at_200000(tmp_path):
+    # one edge on 200,000 vertices: components by union-find, zeros put in
+    # front unsorted, only the edge's part of the charpoly scaled, degrees
+    # in one pass and one shared zero polynomial; each command stays far
+    # below a second, where work per vertex per edge or per level power
+    # took seconds to hours
+    n = 200_000
+    graph = tmp_path / "edge.graph"
+    graph.write_text(f"{n} 1\n1 2\n")
+    for window, top in (("0:1", ["0x1p1", "0x65p1"]),
+                        ("0:2", ["0x1p1", "0x65p1"])):
+        spec = tmp_path / "edge.spec"
+        start = time.process_time()
+        assert main(["simulate", str(graph), "--q", "101", f"--window={window}",
+                     "-o", str(spec)]) == 0
+        assert time.process_time() - start < 1.5, window
+        rows = spec.read_text().splitlines()
+        levels = 2 if window == "0:1" else 3
+        assert len(rows) == 1 + levels * n
+        assert rows[1:1 + levels * (n - 1)] == ["0"] * (levels * (n - 1))
+        assert rows[-2:] == top
+    spoly = tmp_path / "edge.spoly"
+    start = time.process_time()
+    assert main(["curve", str(graph), "-o", str(spoly)]) == 0
+    assert time.process_time() - start < 1.5
+    assert spoly.read_text() == f"spoly n={n}\n1 {n} 0\n-2 {n - 1} 1\n"
+
+
 @pytest.mark.parametrize("g1, g2", [
     (path_graph(5), Graph.of(5, [(1, 2), (2, 3), (3, 4), (3, 5)])),
     # C_2 is empty, so the second seminorm is 0

@@ -5,6 +5,7 @@ route must reproduce its level multisets bit for bit, its gap floats
 exactly and its error types, and its comparison predicates must agree
 with exact Fraction arithmetic.
 """
+import dataclasses
 import tracemalloc
 from fractions import Fraction
 from itertools import permutations
@@ -32,8 +33,12 @@ def criterion_5_arrangements():
 
 
 def assert_same_as_oracle(samples):
+    # the oracle does mpf arithmetic: it gets the equal mpf values, exactly
+    as_mpf = [dataclasses.replace(s, values=tuple(mp.make_mpf(v._mpf_)
+                                                  for v in s.values))
+              for s in samples]
     try:
-        expected = mpf_cluster_and_assign(samples)
+        expected = mpf_cluster_and_assign(as_mpf)
     except Exception as exc:
         with pytest.raises(type(exc)):
             cluster_and_assign(samples)

@@ -158,8 +158,9 @@ def _matches_eigsy(M, coeffs, bits):
     """The certified roots of M's charpoly (ascending coefficients) at
     `bits` against eigsy at twice the bits: nonzero values within a
     relative 2^-(bits-8), exact zeros against eigsy values below 2^-bits
-    times the matrix norm.  Returns the certified values."""
-    got = real_roots(coeffs, bits)
+    times the matrix norm.  Returns the certified values as the equal mpf,
+    converted exactly for the mpf arithmetic here."""
+    got = [mp.make_mpf(v._mpf_) for v in real_roots(coeffs, bits)]
     want = sym_eigs(M, 2 * bits)
     assert len(got) == len(want)
     norm = float(max(sum(abs(Fraction(x)) for x in row) for row in M))
@@ -342,7 +343,7 @@ class TestExactDecimal:
         x = parse_dyadic_fraction("7/8")
         assert x._mpf_ == (0, 7, -3, 3)
         assert dyadic_fraction(x) == "7/8"
-        assert dyadic_fraction(-x) == "-7/8"
+        assert dyadic_fraction(-mp.make_mpf(x._mpf_)) == "-7/8"
         assert parse_dyadic_fraction("-12") == -12
         assert dyadic_fraction(mp.mpf(-12)) == "-12"
         assert dyadic_fraction(mp.mpf(1024)) == "1024"
