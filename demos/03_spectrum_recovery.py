@@ -20,8 +20,8 @@ print("hidden pair: C4 with labels 1,2,4,8; total weight D =", D)
 samples = [simulate_spectrum(dp, q, 1 - D, 1, 512) for q in (101, 1009)]
 for s in samples:
     print(f"\nq={s.q}: {len(s.values)} values over levels "
-          f"[{s.r_min}, {s.r_max}], each refined at its own coefficient "
-          f"bits + 64; all certified to {s.precision_bits} bits (level 1's)")
+          f"[{s.r_min}, {s.r_max}], each refined as far as its digit decode "
+          f"reads; all certified to {s.precision_bits} bits (level 1's)")
     print("  smallest:", [mp.nstr(v, 8) for v in s.values[:6]])
     print("  largest: ", [mp.nstr(v, 8) for v in s.values[-2:]])
 

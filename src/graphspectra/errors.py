@@ -12,6 +12,17 @@ end turn malformed text into ValidationError for every file reader.
 # readers refuse a larger n before any work that grows with n.
 MAX_VERTICES = 2_000_000
 
+# The largest bit size of a level weight q^(|1-r| a) that simulation may
+# build.  spectra.simulate_spectrum reads it off the window, q and the
+# largest label, and refuses a larger one before building any weight.  At
+# the cap, P3 and K3 each take about 7 s of CPU to simulate at q = 101 over
+# [0, 1], and 16 and 20 s at q = 3 over [0, 2] (one core of a 2 vCPU host,
+# Python 3.11); the cost grows about fourfold per doubling of the weights,
+# and further with the vertices that have edges.  The game solver's
+# powers-of-two labels stay below it up to 17 edges for n <= 13 (7
+# vertices and 17 edges is a 58 s game) and 16 edges for larger n.
+MAX_WEIGHT_BITS = 1 << 19
+
 
 class ValidationError(ValueError):
     """Input violates a documented precondition."""

@@ -26,8 +26,8 @@ from operator import mul
 if 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() < 2_000_000:
     sys.set_int_max_str_digits(2_000_000)
 
-from .errors import (AmbiguousClusteringError, PrecisionError, ValidationError,
-                     parse_fields, parse_ints)
+from .errors import (MAX_WEIGHT_BITS, AmbiguousClusteringError, PrecisionError,
+                     ValidationError, parse_fields, parse_ints)
 from .graphs import edge_set_laplacian, seminorm_sq
 from .polynomials import _as_is, interpolate_spectral_poly, laplacian_charpoly
 from .realroots import ZERO, Dyadic, _align, real_roots, sorted_values
@@ -275,38 +275,60 @@ def simulate_spectrum(dp, q, r_min, r_max, precision_bits=0):
     Each level's eigenvalues are the certified roots of its exact
     characteristic polynomial (see _scaled_charpoly); the zero count is
     the X-adic valuation, checked against the graph's component count.
-    Recovery multiplies the values of a level back into the integer
-    coefficients of that polynomial alone, so level r is refined at the
-    bit size of its own largest coefficient plus 64 guard bits.  A floor
-    precision_bits raises every level below it; the default 0 sets none,
-    so the guard bits are the only margin.  A level whose roots cannot be
-    told apart at that precision is refined once more at the window's
-    largest such precision before PrecisionError propagates.
+    Recovery multiplies the values of a level back into the coefficients
+    of that polynomial alone and rounds them at the level's decode node,
+    so each level is refined only as far as that decode reads.  With
+    bits_r the bit size of the largest integer rounded at level r's node
+    (see _level_charpoly), level 1 is refined at
+    p_1 = max(precision_bits, bits_1 + 64) and every other level at
+    max(p_1, bits_r + G(n)), G(n) = bit_length(n - 1) + 25.
+
+    Why G(n) suffices: real_roots puts the root x of a value v in
+    v*(1 -/+ d), d = 2^-(p-4), so |v - x| <= x*d' with d' = d/(1 - d).
+    The roots are nonnegative, so the product of the j <= n - 1 nonzero
+    factors (X - v) moves each coefficient by at most its own size times
+    (1 + d')^j - 1 <= j*d'*(1 + 2^-20), and the rounded integer N,
+    |N| < 2^bits_r, moves by less than
+    2^bits_r * 2^(bit_length(n-1) - p + 4) * (1 + 2^-19) < 2^-20 at
+    p = bits_r + G(n): below one half, so rounding finds N, and below
+    polynomials.SNAP_TOL = 10^-6 > 2^-20, so the decode accepts it.  The
+    verification at every other node is relative, |o - e| <= |e| times the
+    same factor, so it passes at any p >= G(n), which every level meets.
+
+    Level 1 keeps 64 guard bits and is the floor for the whole window
+    because its precision alone is the header (and a game reply's
+    precision_bits), which readers bound every value by, and it sets
+    cluster_and_assign's cross-prime match at t = p - 5.  A level whose
+    roots cannot be told apart at its precision is refined once more at
+    the window's largest precision before PrecisionError propagates.
 
     The sample records the least precision used, to which every value is
-    certified.  Level weights are integers >= 1 and level 1's are all 1,
-    and every coefficient is a positive sum of weight products (the
-    all-minors matrix-tree theorem), so that is level 1's precision unless
-    level 1 fell back.  The zeros of every level come first, as one shared
-    value; only the nonzero values are sorted.
+    certified: level 1's unless level 1 fell back.  The zeros of every
+    level come first, as one shared value; only the nonzero values are
+    sorted.  Level weights whose bit size would pass MAX_WEIGHT_BITS raise
+    ValidationError before any is built (see _check_weight_size).
     """
     if not is_prime_power(q):
         raise ValidationError(f"q={q} is not a prime power")
     if not r_min <= 1 <= r_max:
         raise ValidationError("window must satisfy r_min <= 1 <= r_max")
+    _check_weight_size(dp, q, r_min, r_max)
     b0 = dp.graph.component_count()
     levels = range(r_min, r_max + 1)
     charpolys = [_level_charpoly(dp, q, r) for r in levels]
-    window_bits = max(precision_bits, max(bits for _, bits in charpolys) + 64)
+    level_one = max(precision_bits, charpolys[1 - r_min][1] + 64)
+    guard = (dp.graph.n - 1).bit_length() + 25
+    precisions = [level_one if r == 1 else max(level_one, bits + guard)
+                  for r, (_, bits) in zip(levels, charpolys)]
+    window_bits = max(precisions)
     nonzero = []
     least = window_bits
-    for r, (coeffs, bits) in zip(levels, charpolys):
+    for r, (coeffs, _), wp in zip(levels, charpolys, precisions):
         zeros = next(i for i, c in enumerate(coeffs) if c)
         if zeros != b0:
             raise PrecisionError(
                 f"level {r}: characteristic polynomial has {zeros} zero "
                 f"roots, but the graph has {b0} components")
-        wp = max(precision_bits, bits + 64)
         try:
             roots = real_roots(coeffs, wp)
         except PrecisionError:
@@ -320,9 +342,35 @@ def simulate_spectrum(dp, q, r_min, r_max, precision_bits=0):
     return SpectrumSample(q, r_min, r_max, least, values)
 
 
+def _check_weight_size(dp, q, r_min, r_max):
+    """Raise ValidationError when a level weight or scale of the window
+    could pass MAX_WEIGHT_BITS bits.  The largest is q^(|1-r| A) at the
+    window's farthest level, A the largest label (see _level_weights), and
+    has at most |1-r| A bit_length(q) bits, read off without building it."""
+    top = max((a for _, a in dp.labels), default=0)
+    bits = max(1 - r_min, r_max - 1) * top * q.bit_length()
+    if bits > MAX_WEIGHT_BITS:
+        raise ValidationError(
+            f"level weights of up to {bits} bits (q={q}, largest label {top}, "
+            f"window [{r_min}, {r_max}]) exceed the cap of {MAX_WEIGHT_BITS}")
+
+
 def _level_charpoly(dp, q, r):
-    """_scaled_charpoly of the level-r Laplacian."""
-    return _scaled_charpoly(dp.graph.n, *_level_weights(dp, q, r))
+    """_scaled_charpoly of the level-r Laplacian, and bits_r: the bit size
+    of the largest integer that the digit decode rounds at its node.
+
+    For r <= 1 the node is y = q^(1-r), s = 1, and that integer is the
+    largest |a_i(y)|.  For r > 1 it is b^D a_i(1/b) at b = q^(r-1), D the
+    labels' total weight; the scaled coefficients are
+    c_i = s^(n-k) a_i(1/b), s = b^A, whose leading one is s^(n-k) (A the
+    largest label, k the vertices without an edge), so that integer is
+    c_i b^D / c_n = c_i b^(D - A(n-k)), rounded."""
+    s, weights = _level_weights(dp, q, r)
+    coeffs = _scaled_charpoly(dp.graph.n, s, weights)
+    top, lead = max(map(abs, coeffs)), coeffs[-1]
+    if r > 1:
+        top *= q ** ((r - 1) * dp.total_weight)
+    return coeffs, ((2 * top + lead) // (2 * lead)).bit_length()
 
 
 def _level_weights(dp, q, r):
@@ -345,18 +393,16 @@ def _level_weights(dp, q, r):
 def _scaled_charpoly(n, s, weights):
     """s^(n-k) * det(X*I - L) as ascending ints, for the Laplacian L on
     vertices 1..n whose edges ((u, v), w) carry the weights w / s with w
-    an integer, k the number of vertices without an edge, and the bit size
-    of the largest coefficient of det(X*I - s*L), which
-    laplacian_charpoly computes.
+    an integer, k the number of vertices without an edge.
 
-    The first polynomial has L's eigenvalues as roots, certified by
-    real_roots; it is det(Y*I - s*L) at Y = s*X, over s^k.  Each isolated
-    vertex is a factor X of det(X*I - L), so only the part over the
-    vertices with edges is scaled, and k zero coefficients go in front."""
+    Its roots are L's eigenvalues, certified by real_roots; it is
+    det(Y*I - s*L), which laplacian_charpoly computes, at Y = s*X, over
+    s^k.  Each isolated vertex is a factor X of det(X*I - L), so only the
+    part over the vertices with edges is scaled, and k zero coefficients
+    go in front."""
     coeffs = laplacian_charpoly(n, weights, mul, _as_is)
     k = n - len({u for e, _ in weights for u in e})
-    bits = max(abs(c).bit_length() for c in coeffs[k:])
-    return [0] * k + [c * s ** i for i, c in enumerate(coeffs[k:])], bits
+    return [0] * k + [c * s ** i for i, c in enumerate(coeffs[k:])]
 
 
 # ---------------------------------------------------------------------------
@@ -790,7 +836,7 @@ def separation_experiment(g1, g2, epsilon):
     UC = edge_set_laplacian(n, C)
     U1 = edge_set_laplacian(n, C1)
     U2 = edge_set_laplacian(n, C2)
-    base = real_roots(_scaled_charpoly(n, 1, [(e, 1) for e in C])[0],
+    base = real_roots(_scaled_charpoly(n, 1, [(e, 1) for e in C]),
                       SEPARATION_BITS)
     from mpmath import mp
     with mp.workprec(SEPARATION_BITS + 64):
@@ -821,7 +867,7 @@ def separation_experiment(g1, g2, epsilon):
         # eps = p/d: d times the perturbed Laplacian weighs C by d, C_i by p
         d = eps_f.denominator
         spectra = [[mp.make_mpf(v._mpf_) for v in real_roots(_scaled_charpoly(
-            n, d, [(e, d) for e in C] + [(e, eps_f.numerator) for e in Ci])[0],
+            n, d, [(e, d) for e in C] + [(e, eps_f.numerator) for e in Ci]),
             SEPARATION_BITS)] for Ci in (C1, C2)]
         errors = tuple(
             max(abs(a - p) for a, p in zip(spectra[i], predictions[i]))

@@ -200,13 +200,10 @@ def charpoly_division_free(M):
 def dense_scaled_charpoly(M):
     """What spectra._scaled_charpoly returns, for any exact symmetric
     matrix M, by charpoly_division_free on the dense s*M, s the lcm of M's
-    denominators: s^n * det(X*I - M) as ascending ints, and the bit size
-    of the largest coefficient of det(X*I - s*M)."""
+    denominators: s^n * det(X*I - M) as ascending ints."""
     s = lcm(*(Fraction(x).denominator for row in M for x in row))
     P = charpoly_division_free([[int(x * s) for x in row] for row in M])
-    coeffs = [P.coefficient(i) for i in range(len(M) + 1)]
-    bits = max(abs(c).bit_length() for c in coeffs)
-    return [c * s ** i for i, c in enumerate(coeffs)], bits
+    return [P.coefficient(i) * s ** i for i in range(len(M) + 1)]
 
 
 def brute_tree_count(n, edges):

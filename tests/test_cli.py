@@ -181,6 +181,19 @@ def test_header_above_vertex_cap_exits_2_at_once(tmp_path, command, text, option
     assert time.process_time() - start < 0.1
 
 
+def test_level_weights_above_cap_exit_2_at_once(tmp_path):
+    # a 30-edge path on 2,000,000 vertices with powers-of-two labels: at
+    # q = 3 over [0, 2] its largest weight would have 2^30 bits, refused
+    # from bit lengths before any weight is built
+    graph = tmp_path / "path30.graph"
+    graph.write_text("2000000 30\n" + "".join(f"{i} {i + 1}\n" for i in range(1, 31)))
+    start = time.process_time()
+    assert main(["simulate", str(graph), "--labels", "powers-of-two", "--q", "3",
+                 "--window=0:2", "-o", str(tmp_path / "path30.spec")]) == 2
+    assert time.process_time() - start < 0.1
+    assert not (tmp_path / "path30.spec").exists()
+
+
 def test_isolated_vertices_cost_nothing(tmp_path):
     # four edges on 2000 vertices: P is X^1995 times the 5-vertex core's
     edges = [(1, 2, 1), (2, 3, 2), (3, 4, 4), (3, 5, 8)]

@@ -137,6 +137,19 @@ class TestProtocolRules:
         r = decode_message(s.handle_line('{"type":"choose_prime","q":%s}' % q))
         assert r["code"] == "bad_prime"
 
+    def test_level_weights_above_cap_answered_invalid(self):
+        # the label 2^20 at q = 3 would build a level-0 weight of about
+        # 2^21 bits: refused before simulating, and the session stays open
+        s = _session(path_graph(3))
+        s.handle({"type": "hello"})
+        s.handle({"type": "choose_delta", "labels": [1, 1 << 20]})
+        start = time.process_time()
+        r = s.handle({"type": "choose_prime", "q": 3})
+        assert time.process_time() - start < 0.1
+        assert r["type"] == "error" and r["code"] == "invalid"
+        assert "exceed the cap" in r["message"]
+        assert s.handle({"type": "choose_prime", "q": 3})["code"] == "invalid"
+
     @pytest.mark.parametrize("n, edges", [
         ("3.9", "[[1,2],[1,3],[2,3]]"), ('"3"', "[[1,2],[1,3],[2,3]]"),
         ("true", "[[1,2]]"), ("3.0", "[[1,2],[1,3],[2,3]]"),

@@ -134,7 +134,7 @@ def test_indefinite_integer_matrix_charpolys():
             for j in range(i, n):
                 M[i][j] = M[j][i] = rng.randint(-60, 60)
         bits = rng.choice((16, 64, 160))
-        _assert_same_roots(dense_scaled_charpoly(M)[0], bits)
+        _assert_same_roots(dense_scaled_charpoly(M), bits)
 
 
 @pytest.mark.parametrize("q", [2, 3, 101])
@@ -151,7 +151,14 @@ def test_integer_level_matrices_match_fraction_route(q):
             M = assemble_laplacian(dp.graph.n, weights, 0)
             assert [[Fraction(x, s) for x in row] for row in M] == level_laplacian(dp, q, r)
             # the oracle's s^n * det(X*I - L) over s^k, k isolated vertices
-            coeffs, bits = dense_scaled_charpoly(level_laplacian(dp, q, r))
+            coeffs = dense_scaled_charpoly(level_laplacian(dp, q, r))
             k = dp.graph.n - len({u for e in dp.graph.edges for u in e})
             assert all(c % s ** k == 0 for c in coeffs)
+            # and the largest integer the decode rounds, a_i(y) itself for
+            # r <= 1 and b^D a_i(1/b) for r > 1, b = q^(r-1), D the labels'
+            # total weight, to the nearest integer
+            top = Fraction(max(map(abs, coeffs)), s ** dp.graph.n)
+            if r > 1:
+                top *= q ** ((r - 1) * dp.total_weight)
+            bits = int(top + Fraction(1, 2)).bit_length()
             assert _level_charpoly(dp, q, r) == ([c // s ** k for c in coeffs], bits)

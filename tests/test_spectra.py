@@ -6,7 +6,6 @@ import time
 from collections import Counter
 from fractions import Fraction
 from itertools import permutations
-from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -19,8 +18,8 @@ from graphspectra.catalog import (complete_graph, connected_graphs,
                                   cospectral_pair_graphs, cycle_graph,
                                   path_graph, random_connected_graph,
                                   star_graph, with_labels)
-from graphspectra.errors import (AmbiguousClusteringError, PrecisionError,
-                                 ValidationError)
+from graphspectra.errors import (MAX_WEIGHT_BITS, AmbiguousClusteringError,
+                                 PrecisionError, ValidationError)
 from graphspectra.game import (GameSession, LoopbackEndpoint, decode_message,
                                solve_game)
 from graphspectra.graphs import (Graph, build_diffusion_pair,
@@ -135,7 +134,7 @@ class TestSymEigs:
         with pytest.raises(PrecisionError):
             sym_eigs([[2, 1], [1, 2]], 64)
         # the certified route never calls eigsy
-        coeffs, _ = dense_scaled_charpoly([[2, 1], [1, 2]])
+        coeffs = dense_scaled_charpoly([[2, 1], [1, 2]])
         assert _floats(real_roots(coeffs, 64)) == [1, 3]
 
     def test_fiedler_positive_for_connected(self):
@@ -151,7 +150,7 @@ class TestSymEigs:
 
 def _graph_charpoly(g):
     """Ascending coefficients of det(X*I - L) for g's unweighted Laplacian."""
-    return _scaled_charpoly(g.n, 1, [(e, 1) for e in g.edges])[0]
+    return _scaled_charpoly(g.n, 1, [(e, 1) for e in g.edges])
 
 
 def _matches_eigsy(M, coeffs, bits):
@@ -173,16 +172,25 @@ def _matches_eigsy(M, coeffs, bits):
     return got
 
 
+def _decode_bits(dp, q, r):
+    """The bit size of the largest integer the digit decode rounds at level
+    r's node, from the exact charpoly of the dense level Laplacian:
+    |a_i(q^(1-r))| for r <= 1, and b^D |a_i(1/b)| for r > 1, b = q^(r-1)
+    and D the labels' total weight, each to the nearest integer."""
+    P = charpoly_division_free(level_laplacian(dp, q, r))
+    scale = q ** ((r - 1) * dp.total_weight) if r > 1 else 1
+    top = max(abs(Fraction(c)) * scale for c in P.terms.values())
+    return int(top + Fraction(1, 2)).bit_length()
+
+
 def _coefficient_rule(dp, q, r, floor):
-    """Level r's precision: max(floor, 64 + bits of the largest coefficient
-    of det(X*I - s*M_r)), s clearing the denominators of level r."""
-    M = level_laplacian(dp, q, r)
-    s = 1
-    for row in M:
-        for x in row:
-            s = s * x.denominator // gcd(s, x.denominator)
-    P = charpoly_division_free([[int(x * s) for x in row] for row in M])
-    return max(floor, max(abs(c).bit_length() for c in P.terms.values()) + 64)
+    """Level r's precision: level 1 at max(floor, bits_1 + 64), every other
+    level at max(level 1's, bits_r + bit_length(n - 1) + 25), bits_r the
+    _decode_bits of level r."""
+    one = max(floor, _decode_bits(dp, q, 1) + 64)
+    if r == 1:
+        return one
+    return max(one, _decode_bits(dp, q, r) + (dp.graph.n - 1).bit_length() + 25)
 
 
 def _values_at(dp, q, r_min, precisions):
@@ -241,7 +249,7 @@ class TestCharpolyRoute:
             for i in range(n):
                 for j in range(i + 1):
                     M[i][j] = M[j][i] = rng.randint(-9, 9)
-            vals = _matches_eigsy(M, dense_scaled_charpoly(M)[0], 128)
+            vals = _matches_eigsy(M, dense_scaled_charpoly(M), 128)
             negatives += sum(1 for v in vals if v < 0)
         assert negatives > 0
 
@@ -508,6 +516,20 @@ class TestSimulate:
         dp = build_diffusion_pair(2, [(1, 2, 1)])
         with pytest.raises(ValidationError):
             simulate_spectrum(dp, 5, 2, 3, 128)
+
+    def test_level_weights_capped_at_their_bit_size(self):
+        # q = 2 has bit length 2, so at the window's farthest level |1 - r|
+        # the label a reads |1 - r| * a * 2 bits: at the cap K2 simulates,
+        # and one more unit of label is refused before any weight is built
+        cap = MAX_WEIGHT_BITS
+        for label, window in ((cap // 2, (0, 1)), (cap // 2, (1, 2)),
+                              (cap // 4, (-1, 1)), (cap // 4, (1, 3))):
+            s = simulate_spectrum(build_diffusion_pair(2, [(1, 2, label)]), 2, *window)
+            assert s.zeros_per_level == 1 and len(s.values) == 2 * s.width
+            if window[0] < 1:  # level r_min's eigenvalue 2 * 2^((1 - r_min) * label)
+                assert s.values[-1] == 2 ** ((1 - window[0]) * label + 1)
+            with pytest.raises(ValidationError, match="exceed the cap"):
+                simulate_spectrum(build_diffusion_pair(2, [(1, 2, label + 1)]), 2, *window)
 
     def test_non_prime_power_rejected(self):
         dp = build_diffusion_pair(2, [(1, 2, 1)])
@@ -815,6 +837,49 @@ class TestRecovery:
         assert recover_spectral_poly(a5, 5, 1).polynomial == spectral_polynomial(dp)
 
 
+@pytest.mark.parametrize("labels", [(1, 2, 3, 4, 5, 6), (6, 5, 4, 3, 2, 1)])
+@pytest.mark.parametrize("window", [(1, 2), (1, 3)])
+@pytest.mark.parametrize("q", [101, 1009])
+def test_reciprocal_decode_at_default_precision(labels, window, q):
+    # at the node 1/q the decode rounds q^D a_i(1/q), D = 21, which for the
+    # leading a_4 = 1 is q^21: longer than level 2's own coefficients
+    # (82 bits at q = 101 against 139), so level 2 must be refined as far
+    # as that integer, plus the guard, at the default precision
+    dp = with_labels(complete_graph(4), list(labels))
+    samples = [simulate_spectrum(dp, p, *window) for p in (q, 10007)]
+    a, _ = cluster_and_assign(samples)
+    res = recover_spectral_poly(a, q, dp.total_weight)
+    assert res.polynomial == spectral_polynomial(dp)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_two_level_windows_decode_within_the_guard(data):
+    # a two-level window needs no _assign_levels: level 1 is matched across
+    # the primes and the rest is the other level.  At the precision rule
+    # each rounded integer moves by less than 2^-20 (see simulate_spectrum),
+    # so the decode at each prime returns P with a residual of at most
+    # 2^-20 wherever P's digits fit the node, every |coefficient| < q/2
+    n = data.draw(st.integers(2, 6), label="n")
+    g = random_connected_graph(
+        n, random.Random(data.draw(st.integers(0, 2 ** 32), label="seed")),
+        max_extra_edges=10)
+    labels = data.draw(st.lists(st.integers(1, 16), min_size=g.m,
+                                max_size=g.m, unique=True), label="labels")
+    window = data.draw(st.sampled_from([(0, 1), (1, 2)]), label="window")
+    dp = with_labels(g, labels)
+    P = spectral_polynomial(dp)
+    top = max(abs(c) for a in P.coeffs for c in a.terms.values())
+    primes = (101, 1009)
+    samples = [simulate_spectrum(dp, q, *window) for q in primes]
+    for q, a in zip(primes, cluster_and_assign(samples)):
+        if 2 * top >= q:
+            continue
+        res = recover_spectral_poly(a, q, dp.total_weight)
+        assert res.polynomial == P
+        assert res.snap_residual <= Fraction(1, 2 ** 20)
+
+
 class TestSeparation:
     # a pair where the common-edge perturbation genuinely splits spectra
     GA = Graph.of(5, [(1, 2), (2, 3), (3, 4), (4, 5)])
@@ -908,7 +973,7 @@ def test_perturbed_spectra_are_dense_charpoly_roots(pair, eps):
     for Ci, spectrum in zip(rep.extra_edges, rep.spectra):
         U = edge_set_laplacian(n, Ci)
         M = [[UC[i][j] + eps * U[i][j] for j in range(n)] for i in range(n)]
-        want = real_roots(dense_scaled_charpoly(M)[0], SEPARATION_BITS)
+        want = real_roots(dense_scaled_charpoly(M), SEPARATION_BITS)
         assert [x._mpf_ for x in spectrum] == [x._mpf_ for x in want]
     if pair == "cycle-vs-path":
         assert rep.extra_edges[1] == ()
