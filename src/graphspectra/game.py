@@ -316,20 +316,24 @@ def solve_game(endpoint, config=None):
     blind bound of total-weight+1 levels is never requested); the Y = 1
     level verifies the decode.  The solver then reconstructs and submits.
     A prime whose spectrum the server cannot compute (a "precision" error
-    reply) is skipped like one that fails to cluster or decode.  Gives up
+    reply) or refuses (an "invalid" one, such as level weights above
+    errors.MAX_WEIGHT_BITS) is skipped like one that fails to cluster or
+    decode; any other error reply raises ValidationError.  Gives up
     without submitting when the primes are exhausted.
     """
     config = config or SolverConfig()
     transcript = []
 
-    def request(msg):
+    def request(msg, skip=()):
+        """The server's reply to msg; None for an error whose code is in
+        skip, ValidationError for any other error."""
         transcript.append(("send", encode_message(msg)))
         reply = endpoint.request(msg)
         transcript.append(("recv", encode_message(reply)))
         if reply.get("type") == "error":
-            error = (PrecisionError if reply.get("code") == "precision"
-                     else ValidationError)
-            raise error(f"server error: {reply.get('message')}")
+            if reply.get("code") in skip:
+                return None
+            raise ValidationError(f"server error: {reply.get('message')}")
         return reply
 
     welcome = request({"type": "hello"})
@@ -352,10 +356,8 @@ def solve_game(endpoint, config=None):
     polynomial = None
     while queue:
         q = queue.pop(0)
-        try:
-            reply = request({"type": "choose_prime", "q": q})
-        except PrecisionError:
-            reply = None
+        reply = request({"type": "choose_prime", "q": q},
+                        skip=("precision", "invalid"))
         if reply is not None:
             if reply.get("type") != "spectrum":
                 raise ValidationError(f"expected spectrum, got {reply}")

@@ -68,12 +68,14 @@ class Graph:
         return tuple(sorted(self.degrees()))
 
     def is_connected(self):
-        return self.component_count() == 1
+        return self.n == 1 or self.edge_component_sizes() == [self.n]
 
-    def component_count(self):
-        """By union-find over the edges: a vertex without an edge costs
-        nothing beyond the count."""
+    def edge_component_sizes(self):
+        """The vertex counts of the components that have an edge, by
+        union-find over the edges: a vertex without an edge costs nothing.
+        The components number n - sum(sizes) + len(sizes)."""
         parent = {}
+        size = {}  # root -> vertex count, for the roots of merged vertices
 
         def root(u):
             r = u
@@ -83,13 +85,12 @@ class Graph:
                 parent[u], u = r, parent[u]
             return r
 
-        count = self.n
         for a, b in self.edges:
             ra, rb = root(a), root(b)
             if ra != rb:
                 parent[ra] = rb
-                count -= 1
-        return count
+                size[rb] = size.get(rb, 1) + size.pop(ra, 1)
+        return list(size.values())
 
 
 @dataclass(frozen=True)

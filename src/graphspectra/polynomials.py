@@ -369,13 +369,12 @@ def _decode_at_base(nodes, n, node, degree_bound):
         worst = max(worst, dist)
         if not 0 <= B + offset < width:
             return None
-        row = [d - half for d in _radix_digits(B + offset, base, degree_bound + 1)]
+        row = _balanced_digits(B + offset, base, degree_bound + 1)
         if reciprocal:
-            row.reverse()
+            row = {degree_bound - k: d for k, d in row.items()}
         rows.append(row)
     try:
-        candidate = SpectralPolynomial(
-            n, tuple(UniPoly(dict(enumerate(row))) for row in rows))
+        candidate = SpectralPolynomial(n, tuple(map(UniPoly._of, rows)))
     except ValidationError:
         return None
     dev, dev_den = _verification_residual(rows, nodes, node)
@@ -386,23 +385,39 @@ def _decode_at_base(nodes, n, node, degree_bound):
     return InterpolationResult(candidate, Fraction(worst, den))
 
 
-def _radix_digits(N, base, count):
-    """The count lowest base-`base` digits of N >= 0, least significant
-    first, split off from the top at base^(2^k) (divide and conquer)."""
-    powers = [base]
+def _balanced_digits(N, base, count):
+    """The nonzero balanced digits of N - H as {position: digit}, for
+    0 <= N < base^count and H the number whose count digits are all
+    h = floor(base/2): the ordinary digits of N minus h.
+
+    N is split from the top at base^(2^k) (divide and conquer), and a part
+    whose 2^k digits are all h, the balanced digits 0, is dropped unsplit;
+    a sparse polynomial costs splits near its terms only."""
+    half = base // 2
+    powers = [base]  # base^(2^k)
+    zeros = [half]  # the number whose 2^k digits are all h
     while 1 << len(powers) < count:
+        zeros.append(zeros[-1] * powers[-1] + zeros[-1])
         powers.append(powers[-1] ** 2)
-    parts = [N]
-    for p in reversed(powers):
-        parts = [x for part in parts for x in reversed(divmod(part, p))]
-    return parts[:count]
+    parts = [(N, 0)]  # (part, position of its lowest digit)
+    for k in range(len(powers) - 1, -1, -1):
+        p, z, step = powers[k], zeros[k], 1 << k
+        split = []
+        for x, at in parts:
+            hi, lo = divmod(x, p)
+            if lo != z:
+                split.append((lo, at))
+            if hi != z and at + step < count:  # digits from count up are 0
+                split.append((hi, at + step))
+        parts = split
+    return {at: x - half for x, at in parts}
 
 
 def _verification_residual(rows, nodes, decode_node):
     """Max relative deviation |o - e| / max(1, |e|) of the samples o from
     the candidate's values e = a_i(y), over every node but the decode node
     and every coefficient, as (numerator, denominator); rows[i] holds a_i's
-    ascending coefficients.
+    nonzero coefficients as {exponent: coefficient}.
 
     At the decode node b the candidate's value is exactly the rounded
     integer B (B / b^D at 1/b), so the deviation there is at most the
@@ -421,19 +436,21 @@ def _verification_residual(rows, nodes, decode_node):
     return worst, worst_den
 
 
-def _evaluate(row, u, v):
-    """a(u/v) = E / v^d as (E, v^d), d the degree of a, whose ascending
-    coefficients are row; homogeneous Horner in integers."""
-    d = len(row) - 1
-    while d > 0 and not row[d]:
-        d -= 1
-    E, power = 0, 1  # power = v^(d - k) at coefficient k
-    for k in range(d, -1, -1):
-        E *= u
-        if row[k]:
-            E += row[k] * power
-        power *= v
-    return E, power // v
+def _evaluate(terms, u, v):
+    """a(u/v) = E / v^d as (E, v^d), d the degree of a (0 for a = 0), whose
+    nonzero coefficients are terms {exponent: coefficient}; homogeneous
+    Horner in integers over the exponents, descending, a gap of g
+    exponents in one power u^g and v^g."""
+    exponents = sorted(terms, reverse=True)
+    E, power = 0, 1  # power = v^(d - k) at exponent k
+    last = exponents[0] if exponents else 0
+    for k in exponents:
+        if last > k:
+            E *= u ** (last - k)
+            power *= v ** (last - k)
+            last = k
+        E += terms[k] * power
+    return E * u ** last, power * v ** last
 
 
 def _exceeds_tol(num, den):

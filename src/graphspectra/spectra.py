@@ -279,9 +279,26 @@ def simulate_spectrum(dp, q, r_min, r_max, precision_bits=0):
     of that polynomial alone and rounds them at the level's decode node,
     so each level is refined only as far as that decode reads.  With
     bits_r the bit size of the largest integer rounded at level r's node
-    (see _level_charpoly), level 1 is refined at
-    p_1 = max(precision_bits, bits_1 + 64) and every other level at
-    max(p_1, bits_r + G(n)), G(n) = bit_length(n - 1) + 25.
+    (see _level_charpoly), b = q^|1-r| that node's base and L the product
+    of the sizes of the graph's components (1 without an edge), a level
+    with b < 2L is refined at p_1 = max(precision_bits, bits_1 + 64), and
+    every other level at max(p_1, bits_r + G(n)),
+    G(n) = bit_length(n - 1) + 25.  Level 1, b = 1, is the first case.
+
+    Why no node with b < 2L decodes, in three steps.  (1) By the
+    all-minors matrix-tree theorem (Chaiken 1982) the coefficient of
+    X^c Y^w in P, c the number of components, is (-1)^(n-c) times the sum
+    of gamma(F) over the spanning forests F with c trees and label sum w,
+    gamma(F) the product of F's tree sizes.  Those forests are the
+    maximal ones, each with gamma(F) = L, so every term has one sign and
+    each nonzero coefficient of a_c has |coefficient| >= L.  (2) The
+    decode reads balanced base-b digits, which lie in
+    [-floor(b/2), b - 1 - floor(b/2)], so no digit exceeds b/2 in size.
+    (3) b < 2L gives L > b/2: a_c's coefficients are not digits at base
+    b, and the decode there cannot return P.  Any precision beyond the
+    header is then unread, so such a level runs at p_1.  The inequality
+    is strict: K2 (L = 2, a_1 = -2Y^a) decodes at b = 4, whose digits
+    reach -2.
 
     Why G(n) suffices: real_roots puts the root x of a value v in
     v*(1 -/+ d), d = 2^-(p-4), so |v - x| <= x*d' with d' = d/(1 - d).
@@ -313,12 +330,17 @@ def simulate_spectrum(dp, q, r_min, r_max, precision_bits=0):
     if not r_min <= 1 <= r_max:
         raise ValidationError("window must satisfy r_min <= 1 <= r_max")
     _check_weight_size(dp, q, r_min, r_max)
-    b0 = dp.graph.component_count()
+    sizes = dp.graph.edge_component_sizes()
+    b0 = dp.graph.n - sum(sizes) + len(sizes)
+    two_l = 2
+    for size in sizes:
+        two_l *= size
     levels = range(r_min, r_max + 1)
     charpolys = [_level_charpoly(dp, q, r) for r in levels]
     level_one = max(precision_bits, charpolys[1 - r_min][1] + 64)
     guard = (dp.graph.n - 1).bit_length() + 25
-    precisions = [level_one if r == 1 else max(level_one, bits + guard)
+    precisions = [max(level_one, bits + guard)
+                  if _base_reaches(q, abs(1 - r), two_l) else level_one
                   for r, (_, bits) in zip(levels, charpolys)]
     window_bits = max(precisions)
     nonzero = []
@@ -340,6 +362,16 @@ def simulate_spectrum(dp, q, r_min, r_max, precision_bits=0):
         least = min(least, wp)
     values = (ZERO,) * (b0 * len(levels)) + tuple(sorted_values(nonzero))
     return SpectrumSample(q, r_min, r_max, least, values)
+
+
+def _base_reaches(q, k, bound):
+    """Whether q^k >= bound, for q >= 2.  q^k has at least
+    k (bit_length(q) - 1) + 1 bits, so a bound of at most that many bits
+    settles it; q^k is built only when it has fewer bits than the bound
+    plus k."""
+    if k * (q.bit_length() - 1) >= bound.bit_length():
+        return True
+    return q ** k >= bound
 
 
 def _check_weight_size(dp, q, r_min, r_max):

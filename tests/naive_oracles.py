@@ -459,6 +459,20 @@ def nearest_integer(x):
     return fl + 1 if rem > half else (fl if rem < half else fl + (fl % 2))
 
 
+def radix_digits(N, base, count):
+    """The count lowest base-`base` digits of N >= 0, least significant
+    first, zeros included, split off from the top at base^(2^k) (divide
+    and conquer): the dense route the digit decode took before it dropped
+    the parts that hold only balanced zeros."""
+    powers = [base]
+    while 1 << len(powers) < count:
+        powers.append(powers[-1] ** 2)
+    parts = [N]
+    for p in reversed(powers):
+        parts = [x for part in parts for x in reversed(divmod(part, p))]
+    return parts[:count]
+
+
 # ---------------------------------------------------------------------------
 # Real roots on mpf tuples: the route realroots took before its points became
 # integer pairs.  Every step rounds as the integer route must, so the two

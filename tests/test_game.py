@@ -8,7 +8,7 @@ from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, rule
 
-from graphspectra import game
+from graphspectra import game, spectra
 from graphspectra.catalog import (complete_graph, connected_graphs,
                                   cycle_graph, path_graph,
                                   random_connected_graph, with_labels)
@@ -272,6 +272,34 @@ class TestSolver:
         # the reply at q = 3 is an error, so the solver walks the fixed list
         assert calls == [3, 101, 1009]
         assert res.primes_used == (101, 1009)
+
+    def test_refused_prime_ends_in_a_lost_game(self, monkeypatch):
+        # K4's largest label 32 makes level weights of 32 * bit_length(q)
+        # bits: under a cap of 64 the server serves q = 3 and answers every
+        # larger prime "invalid", which the solver skips like a precision
+        # error; with no prime left it gives up without submitting
+        monkeypatch.setattr(spectra, "MAX_WEIGHT_BITS", 64)
+        session = GameSession(complete_graph(4))
+        res = solve_game(LoopbackEndpoint(session))
+        assert res.won is False and res.verdict is None
+        assert res.primes_used == (3,)
+        sent = [decode_message(m) for way, m in res.transcript if way == "send"]
+        assert [m["q"] for m in sent if m["type"] == "choose_prime"] == [
+            3, 11, 101, 1009, 10007]
+        assert not any(m["type"] == "submit" for m in sent)
+        replies = [decode_message(m) for way, m in session.transcript
+                   if way == "send"][3:]
+        assert {(r["type"], r.get("code")) for r in replies} == {("error", "invalid")}
+
+    def test_other_error_replies_to_a_prime_still_raise(self):
+        class Closing(LoopbackEndpoint):
+            def request(self, msg):
+                if msg["type"] == "choose_prime":
+                    return {"type": "error", "code": "closed", "message": "gone"}
+                return super().request(msg)
+
+        with pytest.raises(ValidationError, match="gone"):
+            solve_game(Closing(GameSession(path_graph(3))))
 
     def test_negative_spectrum_value_rejected(self):
         # Laplacian spectra are non-negative: a reply holding a negative

@@ -11,14 +11,15 @@ from itertools import product
 from math import comb
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 
 from graphspectra.catalog import random_connected_graph, with_labels
 from graphspectra.errors import PrecisionError
 from graphspectra.graphs import build_diffusion_pair
-from graphspectra.polynomials import (_decode_at_base, _greater, _integer_form,
+from graphspectra.polynomials import (_balanced_digits, _decode_at_base,
+                                      _greater, _integer_form,
                                       evaluate_y, interpolate_spectral_poly,
                                       spectral_polynomial)
 from graphspectra.spectra import (_monic_from_roots, cluster_and_assign,
@@ -26,7 +27,7 @@ from graphspectra.spectra import (_monic_from_roots, cluster_and_assign,
 from graphspectra.unipoly import UniPoly
 
 from naive_oracles import (fraction_decode_at_base, fraction_interpolate,
-                           fraction_monic_from_roots)
+                           fraction_monic_from_roots, radix_digits)
 
 K3 = build_diffusion_pair(3, [(1, 2, 1), (1, 3, 2), (2, 3, 4)])
 
@@ -76,6 +77,28 @@ def test_greater_next_to_powers_of_two():
             a, b, c, d = 2 ** ka + oa, 2 ** kb + ob, 2 ** kc + oc, 2 ** kd + od
             assert _greater(a, b, c, d) == (Fraction(a, b) > Fraction(c, d))
             assert _greater(c, d, a, b) == (Fraction(c, d) > Fraction(a, b))
+
+
+@settings(max_examples=300)
+@given(st.data())
+def test_sparse_digits_match_dense(data):
+    # N below base^count, either uniform or all digits h = floor(b/2) (the
+    # balanced zero) but a few, which the sparse split skips wholesale
+    base = data.draw(st.sampled_from((3, 4, 8, 9, 1009)), label="base")
+    count = data.draw(st.integers(1, 80), label="count")
+    half = base // 2
+    if data.draw(st.booleans(), label="uniform"):
+        N = data.draw(st.integers(0, base ** count - 1), label="N")
+    else:
+        digits = [half] * count
+        for k, d in data.draw(st.dictionaries(st.integers(0, count - 1),
+                                              st.integers(0, base - 1),
+                                              max_size=6), label="digits").items():
+            digits[k] = d
+        N = sum(d * base ** k for k, d in enumerate(digits))
+    want = {k: d - half for k, d in enumerate(radix_digits(N, base, count))
+            if d != half}
+    assert _balanced_digits(N, base, count) == want
 
 
 def test_monic_from_roots_random_dyadic():

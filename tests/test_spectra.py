@@ -24,7 +24,8 @@ from graphspectra.game import (GameSession, LoopbackEndpoint, decode_message,
                                solve_game)
 from graphspectra.graphs import (Graph, build_diffusion_pair,
                                  edge_set_laplacian, laplacian_matrix)
-from graphspectra.polynomials import spectral_polynomial
+from graphspectra.polynomials import (_decode_at_base, _integer_form,
+                                      evaluate_y, spectral_polynomial)
 from graphspectra.realroots import real_roots
 from graphspectra.spectra import (SEPARATION_BITS, _level_charpoly,
                                   _scaled_charpoly, cluster_and_assign,
@@ -183,12 +184,34 @@ def _decode_bits(dp, q, r):
     return int(top + Fraction(1, 2)).bit_length()
 
 
-def _coefficient_rule(dp, q, r, floor):
-    """Level r's precision: level 1 at max(floor, bits_1 + 64), every other
-    level at max(level 1's, bits_r + bit_length(n - 1) + 25), bits_r the
-    _decode_bits of level r."""
+def _component_product(g):
+    """L, the product of g's component sizes, by breadth-first search."""
+    seen = set()
+    product = 1
+    for start in range(1, g.n + 1):
+        if start in seen:
+            continue
+        seen.add(start)
+        frontier, size = [start], 1
+        while frontier:
+            for v in g.neighbors(frontier.pop()):
+                if v not in seen:
+                    seen.add(v)
+                    frontier.append(v)
+                    size += 1
+        product *= size
+    return product
+
+
+def _coefficient_rule(dp, q, r, floor, every_node_decodes=False):
+    """Level r's precision: level 1's, max(floor, bits_1 + 64), wherever
+    the base q^|1 - r| of level r's node is below 2L (level 1 among them),
+    else max(level 1's, bits_r + bit_length(n - 1) + 25), bits_r the
+    _decode_bits of level r.  every_node_decodes=True ignores the base, as
+    the rule before this one did."""
     one = max(floor, _decode_bits(dp, q, 1) + 64)
-    if r == 1:
+    if r == 1 or (q ** abs(1 - r) < 2 * _component_product(dp.graph)
+                  and not every_node_decodes):
         return one
     return max(one, _decode_bits(dp, q, r) + (dp.graph.n - 1).bit_length() + 25)
 
@@ -275,6 +298,44 @@ class TestCharpolyRoute:
         rule = _coefficient_rule(dp, 101, 1, 0)
         for floor in (8, rule - 1, rule):
             assert simulate_spectrum(dp, 101, -3, 1, floor).precision_bits == rule
+        # C5 (L = 5) at q = 3: the bases 9, 3 and 3 of levels -1, 0 and 2
+        # are below 2L = 10, so no level decodes and every level runs at
+        # level 1's precision, where the earlier rule refined them further
+        c5 = with_labels(cycle_graph(5), [1, 2, 4, 8, 16])
+        rules = [_coefficient_rule(c5, 3, r, 0) for r in range(-1, 3)]
+        earlier = [_coefficient_rule(c5, 3, r, 0, every_node_decodes=True)
+                   for r in range(-1, 3)]
+        assert len(set(rules)) == 1 and min(earlier) == rules[0] < max(earlier)
+        s = simulate_spectrum(c5, 3, -1, 2)
+        assert s.values == _values_at(c5, 3, -1, rules)
+        assert s.values != _values_at(c5, 3, -1, earlier)
+        assert s.precision_bits == rules[0]
+
+    def test_node_below_twice_the_forest_weight_never_decodes(self):
+        # a_c's coefficients are multiples of L, the product of the
+        # component sizes, which no balanced digit below b/2 holds: on
+        # every connected graph with n <= 5 (L = n) and powers-of-two
+        # labels, the window [0, 1] at any base 3 <= b < 2n, taken exactly,
+        # decodes to nothing, and the node b alone never to P
+        for n in range(2, 6):
+            for g in connected_graphs(n):
+                dp = with_labels(g, [1 << i for i in range(g.m)])
+                P = spectral_polynomial(dp)
+                for b in range(3, 2 * n):
+                    nodes = {Fraction(y): _integer_form(evaluate_y(P, y))
+                             for y in (b, 1)}
+                    assert _decode_at_base(nodes, n, Fraction(b),
+                                           dp.total_weight) is None
+                    alone = _decode_at_base({Fraction(b): nodes[b]}, n,
+                                            Fraction(b), dp.total_weight)
+                    assert alone is None or alone.polynomial != P
+        # the bound is strict: K2 (L = 2) decodes at b = 4 and 5
+        k2 = build_diffusion_pair(2, [(1, 2, 1)])
+        P = spectral_polynomial(k2)
+        for b, decodes in ((3, False), (4, True), (5, True)):
+            nodes = {Fraction(y): _integer_form(evaluate_y(P, y)) for y in (b, 1)}
+            got = _decode_at_base(nodes, 2, Fraction(b), 1)
+            assert (got is not None and got.polynomial == P) == decodes, b
 
     def test_sign_change_certificates(self):
         # every simple nonzero value v is an exact root of some level's
@@ -582,6 +643,12 @@ class TestSimulate:
             simulate_spectrum(dp, 101, -3, 1, 8)
 
 
+def _mantissa_bits(text):
+    """The bit length of the odd mantissa of a wire value m/2^k or N."""
+    m = abs(Fraction(text).numerator)
+    return (m >> ((m & -m).bit_length() - 1)).bit_length() if m else 0
+
+
 @pytest.mark.parametrize("graph, primes", [
     (complete_graph(4), (3, 11)), (cospectral_pair_graphs()[0], (3, 37))])
 def test_game_replies_carry_level_one_rule(graph, primes):
@@ -601,6 +668,14 @@ def test_game_replies_carry_level_one_rule(graph, primes):
         _level_charpoly(session.pair, 3, 1)[0], rule))
     for r in replies:
         assert level_one <= Counter(r["values"])
+    # at q = 3 level 0's base is below 2n, so no value of that reply
+    # carries more bits than its header; at the decode prime level 0 is
+    # refined past it, as far as its digit decode reads
+    low, high = replies
+    assert all(_mantissa_bits(v) <= rule for v in low["values"])
+    level_zero = Counter(high["values"]) - level_one - Counter(["0"])
+    assert sum(level_zero.values()) == graph.n - 1
+    assert all(_mantissa_bits(v) > rule for v in level_zero)
 
 
 @settings(max_examples=40, deadline=None)
