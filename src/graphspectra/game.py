@@ -318,21 +318,21 @@ def solve_game(endpoint, config=None):
     A prime whose spectrum the server cannot compute (a "precision" error
     reply) or refuses (an "invalid" one, such as level weights above
     errors.MAX_WEIGHT_BITS) is skipped like one that fails to cluster or
-    decode; any other error reply raises ValidationError.  Gives up
+    decode; any other error reply raises ValidationError.  The weights'
+    bit size grows with the bit length of q, so after an "invalid" reply
+    to q every queued prime at least as long is dropped unasked.  Gives up
     without submitting when the primes are exhausted.
     """
     config = config or SolverConfig()
     transcript = []
 
     def request(msg, skip=()):
-        """The server's reply to msg; None for an error whose code is in
-        skip, ValidationError for any other error."""
+        """The server's reply to msg, an error reply only if its code is
+        in skip; ValidationError for any other error."""
         transcript.append(("send", encode_message(msg)))
         reply = endpoint.request(msg)
         transcript.append(("recv", encode_message(reply)))
-        if reply.get("type") == "error":
-            if reply.get("code") in skip:
-                return None
+        if reply.get("type") == "error" and reply.get("code") not in skip:
             raise ValidationError(f"server error: {reply.get('message')}")
         return reply
 
@@ -358,7 +358,8 @@ def solve_game(endpoint, config=None):
         q = queue.pop(0)
         reply = request({"type": "choose_prime", "q": q},
                         skip=("precision", "invalid"))
-        if reply is not None:
+        refused = reply.get("type") == "error"
+        if not refused:
             if reply.get("type") != "spectrum":
                 raise ValidationError(f"expected spectrum, got {reply}")
             primes_used.append(q)
@@ -368,9 +369,11 @@ def solve_game(endpoint, config=None):
                 tuple(parse_dyadic_fraction(s) for s in reply["values"])))
         if derive:  # after q = 3: the decode prime for n, then the fixed list
             derive = False
-            pair = [] if reply is None else [_decode_prime(samples[0].n_per_level)]
+            pair = [] if refused else [_decode_prime(samples[0].n_per_level)]
             queue = pair + [p for p in _FALLBACK_PRIMES if p not in pair]
-        if reply is None or len(samples) < 2:
+        if refused and reply.get("code") == "invalid":
+            queue = [p for p in queue if p.bit_length() < q.bit_length()]
+        if refused or len(samples) < 2:
             continue
         try:
             # at the larger prime: q = 2 gives no digit-decode node in [0, 1]

@@ -299,8 +299,10 @@ def interpolate_spectral_poly(samples, degree_bound):
     that deviation.  Decoding tolerates per-node relative noise, which a
     linear solve through geometric nodes amplifies catastrophically.
 
-    Raises ValidationError when no node is b or 1/b with b >= 3 (q = 2 with
-    a window inside [0, 2] gives only the nodes 1/2, 1 and 2), and
+    Raises ValidationError when the samples hold fewer than two nodes,
+    which leaves nothing to verify the digits against, or when no node is b or
+    1/b with b >= 3 (q = 2 with a window inside [0, 2] gives only the
+    nodes 1/2, 1 and 2), and
     PrecisionError when every decode fails, so that a caller can retry with
     a larger prime.
     """
@@ -310,8 +312,10 @@ def interpolate_spectral_poly(samples, degree_bound):
         if y in nodes:
             raise ValidationError(f"duplicate node {y}")
         nodes[y] = _integer_form(sample) if isinstance(sample, UniPoly) else sample
-    if not nodes:
-        raise ValidationError("no sample nodes")
+    if len(nodes) < 2:
+        raise ValidationError(
+            f"{len(nodes)} sample node(s): a digit decode needs another node "
+            f"to verify it against")
     degrees = {len(nums) - 1 for nums, _ in nodes.values()}
     if len(degrees) != 1:
         raise ValidationError("sample polynomials disagree on X-degree")

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import re
 import sys
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import groupby
@@ -277,30 +278,44 @@ def simulate_spectrum(dp, q, r_min, r_max, precision_bits=0):
     the X-adic valuation, checked against the graph's component count.
     Recovery multiplies the values of a level back into the coefficients
     of that polynomial alone and rounds them at the level's decode node,
-    so each level is refined only as far as that decode reads.  With
-    bits_r the bit size of the largest integer rounded at level r's node
-    (see _level_charpoly), b = q^|1-r| that node's base and L the product
-    of the sizes of the graph's components (1 without an edge), a level
-    with b < 2L is refined at p_1 = max(precision_bits, bits_1 + 64), and
-    every other level at max(p_1, bits_r + G(n)),
-    G(n) = bit_length(n - 1) + 25.  Level 1, b = 1, is the first case.
+    and polynomials.interpolate_spectral_poly tries the nodes in a fixed
+    order and stops at the first that decodes, so a level is refined past
+    the header only if its digit decode can be read (see _readable_levels).
+    With bits_r the bit size of the largest integer rounded at level r's
+    node (see _level_charpoly), such a level runs at max(p_1,
+    bits_r + G(n)), G(n) = bit_length(n - 1) + 25, and every other level
+    at p_1 = max(precision_bits, bits_1 + 64), level 1 among them.
 
-    Why no node with b < 2L decodes, in three steps.  (1) By the
-    all-minors matrix-tree theorem (Chaiken 1982) the coefficient of
-    X^c Y^w in P, c the number of components, is (-1)^(n-c) times the sum
-    of gamma(F) over the spanning forests F with c trees and label sum w,
-    gamma(F) the product of F's tree sizes.  Those forests are the
-    maximal ones, each with gamma(F) = L, so every term has one sign and
-    each nonzero coefficient of a_c has |coefficient| >= L.  (2) The
-    decode reads balanced base-b digits, which lie in
-    [-floor(b/2), b - 1 - floor(b/2)], so no digit exceeds b/2 in size.
-    (3) b < 2L gives L > b/2: a_c's coefficients are not digits at base
-    b, and the decode there cannot return P.  Any precision beyond the
-    header is then unread, so such a level runs at p_1.  The inequality
-    is strict: K2 (L = 2, a_1 = -2Y^a) decodes at b = 4, whose digits
-    reach -2.
+    Which levels can be read, in three steps, with L the product of the
+    sizes of the graph's components (1 without an edge) and
+    M = max_i |a_i(1)|, the largest coefficient of level 1's polynomial.
+    (1) By the all-minors matrix-tree theorem (Chaiken 1982) the
+    coefficient of X^i Y^w in P is (-1)^(n-i) times a sum of positive
+    forest weights, so each a_i has one sign and every |coefficient| is at
+    most |a_i(1)| <= M; the coefficients of a_c, c the number of
+    components, count maximal spanning forests of weight L, so each
+    nonzero one is at least L in size.  (2) A balanced base-b digit lies
+    in [-floor(b/2), b - 1 - floor(b/2)]: a base b >= 2M + 1 holds every
+    coefficient of P as a digit, so its decode returns P at the precision
+    below, and a base b < 2L holds none of a_c's, so its decode cannot
+    (strict: K2, L = 2, decodes at b = 4).  (3) The decoder stops at the
+    first node that decodes, so a node after the first base >= 2M + 1 is
+    only verified, a relative check that passes at any p >= G(n), which
+    p_1 meets.  Neither a base below 2L nor a node past that one reads
+    any precision beyond the header.
 
-    Why G(n) suffices: real_roots puts the root x of a value v in
+    Step (3) needs the clustering to hand that node's level its own
+    values.  cluster_and_assign cannot attribute two values of different
+    levels that agree within its level-1 match tolerance, a relative
+    2^-(p_1 - 5), and may swap them; a value refined only as far as a
+    coarser level then fails the decode, and the decoder goes on.  So a
+    node of base >= 2M + 1 whose level shares a value in that sense with
+    a level refined less far does not end the walk, which goes on to the
+    next such node (see _shares_value).  On the criterion-5 corpus at
+    q = 101 and 1009 no level-0 value comes within 2^-60 of another
+    level's, so the walk ends at level 0 there.
+
+    Why bits_r + G(n) suffices: real_roots puts the root x of a value v in
     v*(1 -/+ d), d = 2^-(p-4), so |v - x| <= x*d' with d' = d/(1 - d).
     The roots are nonnegative, so the product of the j <= n - 1 nonzero
     factors (X - v) moves each coefficient by at most its own size times
@@ -310,7 +325,7 @@ def simulate_spectrum(dp, q, r_min, r_max, precision_bits=0):
     p = bits_r + G(n): below one half, so rounding finds N, and below
     polynomials.SNAP_TOL = 10^-6 > 2^-20, so the decode accepts it.  The
     verification at every other node is relative, |o - e| <= |e| times the
-    same factor, so it passes at any p >= G(n), which every level meets.
+    same factor, so it passes at any p >= G(n).
 
     Level 1 keeps 64 guard bits and is the floor for the whole window
     because its precision alone is the header (and a game reply's
@@ -336,32 +351,79 @@ def simulate_spectrum(dp, q, r_min, r_max, precision_bits=0):
     for size in sizes:
         two_l *= size
     levels = range(r_min, r_max + 1)
-    charpolys = [_level_charpoly(dp, q, r) for r in levels]
-    level_one = max(precision_bits, charpolys[1 - r_min][1] + 64)
+    charpolys = {r: _level_charpoly(dp, q, r) for r in levels}
+    one_coeffs, one_bits = charpolys[1]
+    level_one = max(precision_bits, one_bits + 64)
+    sure = 2 * max(map(abs, one_coeffs)) + 1
     guard = (dp.graph.n - 1).bit_length() + 25
-    precisions = [max(level_one, bits + guard)
-                  if _base_reaches(q, abs(1 - r), two_l) else level_one
-                  for r, (_, bits) in zip(levels, charpolys)]
-    window_bits = max(precisions)
-    nonzero = []
-    least = window_bits
-    for r, (coeffs, _), wp in zip(levels, charpolys, precisions):
-        zeros = next(i for i, c in enumerate(coeffs) if c)
-        if zeros != b0:
-            raise PrecisionError(
-                f"level {r}: characteristic polynomial has {zeros} zero "
-                f"roots, but the graph has {b0} components")
-        try:
-            roots = real_roots(coeffs, wp)
-        except PrecisionError:
-            if wp == window_bits:
-                raise
-            wp = window_bits
-            roots = real_roots(coeffs, wp)
-        nonzero.extend(roots[zeros:])  # a Laplacian has no negative roots
-        least = min(least, wp)
+    blocked = set()
+    while True:
+        readable, stop = _readable_levels(q, r_min, r_max, two_l, sure, blocked)
+        precisions = {r: max(level_one, charpolys[r][1] + guard)
+                      if r in readable else level_one for r in levels}
+        window_bits = max(precisions.values())
+        refined = {}
+        for r, wp in precisions.items():
+            coeffs = charpolys[r][0]
+            zeros = next(i for i, c in enumerate(coeffs) if c)
+            if zeros != b0:
+                raise PrecisionError(
+                    f"level {r}: characteristic polynomial has {zeros} zero "
+                    f"roots, but the graph has {b0} components")
+            try:
+                roots = real_roots(coeffs, wp)
+            except PrecisionError:
+                if wp == window_bits:
+                    raise
+                wp = window_bits
+                roots = real_roots(coeffs, wp)
+            refined[r] = roots[zeros:], wp  # a Laplacian has no negative roots
+        if stop is None:
+            break
+        stop_roots, stop_bits = refined[stop]
+        coarser = [v for roots, wp in refined.values() if wp < stop_bits
+                   for v in roots]
+        if not _shares_value(stop_roots, coarser, level_one - 5):
+            break
+        blocked.add(stop)
+    nonzero = [v for roots, _ in refined.values() for v in roots]
+    least = min(wp for _, wp in refined.values())
     values = (ZERO,) * (b0 * len(levels)) + tuple(sorted_values(nonzero))
     return SpectrumSample(q, r_min, r_max, least, values)
+
+
+def _readable_levels(q, r_min, r_max, two_l, sure, blocked):
+    """(the levels of the window [r_min, r_max] whose digit decode can be
+    read, the level whose node ends the walk or None), walked in
+    polynomials.interpolate_spectral_poly's order: the integer bases
+    q^(1-r), r < 1, ascending, then the reciprocal bases q^(r-1), r > 1,
+    ascending.  A level counts if its base is at least 3, the least the
+    decoder tries, and two_l = 2L, and the walk ends at the first base of
+    at least sure = 2M + 1 >= 3 whose level is not in blocked, which is
+    certain to decode (see simulate_spectrum)."""
+    readable = set()
+    for r in (*range(0, r_min - 1, -1), *range(2, r_max + 1)):
+        k = abs(1 - r)
+        if _base_reaches(q, k, max(3, two_l)):
+            readable.add(r)
+        if r not in blocked and _base_reaches(q, k, sure):
+            return readable, r
+    return readable, None
+
+
+def _shares_value(values, others, t):
+    """Whether a value of values and a value of others, both lists of
+    positive Dyadics, agree within a relative 2^-t, cluster_and_assign's
+    _close test; the nearest of others on either side of a value is the
+    closest in that sense."""
+    others = sorted_values(others)
+    for v in values:
+        i = bisect_left(others, v)
+        x = _point_of(v)
+        if any(_close(*_align(x, _point_of(w))[:2], t)
+               for w in others[max(i - 1, 0):i + 1]):
+            return True
+    return False
 
 
 def _base_reaches(q, k, bound):

@@ -275,21 +275,27 @@ class TestSolver:
 
     def test_refused_prime_ends_in_a_lost_game(self, monkeypatch):
         # K4's largest label 32 makes level weights of 32 * bit_length(q)
-        # bits: under a cap of 64 the server serves q = 3 and answers every
-        # larger prime "invalid", which the solver skips like a precision
-        # error; with no prime left it gives up without submitting
+        # bits: under a cap of 64 the server serves q = 3 and answers 11
+        # "invalid", which the solver skips like a precision error; 101,
+        # 1009 and 10007 are longer than 11, so it asks none of them and
+        # gives up without submitting
         monkeypatch.setattr(spectra, "MAX_WEIGHT_BITS", 64)
         session = GameSession(complete_graph(4))
         res = solve_game(LoopbackEndpoint(session))
         assert res.won is False and res.verdict is None
         assert res.primes_used == (3,)
         sent = [decode_message(m) for way, m in res.transcript if way == "send"]
-        assert [m["q"] for m in sent if m["type"] == "choose_prime"] == [
-            3, 11, 101, 1009, 10007]
+        assert [m["q"] for m in sent if m["type"] == "choose_prime"] == [3, 11]
         assert not any(m["type"] == "submit" for m in sent)
         replies = [decode_message(m) for way, m in session.transcript
                    if way == "send"][3:]
         assert {(r["type"], r.get("code")) for r in replies} == {("error", "invalid")}
+        # a shorter prime queued after the refused one is still asked
+        res = solve_game(LoopbackEndpoint(GameSession(complete_graph(4))),
+                         SolverConfig(primes=(11, 3, 101)))
+        sent = [decode_message(m) for way, m in res.transcript if way == "send"]
+        assert [m["q"] for m in sent if m["type"] == "choose_prime"] == [11, 3]
+        assert res.primes_used == (3,) and res.verdict is None
 
     def test_other_error_replies_to_a_prime_still_raise(self):
         class Closing(LoopbackEndpoint):

@@ -367,6 +367,23 @@ class TestInterpolation:
         with pytest.raises(ValidationError):
             interpolate_spectral_poly({1: UniPoly({2: 1, 1: -2})}, 1)
 
+    def test_single_node_refused(self):
+        # K5 with powers-of-two labels sampled exactly at Y = 9 alone: the
+        # digits at base 9 < 2L = 10 decode to a polynomial that is not P,
+        # and no other node is left to catch it, so the decode is refused
+        dp = with_powers_of_two(complete_graph(5))
+        P = spectral_polynomial(dp)
+        nodes = {Fraction(9): polynomials._integer_form(evaluate_y(P, 9))}
+        alone = polynomials._decode_at_base(nodes, 5, Fraction(9),
+                                            dp.total_weight)
+        assert alone is not None and alone.polynomial != P
+        with pytest.raises(ValidationError, match="1 sample node"):
+            interpolate_spectral_poly({9: evaluate_y(P, 9)}, dp.total_weight)
+        # with the node 1 beside it the wrong digits fail verification
+        with pytest.raises(PrecisionError):
+            interpolate_spectral_poly({y: evaluate_y(P, y) for y in (1, 9)},
+                                      dp.total_weight)
+
     def test_failed_decode_with_too_few_nodes_is_precision_error(self):
         # the coefficient 3 of K3 lies outside base 5's balanced digits
         dp = build_diffusion_pair(3, [(1, 2, 1), (1, 3, 2), (2, 3, 4)])

@@ -5,7 +5,9 @@ import sys
 import time
 from collections import Counter
 from fractions import Fraction
+from functools import partial
 from itertools import permutations
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -16,12 +18,12 @@ from mpmath.libmp import from_man_exp
 from graphspectra import spectra
 from graphspectra.catalog import (complete_graph, connected_graphs,
                                   cospectral_pair_graphs, cycle_graph,
-                                  path_graph, random_connected_graph,
+                                  random_connected_graph,
                                   star_graph, with_labels)
 from graphspectra.errors import (MAX_WEIGHT_BITS, AmbiguousClusteringError,
                                  PrecisionError, ValidationError)
-from graphspectra.game import (GameSession, LoopbackEndpoint, decode_message,
-                               solve_game)
+from graphspectra.game import (GameConfig, GameSession, LoopbackEndpoint,
+                               SolverConfig, decode_message, solve_game)
 from graphspectra.graphs import (Graph, build_diffusion_pair,
                                  edge_set_laplacian, laplacian_matrix)
 from graphspectra.polynomials import (_decode_at_base, _integer_form,
@@ -203,25 +205,126 @@ def _component_product(g):
     return product
 
 
-def _coefficient_rule(dp, q, r, floor, every_node_decodes=False):
-    """Level r's precision: level 1's, max(floor, bits_1 + 64), wherever
-    the base q^|1 - r| of level r's node is below 2L (level 1 among them),
-    else max(level 1's, bits_r + bit_length(n - 1) + 25), bits_r the
-    _decode_bits of level r.  every_node_decodes=True ignores the base, as
-    the rule before this one did."""
-    one = max(floor, _decode_bits(dp, q, 1) + 64)
-    if r == 1 or (q ** abs(1 - r) < 2 * _component_product(dp.graph)
-                  and not every_node_decodes):
-        return one
-    return max(one, _decode_bits(dp, q, r) + (dp.graph.n - 1).bit_length() + 25)
+def _dense_top(dp, q):
+    """M = max_i |a_i(1)|, the largest |coefficient| of the charpoly of
+    the dense level-1 Laplacian."""
+    P = charpoly_division_free(level_laplacian(dp, q, 1))
+    return max(abs(Fraction(c)) for c in P.terms.values())
+
+
+def _decode_order(r_min, r_max):
+    """The levels of a window in the order the digit decode tries their
+    nodes: integer bases ascending, then reciprocal ones ascending."""
+    return [*range(0, r_min - 1, -1), *range(2, r_max + 1)]
+
+
+def _node_read(dp, q, r, r_min, blocked=()):
+    """Whether the digit decode reads level r's node in a window from
+    r_min: its base q^|1 - r| is at least 3 and 2L, and no node tried
+    before it has a base of at least 2M + 1 (M from _dense_top) unless
+    its level is in blocked."""
+    sure = 2 * _dense_top(dp, q) + 1
+    order = _decode_order(r_min, r)
+    before = order[:order.index(r)]
+    return (q ** abs(1 - r) >= max(3, 2 * _component_product(dp.graph))
+            and all(s in blocked or q ** abs(1 - s) < sure for s in before))
+
+
+def _base_read(dp, q, r, r_min):
+    """The rule before _node_read: every node whose base is at least 2L."""
+    return q ** abs(1 - r) >= 2 * _component_product(dp.graph)
+
+
+def _every_node_read(dp, q, r, r_min):
+    """The rule before _base_read: every node."""
+    return True
+
+
+def _level_one_rule(dp, q, floor):
+    """Level 1's precision, max(floor, bits_1 + 64)."""
+    return max(floor, _decode_bits(dp, q, 1) + 64)
+
+
+def _shares_a_value(dp, q, r, others, t):
+    """Whether an eigenvalue of level r lies within a relative 2^-t of one
+    of the levels others, from the dense level Laplacians' charpolys."""
+    def eigenvalues(s):
+        P = charpoly_division_free(level_laplacian(dp, q, s))
+        den = lcm(*(Fraction(c).denominator for c in P.terms.values()))
+        coeffs = [int(Fraction(P.terms.get(i, 0)) * den)
+                  for i in range(P.degree + 1)]
+        return [Fraction(dyadic_fraction(v))
+                for v in real_roots(coeffs, 2 * t + 64) if v]
+    mine = eigenvalues(r)
+    return any(abs(x - y) * 2 ** t <= max(x, y)
+               for s in others for y in eigenvalues(s) for x in mine)
+
+
+def _window_rules(dp, q, r_min, r_max, floor, read=None):
+    """Each level's precision over the window [r_min, r_max]: level 1's
+    for level 1 and every level whose node is not read, else
+    max(level 1's, bits_r + bit_length(n - 1) + 25), bits_r the
+    _decode_bits of level r.  read=None is _node_read, where a node of
+    base >= 2M + 1 whose level shares an eigenvalue, within the level-1
+    match tolerance, with a level refined less far is blocked (the
+    clustering may swap the two); an earlier rule is given as read."""
+    one = _level_one_rule(dp, q, floor)
+    guard = (dp.graph.n - 1).bit_length() + 25
+    levels = range(r_min, r_max + 1)
+    blocked = set()
+    reads = read or partial(_node_read, blocked=blocked)
+
+    def rules():
+        return {r: max(one, _decode_bits(dp, q, r) + guard)
+                if r != 1 and reads(dp, q, r, r_min) else one for r in levels}
+    if read:
+        return list(rules().values())
+    sure = 2 * _dense_top(dp, q) + 1
+    while True:
+        got = rules()
+        stop = next((r for r in _decode_order(r_min, r_max)
+                     if r not in blocked and q ** abs(1 - r) >= sure), None)
+        if stop is None or not _shares_a_value(
+                dp, q, stop, [s for s in levels if got[s] < got[stop]], one - 5):
+            return list(got.values())
+        blocked.add(stop)
+
+
+def _one_sign_per_coefficient(dp):
+    """Check the premise of the decode rule on P of dp: every coefficient
+    of a_i has the sign (-1)^(n - i), so |coefficient| <= |a_i(1)| <= M,
+    M from the dense level-1 route (_dense_top), and M >= L.  Returns
+    (P, M)."""
+    P = spectral_polynomial(dp)
+    M = _dense_top(dp, 2)
+    for i, a in enumerate(P.coeffs):
+        sign = (-1) ** (dp.graph.n - i)
+        assert all(c * sign > 0 for c in a.terms.values()), (i, a)
+        assert abs(a(1)) == sum(map(abs, a.terms.values())) <= M
+    assert M >= _component_product(dp.graph)
+    return P, M
+
+
+def _decodes_at_first_sure_base(dp, P, M):
+    """Exact samples at the nodes 2M + 1 and 1 decode to P at 2M + 1."""
+    b = 2 * M + 1
+    nodes = {Fraction(y): _integer_form(evaluate_y(P, y)) for y in (b, 1)}
+    got = _decode_at_base(nodes, dp.graph.n, Fraction(b), dp.total_weight)
+    return got is not None and got.polynomial == P
 
 
 def _values_at(dp, q, r_min, precisions):
     """The ascending union of the levels r_min, r_min + 1, ... refined at
-    the given precisions, one per level."""
-    return tuple(sorted(
-        v for r, bits in enumerate(precisions, r_min)
-        for v in real_roots(_level_charpoly(dp, q, r)[0], bits)))
+    the given precisions, one per level; a level whose roots cannot be
+    told apart at its precision is refined at the largest."""
+    def roots(r, bits):
+        coeffs = _level_charpoly(dp, q, r)[0]
+        try:
+            return real_roots(coeffs, bits)
+        except PrecisionError:
+            return real_roots(coeffs, max(precisions))
+    return tuple(sorted(v for r, bits in enumerate(precisions, r_min)
+                        for v in roots(r, bits)))
 
 
 class TestCharpolyRoute:
@@ -282,34 +385,70 @@ class TestCharpolyRoute:
         dp = build_diffusion_pair(4, [(1, 2, 1), (2, 3, 2), (3, 4, 4), (1, 4, 8)])
         for q, r_min, r_max, floor in ((101, 0, 1, 64), (101, -3, 1, 512),
                                        (13, -1, 2, 64), (5, 0, 1, 4096)):
-            rules = [_coefficient_rule(dp, q, r, floor)
-                     for r in range(r_min, r_max + 1)]
+            rules = _window_rules(dp, q, r_min, r_max, floor)
             s = simulate_spectrum(dp, q, r_min, r_max, floor)
             assert s.values == _values_at(dp, q, r_min, rules)
             assert s.precision_bits == min(rules) == rules[1 - r_min]
         # without a floor every level is refined at its own rule
-        for q, r_min, r_max in ((101, -3, 1), (13, -1, 2), (2, 0, 1)):
-            rules = [_coefficient_rule(dp, q, r, 0)
-                     for r in range(r_min, r_max + 1)]
+        for q, r_min, r_max in ((101, -3, 1), (13, -1, 2), (13, 0, 3), (2, 0, 1)):
+            rules = _window_rules(dp, q, r_min, r_max, 0)
             s = simulate_spectrum(dp, q, r_min, r_max)
             assert s.values == _values_at(dp, q, r_min, rules)
             assert s.precision_bits == rules[1 - r_min] < 128
         # a floor at or below level 1's rule reads back as exactly that rule
-        rule = _coefficient_rule(dp, 101, 1, 0)
+        rule = _level_one_rule(dp, 101, 0)
         for floor in (8, rule - 1, rule):
             assert simulate_spectrum(dp, 101, -3, 1, floor).precision_bits == rule
+        # C4 has M = 20 and L = 4.  At q = 13 the bases of levels 0 and -1
+        # are 13 and 169 >= 2M + 1, so the decode stops at level -1 at the
+        # latest and level 2's base 13, tried after it, is only verified:
+        # it runs at level 1's precision, where the 2L rule refined it
+        one = _level_one_rule(dp, 13, 0)
+        rules = _window_rules(dp, 13, -1, 2, 0)
+        earlier = _window_rules(dp, 13, -1, 2, 0, read=_base_read)
+        assert rules[:3] == earlier[:3] and rules[3] == one < earlier[3]
+        # over [0, 3] no integer base is sure: level 2's base 13 is read
+        # again, and level 3's 169 ends the walk
+        rules = _window_rules(dp, 13, 0, 3, 0)
+        assert rules[2] > one and rules[3] > one
         # C5 (L = 5) at q = 3: the bases 9, 3 and 3 of levels -1, 0 and 2
         # are below 2L = 10, so no level decodes and every level runs at
-        # level 1's precision, where the earlier rule refined them further
+        # level 1's precision, where the earliest rule refined them further
         c5 = with_labels(cycle_graph(5), [1, 2, 4, 8, 16])
-        rules = [_coefficient_rule(c5, 3, r, 0) for r in range(-1, 3)]
-        earlier = [_coefficient_rule(c5, 3, r, 0, every_node_decodes=True)
-                   for r in range(-1, 3)]
+        rules = _window_rules(c5, 3, -1, 2, 0)
+        assert rules == _window_rules(c5, 3, -1, 2, 0, read=_base_read)
+        earlier = _window_rules(c5, 3, -1, 2, 0, read=_every_node_read)
         assert len(set(rules)) == 1 and min(earlier) == rules[0] < max(earlier)
         s = simulate_spectrum(c5, 3, -1, 2)
         assert s.values == _values_at(c5, 3, -1, rules)
         assert s.values != _values_at(c5, 3, -1, earlier)
         assert s.precision_bits == rules[0]
+
+    def test_sure_level_sharing_a_value_does_not_end_the_walk(self):
+        # M = 46, so at q = 101 level 0's base ends the walk; but level 0
+        # and level -1 share an eigenvalue to a relative 2^-160, which
+        # cluster_and_assign cannot attribute at the header's precision.
+        # Handed level -1's header-precision value, level 0's decode fails
+        # and the decoder goes on to level -1, so level -1 is refined at
+        # its own rule, as the 2L rule refined it
+        edges = [(1, 5), (2, 3), (2, 4), (3, 5), (4, 5)]
+        dp = build_diffusion_pair(5, [(1, 5, 8), (2, 3, 16), (2, 4, 4),
+                                      (3, 5, 2), (4, 5, 1)])
+        assert _dense_top(dp, 2) == 46
+        assert _shares_a_value(dp, 101, 0, [-1], 160)
+        rules = _window_rules(dp, 101, -1, 1, 0)
+        unblocked = _window_rules(dp, 101, -1, 1, 0, read=_node_read)
+        assert rules == _window_rules(dp, 101, -1, 1, 0, read=_base_read)
+        assert unblocked[0] == rules[2] < rules[0] and unblocked[1] == rules[1]
+        s = simulate_spectrum(dp, 101, -1, 1)
+        assert s.values == _values_at(dp, 101, -1, rules)
+        # the hidden graph of those labels at server seed 15 is won at the
+        # first two primes, as it was under the 2L rule
+        session = GameSession(Graph.of(5, edges), GameConfig(-1, 1, 15))
+        res = solve_game(LoopbackEndpoint(session),
+                         SolverConfig(primes=(101, 1009, 10007)))
+        assert sorted(session.pair.labels) == sorted(dp.labels)
+        assert res.won and res.primes_used == (101, 1009)
 
     def test_node_below_twice_the_forest_weight_never_decodes(self):
         # a_c's coefficients are multiples of L, the product of the
@@ -337,6 +476,34 @@ class TestCharpolyRoute:
             got = _decode_at_base(nodes, 2, Fraction(b), 1)
             assert (got is not None and got.polynomial == P) == decodes, b
 
+    def test_one_sign_per_coefficient_on_small_graphs(self):
+        # the all-minors matrix-tree theorem, checked on every connected
+        # graph with n <= 5 under seeded labels: each a_i has one sign,
+        # so every |coefficient| is at most M = max_i |a_i(1)|, and the
+        # base 2M + 1 decodes P
+        rng = random.Random(57)
+        for n in range(2, 6):
+            for g in connected_graphs(n):
+                dp = with_labels(g, rng.sample(range(1, 2 * g.m + 1), g.m))
+                P, M = _one_sign_per_coefficient(dp)
+                assert _decodes_at_first_sure_base(dp, P, M)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_one_sign_per_coefficient_on_any_graph(self, data):
+        # the same on graphs that may be disconnected, with repeated labels
+        n = data.draw(st.integers(1, 6), label="n")
+        pairs = [(u, v) for v in range(1, n + 1) for u in range(1, v)]
+        edges = data.draw(st.lists(st.sampled_from(pairs), unique=True,
+                                   max_size=8) if pairs else st.just([]),
+                          label="edges")
+        g = Graph.of(n, edges)
+        labels = data.draw(st.lists(st.integers(1, 9), min_size=g.m,
+                                    max_size=g.m), label="labels")
+        dp = with_labels(g, labels, require_distinct_labels=False)
+        P, M = _one_sign_per_coefficient(dp)
+        assert _decodes_at_first_sure_base(dp, P, M)
+
     def test_sign_change_certificates(self):
         # every simple nonzero value v is an exact root of some level's
         # characteristic polynomial P_r or changes its sign between
@@ -352,8 +519,8 @@ class TestCharpolyRoute:
             levels = range(-1, 3)
             charpolys = [charpoly_division_free(level_laplacian(dp, 3, r))
                          for r in levels]
-            eps = [Fraction(1, 2 ** (_coefficient_rule(dp, 3, r, 96) - 4))
-                   for r in levels]
+            eps = [Fraction(1, 2 ** (bits - 4))
+                   for bits in _window_rules(dp, 3, -1, 2, 96)]
             values = s.nonzero_values()
             for v in values:
                 if values.count(v) > 1:
@@ -600,18 +767,24 @@ class TestSimulate:
     def test_precision_too_low_without_elevation(self):
         # a floor below the coefficient rule is raised to exactly each
         # level's own rule, not to the window's largest; the header reads
-        # level 1's
-        dp = with_labels(path_graph(3), [1, 8])
-        rules = [_coefficient_rule(dp, 101, r, 0) for r in range(-14, 2)]
-        s = simulate_spectrum(dp, 101, -14, 1, 8)
-        assert s.values == _values_at(dp, 101, -14, rules)
-        assert s.values != _values_at(dp, 101, -14, [max(rules)] * len(rules))
+        # level 1's.  K4 has 2L = 8 and 2M + 1 = 129, so at q = 3 the
+        # bases 9, 27, 81 and 243 of levels -1 to -4 are read, each at its
+        # own precision, and every other level runs at the header's
+        dp = with_labels(complete_graph(4), [1, 2, 4, 8, 32, 64])
+        rules = _window_rules(dp, 3, -14, 1, 0)
+        s = simulate_spectrum(dp, 3, -14, 1, 8)
+        assert s.values == _values_at(dp, 3, -14, rules)
+        assert s.values != _values_at(dp, 3, -14, [max(rules)] * len(rules))
         assert s.precision_bits == rules[-1] == min(rules) > 64
         assert max(rules) > 10 * s.precision_bits
+        assert len(set(rules[10:14])) == 4
+        assert set(rules[:10] + rules[14:]) == {s.precision_bits}
 
     def test_level_failure_falls_back_to_window_precision(self, monkeypatch):
-        dp = with_labels(path_graph(3), [1, 8])
-        rules = [_coefficient_rule(dp, 101, r, 8) for r in range(-3, 2)]
+        # K6 has 2L = 12 and 2M + 1 = 15553: at q = 13 the levels 0 to -3
+        # are all read, each at its own precision
+        dp = with_labels(complete_graph(6), list(range(1, 16)))
+        rules = _window_rules(dp, 13, -3, 1, 8)
         window = max(rules)
         calls = []
 
@@ -626,21 +799,21 @@ class TestSimulate:
         # every level refused below the window precision: the values and
         # the header are those of refining the whole window at it
         monkeypatch.setattr(spectra, "real_roots", refuse(window))
-        s = simulate_spectrum(dp, 101, -3, 1, 8)
-        assert s.values == _values_at(dp, 101, -3, [window] * 5)
+        s = simulate_spectrum(dp, 13, -3, 1, 8)
+        assert s.values == _values_at(dp, 13, -3, [window] * 5)
         assert s.precision_bits == window
         # once at each level's own rule, then once more at the window's
         assert sorted(calls) == sorted(rules + [window] * 4)
         assert len(set(rules)) == 5
         # level 1 alone falls back: the header is the least precision used
         monkeypatch.setattr(spectra, "real_roots", refuse(rules[-1] + 1))
-        s = simulate_spectrum(dp, 101, -3, 1, 8)
-        assert s.values == _values_at(dp, 101, -3, rules[:-1] + [window])
+        s = simulate_spectrum(dp, 13, -3, 1, 8)
+        assert s.values == _values_at(dp, 13, -3, rules[:-1] + [window])
         assert s.precision_bits == min(rules[:-1]) > rules[-1]
         # a failure at the window precision itself propagates
         monkeypatch.setattr(spectra, "real_roots", refuse(window + 1))
         with pytest.raises(PrecisionError, match="forced"):
-            simulate_spectrum(dp, 101, -3, 1, 8)
+            simulate_spectrum(dp, 13, -3, 1, 8)
 
 
 def _mantissa_bits(text):
@@ -661,7 +834,7 @@ def test_game_replies_carry_level_one_rule(graph, primes):
     assert res.won and res.primes_used == primes
     replies = [decode_message(m) for way, m in session.transcript if way == "send"]
     replies = [r for r in replies if r["type"] == "spectrum"]
-    rule = _coefficient_rule(session.pair, 3, 1, 0)
+    rule = _level_one_rule(session.pair, 3, 0)
     assert [r["precision_bits"] for r in replies] == [rule, rule]
     assert rule < 512
     level_one = Counter(dyadic_fraction(v) for v in real_roots(
@@ -699,6 +872,25 @@ def test_level_one_sets_the_header(data):
     assert bits[1] == min(bits.values())
     s = simulate_spectrum(dp, q, r_min, r_max, floor)
     assert s.precision_bits == max(floor, bits[1] + 64)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_levels_follow_the_decode_walk(data):
+    # every level is refined at _window_rules, whose read test is the
+    # closed form of simulate_spectrum's walk over the decode order
+    n = data.draw(st.integers(2, 5), label="n")
+    g = random_connected_graph(
+        n, random.Random(data.draw(st.integers(0, 2 ** 32), label="seed")))
+    labels = data.draw(st.lists(st.integers(1, 6), min_size=g.m,
+                                max_size=g.m), label="labels")
+    dp = with_labels(g, labels, require_distinct_labels=False)
+    q = data.draw(st.sampled_from((2, 3, 4, 5, 9, 13, 101)), label="q")
+    r_min = data.draw(st.integers(-3, 1), label="r_min")
+    r_max = data.draw(st.integers(1, 3), label="r_max")
+    s = simulate_spectrum(dp, q, r_min, r_max)
+    assert s.values == _values_at(dp, q, r_min,
+                                  _window_rules(dp, q, r_min, r_max, 0))
 
 
 class TestClusterAssign:
@@ -809,12 +1001,13 @@ def test_level_sums_equal_level_traces(g, labels):
     samples = [simulate_spectrum(dp, q, 1 - D, 1, 512) for q in (101, 1009)]
     for a in cluster_and_assign(samples):
         assert sorted(a.levels) == list(range(1 - D, 2))
-        assert a.precision_bits == _coefficient_rule(dp, a.q, 1, 512)
+        assert a.precision_bits == _level_one_rule(dp, a.q, 512)
+        rules = _window_rules(dp, a.q, 1 - D, 1, 512)
         for r, values in a.levels.items():
             y = Fraction(a.q) ** (1 - r)
             trace = 2 * sum(y ** label for label in labels)
             total = sum(map(_exact, values), Fraction(0))
-            bits = _coefficient_rule(dp, a.q, r, 512)
+            bits = rules[r - (1 - D)]
             assert abs(total - trace) <= trace / 2 ** (bits - 4), (a.q, r)
 
 
